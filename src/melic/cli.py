@@ -4,19 +4,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import genmodel, stats
-from .corpus import Corpus, CorpusError, parse_canonical, write_table
+from .corpus import Corpus, CorpusError, MelicError, parse_canonical, write_table
 from .infotheory import Distribution, distribution_of, entropy, gini, mutual_information_excess
-from .repetition import remove_repetition, total_information
+from .repetition import joint_information, remove_repetition
 from .seqmodel import within_corpus_repetition
 from .viewpoints import ViewpointKind, extract_viewpoint
 
@@ -35,6 +33,29 @@ def parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _per_melody(corpus: Corpus, fn, threads: int = 1) -> list:
+    """fn over the corpus's melodies, in order, leaving out each melody whose
+    fn raises MelicError; each skip and the total are reported on stderr."""
+
+    def guarded(m):
+        try:
+            return True, fn(m)
+        except MelicError as exc:
+            return False, exc
+
+    cid = corpus.meta.corpus_id
+    rows = []
+    for m, (ok, value) in zip(corpus.melodies, parallel_map(guarded, corpus.melodies, threads)):
+        if ok:
+            rows.append(value)
+        else:
+            print(f"warning: corpus {cid!r} melody {m.id!r} skipped: {value}", file=sys.stderr)
+    skipped = len(corpus.melodies) - len(rows)
+    if skipped:
+        print(f"warning: corpus {cid!r}: {skipped} melodies skipped", file=sys.stderr)
+    return rows
+
+
 def _load_corpora(paths: list[str]) -> list[Corpus]:
     files: list[Path] = []
     for p in paths:
@@ -48,9 +69,17 @@ def _load_corpora(paths: list[str]) -> list[Corpus]:
     return [parse_canonical(f.read_bytes()) for f in files]
 
 
-def _load_means(path: str) -> list[stats.CorpusMeans]:
+def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh, restval="")
+        for col in columns:
+            if col not in (reader.fieldnames or ()):
+                raise CorpusError(f"{path}: missing column {col!r}")
+        return list(reader)
+
+
+def _load_means(path: str) -> list[stats.CorpusMeans]:
+    rows = _read_csv(path, ("corpus_id", "H_chroma", "H_duration", "I_chroma_duration"))
     return [
         stats.CorpusMeans(
             corpus_id=r["corpus_id"],
@@ -65,8 +94,7 @@ def _load_means(path: str) -> list[stats.CorpusMeans]:
 
 
 def _load_distribution(path: str) -> Distribution:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _read_csv(path, ("symbol", "probability"))
     symbols = [int(r["symbol"]) for r in rows]
     probs = np.array([float(r["probability"]) for r in rows])
     probs = probs / probs.sum()
@@ -94,24 +122,26 @@ def _sym_str(s) -> str:
 
 def cmd_viewpoints(args):
     kind = ViewpointKind(args.kind)
-    records = []
-    for corpus in _load_corpora(args.corpus):
-        for m in corpus.melodies:
-            seq = extract_viewpoint(m, kind)
-            records.append({"id": m.id, "symbols": " ".join(_sym_str(s) for s in seq.symbols)})
+
+    def one(m):
+        seq = extract_viewpoint(m, kind)
+        return {"id": m.id, "symbols": " ".join(_sym_str(s) for s in seq.symbols)}
+
+    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
     _emit(args, records, schema=["id", "symbols"])
 
 
 def cmd_entropy(args, with_gini=False):
     kind = ViewpointKind(args.viewpoint)
-    records = []
-    for corpus in _load_corpora(args.corpus):
-        for m in corpus.melodies:
-            d = distribution_of(extract_viewpoint(m, kind))
-            row = {"id": m.id, "A": d.alphabet_size, "H": entropy(d)}
-            if with_gini:
-                row["G"] = gini(d)
-            records.append(row)
+
+    def one(m):
+        d = distribution_of(extract_viewpoint(m, kind))
+        row = {"id": m.id, "A": d.alphabet_size, "H": entropy(d)}
+        if with_gini:
+            row["G"] = gini(d)
+        return row
+
+    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
     _emit(args, records)
 
 
@@ -120,50 +150,54 @@ def cmd_gini(args):
 
 
 def cmd_mi(args):
+    if args.shuffles < 0:
+        raise MelicError(f"--shuffles must be >= 0, got {args.shuffles}")
     pkind = ViewpointKind(args.viewpoint)
     rkind = ViewpointKind(args.rhythm_kind)
     rng = np.random.default_rng(args.seed)
-    records = []
-    for corpus in _load_corpora(args.corpus):
-        for m in corpus.melodies:
-            seq_p = extract_viewpoint(m, pkind)
-            seq_r = extract_viewpoint(m, rkind)
-            n = min(len(seq_p), len(seq_r))
-            i_obs, i_ran, i_star = mutual_information_excess(
-                seq_p.symbols[:n], seq_r.symbols[:n], n_shuffles=args.shuffles, rng=rng
-            )
-            records.append({"id": m.id, "I": i_obs, "I_ran": i_ran, "I_star": i_star})
+
+    def one(m):
+        seq_p = extract_viewpoint(m, pkind)
+        seq_r = extract_viewpoint(m, rkind)
+        n = min(len(seq_p), len(seq_r))
+        i_obs, i_ran, i_star = mutual_information_excess(
+            seq_p.symbols[:n], seq_r.symbols[:n], n_shuffles=args.shuffles, rng=rng
+        )
+        return {"id": m.id, "I": i_obs, "I_ran": i_ran, "I_star": i_star}
+
+    # sequential: every melody draws its shuffles from the one rng stream
+    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
     _emit(args, records)
 
 
 def cmd_repetition(args):
+    if args.lmin < 2:
+        raise MelicError(f"--lmin must be >= 2, got {args.lmin}")
     kind = ViewpointKind(args.viewpoint)
     threads = _threads(args)
-    records = []
-    for corpus in _load_corpora(args.corpus):
-        def one(m):
-            seq = extract_viewpoint(m, kind)
-            res = remove_repetition(seq, args.lmin)
-            return {
-                "id": m.id,
-                "L": len(seq.symbols),
-                "L_NR": res.l_nr,
-                "fraction": 1.0 - res.l_nr / len(seq.symbols),
-            }
-        records.extend(parallel_map(one, corpus.melodies, threads))
+
+    def one(m):
+        seq = extract_viewpoint(m, kind)
+        res = remove_repetition(seq, args.lmin)
+        return {
+            "id": m.id,
+            "L": len(seq.symbols),
+            "L_NR": res.l_nr,
+            "fraction": 1.0 - res.l_nr / len(seq.symbols),
+        }
+
+    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one, threads)]
     _emit(args, records)
 
 
 def cmd_totalinfo(args):
     threads = _threads(args)
-    records = []
-    for corpus in _load_corpora(args.corpus):
-        def one(m):
-            joint = extract_viewpoint(m, ViewpointKind.JOINT_CHROMA_DURATION)
-            h = entropy(distribution_of(joint))
-            l_nr = remove_repetition(joint, 2).l_nr
-            return {"id": m.id, "H_joint": h, "L_NR": l_nr, "T": h * l_nr}
-        records.extend(parallel_map(one, corpus.melodies, threads))
+
+    def one(m):
+        h, l_nr, _ = joint_information(m)
+        return {"id": m.id, "H_joint": h, "L_NR": l_nr, "T": h * l_nr}
+
+    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one, threads)]
     _emit(args, records)
 
 
@@ -201,8 +235,7 @@ def cmd_genmodel_scale(args):
     probs = genmodel.prob_entropy_below(sim, args.threshold)
     logl: dict[int, float] = {}
     if args.empirical_h:
-        with open(args.empirical_h, newline="") as fh:
-            emp = [float(r["H"]) for r in csv.DictReader(fh)]
+        emp = [float(r["H"]) for r in _read_csv(args.empirical_h, ("H",))]
         logl = genmodel.scale_loglikelihood(sim, emp, alpha=args.alpha)
     records = []
     for a in sorted(sim.per_a):
@@ -217,48 +250,27 @@ def cmd_genmodel_scale(args):
     _emit(args, records)
 
 
-def _pitch_grid(args):
-    grid = []
-    for a in [int(x) for x in args.grid_a.split(",")]:
-        for length in [int(x) for x in args.grid_l.split(",")]:
-            for o in [float(x) for x in args.grid_o.split(",")]:
-                for exp in [float(x) for x in args.grid_exp.split(",")]:
-                    grid.append((a, length, o, exp))
-    return grid
-
-
-def _melody_entropies(corpora, kinds):
-    out = {k: [] for k in kinds}
-    for corpus in corpora:
-        for m in corpus.melodies:
-            try:
-                vals = {k: entropy(distribution_of(extract_viewpoint(m, k))) for k in kinds}
-            except Exception:
-                continue
-            for k in kinds:
-                out[k].append(vals[k])
-    return out
+def _entropies(m, *kinds) -> list[float]:
+    return [entropy(distribution_of(extract_viewpoint(m, k))) for k in kinds]
 
 
 def cmd_genmodel_pitch(args):
-    corpora = _load_corpora(args.corpus)
-    kinds = (ViewpointKind.CHROMA, ViewpointKind.MINT, ViewpointKind.SINT)
+    def one(m):
+        return _entropies(m, ViewpointKind.CHROMA, ViewpointKind.MINT, ViewpointKind.SINT)
+
     mint_ratio, sint_ratio = [], []
-    for corpus in corpora:
-        for m in corpus.melodies:
-            try:
-                hc = entropy(distribution_of(extract_viewpoint(m, ViewpointKind.CHROMA)))
-                hm = entropy(distribution_of(extract_viewpoint(m, ViewpointKind.MINT)))
-                hs = entropy(distribution_of(extract_viewpoint(m, ViewpointKind.SINT)))
-            except Exception:
-                continue
+    for corpus in _load_corpora(args.corpus):
+        for hc, hm, hs in _per_melody(corpus, one):
             if hc > 0:
                 mint_ratio.append(hm / hc)
                 sint_ratio.append(hs / hc)
     family, dist = args.model[:-1], int(args.model[-1])
     grid = [
         genmodel.PitchModelSpec(family=family, dist=dist, a=a, length=length, o=o, exponent=exp)
-        for a, length, o, exp in _pitch_grid(args)
+        for a in [int(x) for x in args.grid_a.split(",")]
+        for length in [int(x) for x in args.grid_l.split(",")]
+        for o in [float(x) for x in args.grid_o.split(",")]
+        for exp in [float(x) for x in args.grid_exp.split(",")]
     ]
     best, score = genmodel.fit_generative_model(
         "pitch",
@@ -283,18 +295,14 @@ def cmd_genmodel_pitch(args):
 
 
 def cmd_genmodel_rhythm(args):
-    corpora = _load_corpora(args.corpus)
-    pairs = []
-    for corpus in corpora:
-        for m in corpus.melodies:
-            try:
-                ioi = extract_viewpoint(m, ViewpointKind.IOI)
-                ratio = extract_viewpoint(m, ViewpointKind.IOI_RATIO)
-            except Exception:
-                continue
-            hi = entropy(distribution_of(ioi))
-            if hi > 0 and len(ratio.symbols) > 0:
-                pairs.append((hi, entropy(distribution_of(ratio)) / hi))
+    def one(m):
+        ioi = extract_viewpoint(m, ViewpointKind.IOI)
+        ratio = extract_viewpoint(m, ViewpointKind.IOI_RATIO)
+        hi = entropy(distribution_of(ioi))
+        # H(IOI) > 0 needs two distinct IOIs, so the ratio sequence is non-empty
+        return (hi, entropy(distribution_of(ratio)) / hi) if hi > 0 else None
+
+    pairs = [p for corpus in _load_corpora(args.corpus) for p in _per_melody(corpus, one) if p is not None]
     value_set, dist = args.model[:-1], int(args.model[-1])
     grid = [
         genmodel.RhythmModelSpec(value_set=value_set, dist=dist, a=a, length=length, exponent=exp)
@@ -358,30 +366,22 @@ def cmd_subsample_corr(args):
 
 def cmd_summary(args):
     threads = _threads(args)
+
+    def one(m):
+        h_chroma, h_dur = _entropies(m, ViewpointKind.CHROMA, ViewpointKind.DURATION)
+        h_joint, l_nr, length = joint_information(m)
+        return {
+            "H_chroma": h_chroma,
+            "H_dur": h_dur,
+            "H_chroma_dur": h_joint,
+            "length": length,
+            "L_NR": l_nr,
+            "T": h_joint * l_nr,
+        }
+
     records = []
     for corpus in sorted(_load_corpora(args.corpus), key=lambda c: c.meta.corpus_id):
-        def one(m):
-            try:
-                chroma = extract_viewpoint(m, ViewpointKind.CHROMA)
-                dur = extract_viewpoint(m, ViewpointKind.DURATION)
-                joint = extract_viewpoint(m, ViewpointKind.JOINT_CHROMA_DURATION)
-                h_joint = entropy(distribution_of(joint))
-                l_nr = remove_repetition(joint, 2).l_nr
-                return {
-                    "H_chroma": entropy(distribution_of(chroma)),
-                    "H_dur": entropy(distribution_of(dur)),
-                    "H_chroma_dur": h_joint,
-                    "length": len(joint.symbols),
-                    "L_NR": l_nr,
-                    "T": h_joint * l_nr,
-                }
-            except Exception as exc:
-                print(f"warning: corpus {corpus.meta.corpus_id!r} melody {m.id!r} skipped: {exc}", file=sys.stderr)
-                return None
-        rows = [r for r in parallel_map(one, corpus.melodies, threads) if r is not None]
-        skipped = len(corpus.melodies) - len(rows)
-        if skipped:
-            print(f"warning: corpus {corpus.meta.corpus_id!r}: {skipped} melodies skipped", file=sys.stderr)
+        rows = _per_melody(corpus, one, threads)
         if not rows:
             continue
         records.append(
@@ -520,7 +520,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (CorpusError, OSError, ValueError) as exc:
+    except (MelicError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

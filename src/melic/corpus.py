@@ -10,14 +10,18 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 CORPUS_TYPES = ("Folk", "Art", "Child", "Teaching")
 
 
-class CorpusError(Exception):
+class MelicError(Exception):
+    """Input melic cannot analyse: the CLI reports it as `error:` and exits 1,
+    or, raised for one melody, skips that melody with a warning."""
+
+
+class CorpusError(MelicError):
     """Malformed corpus input."""
 
 
@@ -26,7 +30,8 @@ class KernError(CorpusError):
 
 
 class SchemaError(Exception):
-    """Rows passed to write_table do not share one schema."""
+    """Rows passed to write_table do not share one schema: a bug in melic's
+    own row building, so deliberately not a MelicError."""
 
 
 @dataclass(frozen=True)

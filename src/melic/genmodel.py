@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels
+from .corpus import MelicError
 from .infotheory import Distribution, distribution_of, entropy
 from .stats import jsd, kde_silverman
 
@@ -20,7 +21,7 @@ RHYTHM_VALUE_SETS = ("SI", "CI", "SR", "CR")
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-class GenModelError(Exception):
+class GenModelError(MelicError):
     pass
 
 
@@ -334,6 +335,7 @@ def simulate_scale_entropy(
     lvals, lprobs = _dist_arrays(length_dist, np.int64)
     if lvals.min() < 1:
         raise GenModelError("melody lengths must be >= 1")
+    half_widths = np.array([round(6.0 * o) for o in o_values], dtype=np.int64)
     n_chunks = (n_sequences + chunk_size - 1) // chunk_size
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
 
@@ -342,9 +344,7 @@ def simulate_scale_entropy(
         size = min(chunk_size, n_sequences - start)
         rng = np.random.default_rng(seeds[ci])
         lengths = rng.choice(lvals, size=size, p=lprobs).astype(np.int64)
-        half = np.array(
-            [round(6.0 * o_values[(start + i) % len(o_values)]) for i in range(size)], dtype=np.int64
-        )
+        half = half_widths[(start + np.arange(size)) % len(o_values)]
         l_max = int(lengths.max())
         uniforms = rng.random((size, max(1, l_max - 1)))
         out_a = np.zeros(size, dtype=np.int64)

@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .viewpoints import ViewpointSequence
+from .corpus import MelicError
+from .viewpoints import symbols_of
 
 
-class InfoError(Exception):
+class InfoError(MelicError):
     pass
 
 
@@ -39,7 +40,7 @@ class Distribution:
 
 def distribution_of(seq) -> Distribution:
     """Empirical relative frequencies of a symbol sequence."""
-    symbols = seq.symbols if isinstance(seq, ViewpointSequence) else tuple(seq)
+    symbols = symbols_of(seq)
     if not symbols:
         raise InfoError("cannot build a distribution from an empty sequence")
     counts: dict = {}
@@ -75,18 +76,6 @@ def gini(d: Distribution) -> float:
     return float(1.0 - (2.0 / a) * theta.sum() + 1.0 / a)
 
 
-@dataclass(frozen=True)
-class InfoSummary:
-    entropy_bits: float
-    alphabet_size: int
-    gini: float
-
-
-def summarize(seq) -> InfoSummary:
-    d = distribution_of(seq)
-    return InfoSummary(entropy_bits=entropy(d), alphabet_size=d.alphabet_size, gini=gini(d))
-
-
 # --- mutual information with shuffle null ----------------------------------
 
 def _mi(symsP: tuple, symsR: tuple) -> float:
@@ -97,8 +86,8 @@ def _mi(symsP: tuple, symsR: tuple) -> float:
 def mutual_information_excess(seqP, seqR, n_shuffles: int = 10, rng: np.random.Generator | None = None):
     """Nonnegative MI between two aligned sequences, the shuffle-null mean, and
     their difference I* = I - I_ran."""
-    symsP = seqP.symbols if isinstance(seqP, ViewpointSequence) else tuple(seqP)
-    symsR = seqR.symbols if isinstance(seqR, ViewpointSequence) else tuple(seqR)
+    symsP = symbols_of(seqP)
+    symsR = symbols_of(seqR)
     if len(symsP) != len(symsR):
         raise InfoError(f"length mismatch: {len(symsP)} vs {len(symsR)}")
     if n_shuffles < 0:

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Melody
+from .corpus import MelicError, Melody
 from .infotheory import distribution_of, entropy
-from .viewpoints import ViewpointKind, ViewpointSequence, extract_viewpoint
+from .viewpoints import ViewpointKind, extract_viewpoint, symbols_of
 
 
-class RepetitionError(Exception):
+class RepetitionError(MelicError):
     pass
 
 
@@ -19,10 +19,6 @@ class RepetitionResult:
     pieces: tuple[tuple, ...]
     l_nr: int
     removed_matches: tuple[tuple[tuple, int], ...]
-
-
-def _symbols(seq) -> tuple:
-    return seq.symbols if isinstance(seq, ViewpointSequence) else tuple(seq)
 
 
 def _nonoverlap_count(positions: list[tuple[int, int]], length: int) -> int:
@@ -103,7 +99,7 @@ def remove_repetition(seq, l_min: int = 2) -> RepetitionResult:
     """
     if l_min < 2:
         raise RepetitionError(f"l_min must be >= 2, got {l_min}")
-    symbols = _symbols(seq)
+    symbols = symbols_of(seq)
     if not symbols:
         raise RepetitionError("empty sequence")
     l_cap = len(symbols) // 2
@@ -141,15 +137,21 @@ def remove_repetition(seq, l_min: int = 2) -> RepetitionResult:
 
 def repetition_fraction(seq, l_min: int = 2) -> float:
     """1 - L_NR / L: the fraction of the sequence accounted for by repetition."""
-    symbols = _symbols(seq)
+    symbols = symbols_of(seq)
     res = remove_repetition(symbols, l_min)
     return 1.0 - res.l_nr / len(symbols)
+
+
+def joint_information(melody: Melody, l_min: int = 2) -> tuple[float, int, int]:
+    """(H, L_NR, L) of the joint chroma-duration sequence: its unigram entropy
+    in bits, its non-repeated length and its length."""
+    joint = extract_viewpoint(melody, ViewpointKind.JOINT_CHROMA_DURATION)
+    h = entropy(distribution_of(joint))
+    return h, remove_repetition(joint, l_min).l_nr, len(joint.symbols)
 
 
 def total_information(melody: Melody, l_min: int = 2) -> float:
     """Joint chroma-duration unigram entropy times the non-repeated length of
     that same joint sequence, in bits."""
-    joint = extract_viewpoint(melody, ViewpointKind.JOINT_CHROMA_DURATION)
-    h = entropy(distribution_of(joint))
-    l_nr = remove_repetition(joint, l_min).l_nr
+    h, l_nr, _ = joint_information(melody, l_min)
     return h * l_nr

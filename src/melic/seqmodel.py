@@ -8,11 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus
-from .viewpoints import ViewpointKind, ViewpointSequence, extract_viewpoint
+from .corpus import Corpus, MelicError
+from .viewpoints import ViewpointKind, extract_viewpoint, symbols_of
 
 
-class SeqModelError(Exception):
+class SeqModelError(MelicError):
     pass
 
 
@@ -33,10 +33,6 @@ class ICResult:
     mean_bits: float
 
 
-def _symbols(seq) -> tuple:
-    return seq.symbols if isinstance(seq, ViewpointSequence) else tuple(seq)
-
-
 def train_ppm(sequences, max_order: int, alphabet) -> PPMModel:
     """Count all n-grams up to max_order over the training sequences."""
     if max_order < 0:
@@ -45,7 +41,7 @@ def train_ppm(sequences, max_order: int, alphabet) -> PPMModel:
     alpha_set = set(alphabet)
     counts: dict[tuple, dict] = {}
     for seq in sequences:
-        syms = _symbols(seq)
+        syms = symbols_of(seq)
         for i, sym in enumerate(syms):
             if sym not in alpha_set:
                 raise SeqModelError(f"training symbol {sym!r} outside declared alphabet")
@@ -102,7 +98,7 @@ def predict_distribution(model: PPMModel, context) -> dict:
 
 def information_content(model: PPMModel, seq) -> ICResult:
     """Per-symbol surprisal -log2 P under the PPM mixture, and its mean."""
-    syms = _symbols(seq)
+    syms = symbols_of(seq)
     if not syms:
         raise SeqModelError("empty sequence")
     bits = []
@@ -149,7 +145,7 @@ def within_corpus_repetition(
         )
     seqs = {}
     for m in corpus.melodies:
-        seqs[m.id] = _symbols(extract_viewpoint(m, kind))[:truncate]
+        seqs[m.id] = extract_viewpoint(m, kind).symbols[:truncate]
     alphabet = sorted({s for syms in seqs.values() for s in syms})
     per_target = []
     for m in corpus.melodies:

@@ -9,17 +9,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
-from .corpus import Corpus
-from .infotheory import distribution_of, entropy
+from .corpus import Corpus, MelicError
 from .viewpoints import (
+    ViewpointError,
     ViewpointKind,
-    ViewpointSequence,
     estimate_tonic,
     extract_viewpoint,
+    symbols_of,
 )
 
 
-class StatsError(Exception):
+class StatsError(MelicError):
     pass
 
 
@@ -243,7 +243,6 @@ def rhythm_deviation_profile(
 @dataclass(frozen=True)
 class SimilarityReport:
     n_matches: int
-    expected_by_chance: float
     enrichment: float | None
     expected_paper: float
     expected_fixed_query: float
@@ -258,7 +257,7 @@ def ngram_similarity(query, corpus: Corpus, n: int = 10, kind=ViewpointKind.MINT
     """
     if n < 2:
         raise StatsError("n must be >= 2")
-    syms = query.symbols if isinstance(query, ViewpointSequence) else tuple(query)
+    syms = symbols_of(query)
     if len(syms) < n:
         raise StatsError(f"query shorter than n={n}")
     gram = syms[:n]
@@ -271,7 +270,7 @@ def ngram_similarity(query, corpus: Corpus, n: int = 10, kind=ViewpointKind.MINT
     for melody in corpus.melodies:
         try:
             target = extract_viewpoint(melody, kind).symbols
-        except Exception:
+        except ViewpointError:
             continue
         positions = len(target) - n + 1
         if positions < 1:
@@ -283,7 +282,6 @@ def ngram_similarity(query, corpus: Corpus, n: int = 10, kind=ViewpointKind.MINT
     enrichment = n_matches / exp_paper if exp_paper > 0 else None
     return SimilarityReport(
         n_matches=n_matches,
-        expected_by_chance=exp_paper,
         enrichment=enrichment,
         expected_paper=exp_paper,
         expected_fixed_query=exp_fixed,

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .corpus import Melody
+from .corpus import MelicError, Melody
 
 
-class ViewpointError(Exception):
+class ViewpointError(MelicError):
     pass
 
 
@@ -36,6 +36,11 @@ class ViewpointSequence:
 
     def __len__(self):
         return len(self.symbols)
+
+
+def symbols_of(seq) -> tuple:
+    """The symbols of a ViewpointSequence, or of any plain symbol sequence."""
+    return seq.symbols if isinstance(seq, ViewpointSequence) else tuple(seq)
 
 
 def _notes(melody: Melody):
@@ -153,7 +158,7 @@ def recover_octaves(chroma_seq: ViewpointSequence, truth: ViewpointSequence | No
     pred = tuple(fold_interval(a, b) for a, b in zip(c, c[1:]))
     accuracy = None
     if truth is not None:
-        true_syms = truth.symbols if isinstance(truth, ViewpointSequence) else tuple(truth)
+        true_syms = symbols_of(truth)
         if len(true_syms) != len(pred):
             raise ViewpointError("true interval sequence length mismatch")
         accuracy = sum(p == t for p, t in zip(pred, true_syms)) / len(pred)

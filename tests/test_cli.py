@@ -1,14 +1,21 @@
 """End-to-end CLI behaviour: outputs, error handling, determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melic.cli import main
 from melic.corpus import serialize_canonical
+from melic.viewpoints import ViewpointKind
 
 from conftest import corpus_of, melody_from_pitches
 
@@ -246,3 +253,111 @@ def test_genmodel_rhythm_command(tmp_path, corpus_file):
     b = run(args, tmp_path / "b.csv")[1]
     assert a == b
     assert rows_of(a)[0]["model"] == "SI1"
+
+
+def write_corpus(path, melodies):
+    path.write_text(serialize_canonical(corpus_of(melodies)))
+    return path
+
+
+@pytest.fixture
+def with_one_note(tmp_path):
+    mels = [melody_from_pitches("a", [60, 62, 64, 62]), melody_from_pitches("lone", [67]),
+            melody_from_pitches("b", [60, 60, 65], [1, 2, 1])]
+    return write_corpus(tmp_path / "one_note.json", mels)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["entropy", "--viewpoint", "ioi"], "IOI needs at least 2 note onsets"),
+        (["mi", "--seed", "1", "--viewpoint", "mint"], "empty sequence"),
+    ],
+)
+def test_degenerate_melody_is_a_reported_skip(tmp_path, capsys, with_one_note, argv, reason):
+    rc, data = run([*argv, str(with_one_note)], tmp_path / "o.csv")
+    assert rc == 0
+    assert [r["id"] for r in rows_of(data)] == ["a", "b"]
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("warning: corpus 'fixture' melody 'lone' skipped: ") and reason in err[0]
+    assert err[1:] == ["warning: corpus 'fixture': 1 melodies skipped"]
+
+
+def expect_error(capsys, argv, *fragments):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(f in err[0] for f in fragments), err[0]
+
+
+def test_corpus_level_failures_are_errors(tmp_path, capsys, corpus_file):
+    small = write_corpus(tmp_path / "small.json", [melody_from_pitches(f"m{i}", [60, 62, 64]) for i in range(5)])
+    expect_error(capsys, ["ppm-repetition", "--seed", "1", str(small)], "at least 11 melodies")
+    query = write_corpus(tmp_path / "q.json", [melody_from_pitches("q", [60])])
+    expect_error(capsys, ["similarity", "--query", str(query), str(corpus_file)], "query shorter")
+
+
+def test_bad_options_are_rejected_before_any_melody(capsys, corpus_file):
+    expect_error(capsys, ["repetition", "--lmin", "1", str(corpus_file)], "--lmin")
+    expect_error(capsys, ["mi", "--seed", "1", "--shuffles", "-1", str(corpus_file)], "--shuffles")
+
+
+def test_csv_without_a_required_column_is_an_error(tmp_path, capsys):
+    means = tmp_path / "means.csv"
+    with open(means, "w", newline="") as fh:
+        csv.writer(fh).writerows([["corpus_id", "H_chroma", "I_chroma_duration"], ["c0", 2.0, 0.1], ["c1", 2.5, 0.2]])
+    expect_error(capsys, ["null-joint", "--seed", "1", str(means)], str(means), "'H_duration'")
+    intervals = tmp_path / "intervals.csv"
+    intervals.write_text("interval,probability\n1,0.5\n-1,0.5\n")
+    lengths = tmp_path / "lengths.csv"
+    lengths.write_text("symbol,probability\n10,1.0\n")
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "10", "--seed", "1"]
+    expect_error(capsys, argv, str(intervals), "'symbol'")
+
+
+# --- property: no input ends in a traceback ----------------------------------
+
+_note = st.tuples(
+    st.one_of(st.none(), st.integers(55, 72)),  # None is a rest
+    st.sampled_from(["1/2", "1", "3/2"]),  # duration
+    st.sampled_from(["0", "1/2", "1"]),  # gap to the next onset; 0 gives equal onsets
+)
+_melody = st.lists(_note, min_size=1, max_size=5).filter(lambda ns: any(p is not None for p, _, _ in ns))
+
+PER_MELODY = [["entropy", "--viewpoint", k.value] for k in ViewpointKind] + [
+    ["mi", "--seed", "0", "--shuffles", "2"],
+    ["repetition"],
+    ["totalinfo"],
+]
+
+
+def _corpus_json(melodies) -> str:
+    mels = []
+    for i, notes in enumerate(melodies):
+        onset, events = Fraction(0), []
+        for pitch, dur, gap in notes:
+            events.append({"pitch": pitch, "onset": str(onset), "duration": dur})
+            onset += Fraction(gap)
+        mels.append({"id": f"m{i}", "notes": events})
+    return json.dumps({"corpus_id": "prop", "type": "Folk", "melodies": mels})
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(_melody, min_size=1, max_size=3))
+def test_every_melody_is_a_row_or_a_reported_skip(melodies):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "c.json", Path(tmp) / "o.csv"
+        src.write_text(_corpus_json(melodies))
+        for argv in [*PER_MELODY, ["summary"]]:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([*argv, str(src), "--out", str(out)])
+            assert rc in (0, 1), argv
+            if rc == 1:
+                continue
+            rows = rows_of(out.read_bytes())
+            skips = [line for line in err.getvalue().splitlines() if " melody 'm" in line and "skipped: " in line]
+            if argv == ["summary"]:
+                assert len(rows) == (len(skips) < len(melodies)), argv
+            else:
+                assert len(rows) + len(skips) == len(melodies), argv
