@@ -43,17 +43,23 @@ def _per_melody(corpus: Corpus, fn, threads: int = 1) -> list:
         except MelicError as exc:
             return False, exc
 
-    cid = corpus.meta.corpus_id
-    rows = []
+    rows, skips = [], []
     for m, (ok, value) in zip(corpus.melodies, parallel_map(guarded, corpus.melodies, threads)):
         if ok:
             rows.append(value)
         else:
-            print(f"warning: corpus {cid!r} melody {m.id!r} skipped: {value}", file=sys.stderr)
-    skipped = len(corpus.melodies) - len(rows)
-    if skipped:
-        print(f"warning: corpus {cid!r}: {skipped} melodies skipped", file=sys.stderr)
+            skips.append((m.id, value))
+    _report_skips(corpus, skips)
     return rows
+
+
+def _report_skips(corpus: Corpus, skips: list[tuple[str, object]]) -> None:
+    """One stderr warning per (melody id, reason), then the total."""
+    cid = corpus.meta.corpus_id
+    for mid, reason in skips:
+        print(f"warning: corpus {cid!r} melody {mid!r} skipped: {reason}", file=sys.stderr)
+    if skips:
+        print(f"warning: corpus {cid!r}: {len(skips)} melodies skipped", file=sys.stderr)
 
 
 def _load_corpora(paths: list[str]) -> list[Corpus]:
@@ -97,7 +103,10 @@ def _load_distribution(path: str) -> Distribution:
     rows = _read_csv(path, ("symbol", "probability"))
     symbols = [int(r["symbol"]) for r in rows]
     probs = np.array([float(r["probability"]) for r in rows])
-    probs = probs / probs.sum()
+    total = probs.sum()
+    if (probs < 0).any() or not (np.isfinite(total) and total > 0):
+        raise CorpusError(f"{path}: probabilities must be non-negative with a finite, positive sum")
+    probs = probs / total
     order = np.argsort(symbols)
     return Distribution(
         alphabet=tuple(symbols[i] for i in order), probs=tuple(float(probs[i]) for i in order)
@@ -214,6 +223,7 @@ def cmd_ppm_repetition(args):
             max_order=args.max_order,
             seed=args.seed,
         )
+        _report_skips(corpus, [(mid, f"empty {kind.value} sequence") for mid in res.left_out])
         records.append(
             {
                 "corpus": corpus.meta.corpus_id,

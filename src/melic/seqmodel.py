@@ -119,6 +119,7 @@ class WithinCorpusResult:
     mean_ic_r: float
     repetition_bits: float
     per_target: tuple[tuple[str, float, float], ...]
+    left_out: tuple[str, ...]  # ids of targets with no symbols, in corpus order
 
 
 def _target_seed(base_seed: int, melody_id: str) -> int:
@@ -138,7 +139,10 @@ def within_corpus_repetition(
 ) -> WithinCorpusResult:
     """Mean information content of each melody under a PPM model trained on
     other melodies of the corpus, against retrainings on within-melody
-    shuffled copies; repetition_bits = IC_r - IC."""
+    shuffled copies; repetition_bits = IC_r - IC. A melody whose truncated
+    sequence is empty stays in the training pool but is left out as a target."""
+    if truncate < 1:
+        raise SeqModelError(f"truncate must be >= 1, got {truncate}")
     if len(corpus.melodies) < n_train + 1:
         raise SeqModelError(
             f"corpus {corpus.meta.corpus_id!r}: needs at least {n_train + 1} melodies, has {len(corpus.melodies)}"
@@ -148,9 +152,11 @@ def within_corpus_repetition(
         seqs[m.id] = extract_viewpoint(m, kind).symbols[:truncate]
     alphabet = sorted({s for syms in seqs.values() for s in syms})
     per_target = []
+    left_out = []
     for m in corpus.melodies:
         target = seqs[m.id]
         if not target:
+            left_out.append(m.id)
             continue
         # candidate pool in id order, so results do not depend on corpus ordering
         others = [seqs[mid] for mid in sorted(seqs) if mid != m.id]
@@ -165,6 +171,8 @@ def within_corpus_repetition(
             acc += information_content(train_ppm(shuffled, max_order, alphabet), target).mean_bits
         ic_r = acc / n_shuffle_reps
         per_target.append((m.id, ic, ic_r))
+    if not per_target:
+        raise SeqModelError(f"corpus {corpus.meta.corpus_id!r}: no melody has a {kind.value} symbol")
     mean_ic = float(np.mean([t[1] for t in per_target]))
     mean_ic_r = float(np.mean([t[2] for t in per_target]))
     return WithinCorpusResult(
@@ -172,4 +180,5 @@ def within_corpus_repetition(
         mean_ic_r=mean_ic_r,
         repetition_bits=mean_ic_r - mean_ic,
         per_target=tuple(per_target),
+        left_out=tuple(left_out),
     )

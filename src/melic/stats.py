@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .corpus import Corpus, MelicError
 from .viewpoints import (
@@ -106,8 +105,12 @@ def pearson(x, y) -> tuple[float, float]:
     n = x.size
     if abs(r) >= 1.0:
         return (1.0 if r > 0 else -1.0), 0.0
+    # scipy.stats.t.sf(x, df) is special.stdtr(df, -x); importing scipy.special
+    # here, not scipy.stats at module level, keeps ~1 s off every CLI start
+    from scipy.special import stdtr
+
     t = r * np.sqrt((n - 2) / (1 - r * r))
-    p = 2 * float(sps.t.sf(abs(t), n - 2))
+    p = 2 * float(stdtr(n - 2, -abs(t)))
     return r, p
 
 

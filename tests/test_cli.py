@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -313,6 +316,41 @@ def test_csv_without_a_required_column_is_an_error(tmp_path, capsys):
     lengths.write_text("symbol,probability\n10,1.0\n")
     argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "10", "--seed", "1"]
     expect_error(capsys, argv, str(intervals), "'symbol'")
+
+
+@pytest.mark.parametrize("probabilities", [("0", "0"), ("0.5", "-0.1"), ("0.5", "nan"), ("0.5", "inf")])
+def test_distribution_csv_needs_nonnegative_probabilities_with_positive_sum(tmp_path, capsys, probabilities):
+    intervals = tmp_path / "intervals.csv"
+    intervals.write_text("symbol,probability\n1,{}\n-1,{}\n".format(*probabilities))
+    lengths = tmp_path / "lengths.csv"
+    lengths.write_text("symbol,probability\n10,1.0\n")
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "100", "--seed", "1"]
+    expect_error(capsys, argv, str(intervals), "probabilities")
+
+
+def test_ppm_repetition_reports_targets_without_symbols(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    mels = [melody_from_pitches(f"m{i}", list(60 + np.cumsum(rng.integers(-3, 4, 12)))) for i in range(4)]
+    path = write_corpus(tmp_path / "c.json", [*mels[:2], melody_from_pitches("lone", [67]), *mels[2:]])
+    base = ["ppm-repetition", "--seed", "1", "--viewpoint", "mint", "--n-train", "2", "--shuffle-reps", "2", str(path)]
+    rc, data = run(base, tmp_path / "o.csv")
+    assert rc == 0
+    assert [r["corpus"] for r in rows_of(data)] == ["fixture"]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: corpus 'fixture' melody 'lone' skipped: empty mint sequence",
+        "warning: corpus 'fixture': 1 melodies skipped",
+    ]
+    expect_error(capsys, [*base, "--truncate", "0"], "truncate")
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import melic.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # --- property: no input ends in a traceback ----------------------------------

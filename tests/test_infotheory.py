@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melic.infotheory import (
     Distribution,
@@ -130,6 +132,42 @@ def test_mutual_information_errors():
         mutual_information_excess((0, 1), (0,), n_shuffles=0)
     with pytest.raises(InfoError):
         mutual_information_excess((0, 1), (0, 1), n_shuffles=2)  # rng required
+
+
+# --- properties ----------------------------------------------------------------
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+_symbols = st.lists(st.integers(0, 11), min_size=1, max_size=60)
+
+
+@PROPERTY
+@given(_symbols)
+def test_entropy_at_most_log2_alphabet(seq):
+    d = distribution_of(seq)
+    assert entropy(d) <= math.log2(d.alphabet_size) + 1e-12
+
+
+@PROPERTY
+@given(_symbols)
+def test_gini_below_its_maximum(seq):
+    d = distribution_of(seq)
+    g = gini(d)
+    assert g >= -1e-12  # 0 up to rounding, reached by a uniform distribution
+    if d.alphabet_size > 1:
+        assert g < max_gini(d.alphabet_size)
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=1, max_size=40),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_mutual_information_is_nonnegative(pairs, n_shuffles, seed):
+    p, r = zip(*pairs)
+    i_obs, i_ran, _ = mutual_information_excess(p, r, n_shuffles=n_shuffles, rng=np.random.default_rng(seed))
+    assert i_obs >= -1e-12
+    assert i_ran >= -1e-12
 
 
 def test_powerlaw_limits():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melic.seqmodel import (
     SeqModelError,
@@ -65,6 +67,24 @@ def test_prediction_sums_to_one_random_models():
             assert all(v > 0 for v in p.values())
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda a: st.tuples(
+            st.just(a),
+            st.lists(st.lists(st.integers(0, a - 1), min_size=1, max_size=30), min_size=1, max_size=5),
+            st.lists(st.integers(0, a - 1), max_size=8),
+        )
+    ),
+    st.integers(0, 5),
+)
+def test_every_prediction_sums_to_one(case, max_order):
+    a, seqs, context = case
+    model = train_ppm(seqs, max_order=max_order, alphabet=range(a))
+    for k in range(len(context) + 1):
+        assert abs(sum(predict_distribution(model, context[:k]).values()) - 1.0) <= 1e-12
+
+
 def test_information_content_highly_trained_repeat():
     model = train_ppm([("a", "b")] * 50, max_order=5, alphabet="ab")
     ic = information_content(model, ("a", "b"))
@@ -88,6 +108,15 @@ def test_within_corpus_requires_enough_melodies():
     corpus = make_corpus([[60, 62, 64]] * 5)
     with pytest.raises(SeqModelError):
         within_corpus_repetition(corpus, n_train=10)
+
+
+def test_within_corpus_empty_targets_are_left_out():
+    corpus = make_corpus([[60, 62, 64, 65]] * 3 + [[67]])
+    res = within_corpus_repetition(corpus, n_train=2, n_shuffle_reps=2, seed=1)
+    assert res.left_out == ("m3",)
+    assert [t[0] for t in res.per_target] == ["m0", "m1", "m2"]
+    with pytest.raises(SeqModelError, match="no melody"):
+        within_corpus_repetition(make_corpus([[60]] * 4), n_train=2)
 
 
 def test_within_corpus_identical_melodies_positive():

@@ -130,6 +130,19 @@ def test_pearson_p_value_oracle():
     assert p == pytest.approx(0.0976, abs=5e-4)
 
 
+def test_pearson_p_value_is_scipy_t_sf_bit_for_bit():
+    from scipy import stats as sps
+
+    rng = np.random.default_rng(21)
+    for n in (3, 4, 5, 8, 13, 30, 100, 300):
+        for r_target in (-0.99, -0.7, -0.3, -0.05, 0.0, 0.1, 0.5, 0.9, 0.999):
+            x = rng.normal(size=n)
+            y = r_target * x + math.sqrt(1 - r_target**2) * rng.normal(size=n)
+            r, p = pearson(x, y)
+            t = r * np.sqrt((n - 2) / (1 - r * r))
+            assert p == 2 * float(sps.t.sf(abs(t), n - 2)), (n, r)
+
+
 def test_pearson_errors():
     with pytest.raises(StatsError):
         pearson([1, 2], [1, 2])
