@@ -1,35 +1,21 @@
 """Hot inner loop for the Monte Carlo scale-entropy simulation.
 
-Two observationally-equivalent backends: a numba @njit per-sequence walk
-(default) and a vectorized pure-numpy path. Set MELIC_NO_NUMBA=1 to force
-the numpy path; `backend()` reports which one is active.
-
-Both consume pre-drawn uniforms, so results are independent of backend and
-thread count.
+`walk_chunk` runs a chunk of interval walks at once with numpy: each step
+advances every still-active walk together. It consumes pre-drawn uniforms,
+so results do not depend on thread count.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLED = os.environ.get("MELIC_NO_NUMBA", "") in ("1", "true", "yes")
-_HAVE_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        pass
 
 
 def backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    # kept for the benchmark harness, which records it with every run
+    return "numpy"
 
 
-def _walk_chunk_py(vals, probs, lengths, lo, hi, uniforms, out_a, out_h):
+def walk_chunk(vals, probs, lengths, lo, hi, uniforms, out_a, out_h):
     """Vectorized interval walks: at each step every active sequence samples
     from its interval distribution conditioned on staying inside [lo, hi]."""
     n = lengths.shape[0]
@@ -65,60 +51,3 @@ def _walk_chunk_py(vals, probs, lengths, lo, hi, uniforms, out_a, out_h):
     out_a[:] = (counts > 0).sum(axis=1)
     out_a[failed] = 0
     out_h[failed] = np.nan
-
-
-def _walk_chunk_loop(vals, probs, lengths, lo, hi, uniforms, out_a, out_h):
-    n = lengths.shape[0]
-    nv = vals.shape[0]
-    counts = np.zeros(12, dtype=np.int64)
-    for i in range(n):
-        for c in range(12):
-            counts[c] = 0
-        pitch = 0
-        counts[0] = 1
-        length = lengths[i]
-        ok = True
-        for j in range(length - 1):
-            tot = 0.0
-            for k in range(nv):
-                cand = pitch + vals[k]
-                if lo[i] <= cand <= hi[i]:
-                    tot += probs[k]
-            if tot <= 0.0:
-                ok = False
-                break
-            u = uniforms[i, j] * tot
-            acc = 0.0
-            pick = nv - 1
-            for k in range(nv):
-                cand = pitch + vals[k]
-                if lo[i] <= cand <= hi[i]:
-                    acc += probs[k]
-                    if u < acc:
-                        pick = k
-                        break
-            pitch += vals[pick]
-            counts[((pitch % 12) + 12) % 12] += 1
-        if not ok:
-            out_a[i] = 0
-            out_h[i] = np.nan
-            continue
-        a = 0
-        h = 0.0
-        for c in range(12):
-            if counts[c] > 0:
-                a += 1
-                p = counts[c] / length
-                h -= p * np.log2(p)
-        out_a[i] = a
-        out_h[i] = h
-
-
-if _HAVE_NUMBA:
-    _walk_chunk_jit = njit(cache=True)(_walk_chunk_loop)
-
-    def walk_chunk(vals, probs, lengths, lo, hi, uniforms, out_a, out_h):
-        _walk_chunk_jit(vals, probs, lengths, lo, hi, uniforms, out_a, out_h)
-
-else:
-    walk_chunk = _walk_chunk_py

@@ -223,7 +223,7 @@ def cmd_ppm_repetition(args):
             max_order=args.max_order,
             seed=args.seed,
         )
-        _report_skips(corpus, [(mid, f"empty {kind.value} sequence") for mid in res.left_out])
+        _report_skips(corpus, list(res.left_out))
         records.append(
             {
                 "corpus": corpus.meta.corpus_id,
@@ -242,6 +242,11 @@ def cmd_genmodel_scale(args):
     sim = genmodel.simulate_scale_entropy(
         interval_dist, length_dist, o_values, args.n, seed=args.seed, threads=_threads(args)
     )
+    why = "(no legal interval inside the pitch window)"
+    if sim.n_failed == args.n:
+        raise genmodel.GenModelError(f"genmodel scale: all {args.n} walks failed {why}")
+    if sim.n_failed:
+        print(f"warning: genmodel scale: {sim.n_failed} of {args.n} walks failed {why}", file=sys.stderr)
     probs = genmodel.prob_entropy_below(sim, args.threshold)
     logl: dict[int, float] = {}
     if args.empirical_h:

@@ -14,6 +14,7 @@ from . import _kernels
 from .corpus import MelicError
 from .infotheory import Distribution, distribution_of, entropy
 from .stats import jsd, kde_silverman
+from .viewpoints import _scale_degrees
 
 PITCH_FAMILIES = ("S", "I", "IS")
 RHYTHM_VALUE_SETS = ("SI", "CI", "SR", "CR")
@@ -79,8 +80,7 @@ def _weights(k: int, dist: int, exponent: float, rng: np.random.Generator) -> np
 
 
 def _derive(chromas: list[int], mints: list[int]):
-    rank = {c: i for i, c in enumerate(sorted(set(chromas)))}
-    sdeg = [rank[c] for c in chromas]
+    sdeg = _scale_degrees(chromas)
     sint = [b - a for a, b in zip(sdeg, sdeg[1:])]
     return tuple(chromas), tuple(mints), tuple(sdeg), tuple(sint)
 
@@ -306,8 +306,8 @@ class ScaleSimResult:
     n_failed: int = 0
 
 
-def _dist_arrays(d: Distribution, dtype):
-    vals = np.array([int(v) for v in d.alphabet], dtype=dtype)
+def _dist_arrays(d: Distribution):
+    vals = np.array([int(v) for v in d.alphabet], dtype=np.int64)
     probs = np.asarray(d.probs, dtype=float)
     return vals, probs
 
@@ -328,11 +328,13 @@ def simulate_scale_entropy(
     Chunks get independent derived seeds, so the output is identical for any
     thread count.
     """
+    if n_sequences < 1:
+        raise GenModelError(f"need at least one walk, got {n_sequences}")
     o_values = tuple(float(o) for o in o_values)
     if not o_values:
         raise GenModelError("need at least one pitch-range value")
-    vals, probs = _dist_arrays(interval_dist, np.int64)
-    lvals, lprobs = _dist_arrays(length_dist, np.int64)
+    vals, probs = _dist_arrays(interval_dist)
+    lvals, lprobs = _dist_arrays(length_dist)
     if lvals.min() < 1:
         raise GenModelError("melody lengths must be >= 1")
     half_widths = np.array([round(6.0 * o) for o in o_values], dtype=np.int64)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, MelicError
-from .viewpoints import ViewpointKind, extract_viewpoint, symbols_of
+from .viewpoints import ViewpointError, ViewpointKind, extract_viewpoint, symbols_of
 
 
 class SeqModelError(MelicError):
@@ -119,7 +119,7 @@ class WithinCorpusResult:
     mean_ic_r: float
     repetition_bits: float
     per_target: tuple[tuple[str, float, float], ...]
-    left_out: tuple[str, ...]  # ids of targets with no symbols, in corpus order
+    left_out: tuple[tuple[str, str], ...]  # (id, reason) of each non-target, in corpus order
 
 
 def _target_seed(base_seed: int, melody_id: str) -> int:
@@ -140,23 +140,28 @@ def within_corpus_repetition(
     """Mean information content of each melody under a PPM model trained on
     other melodies of the corpus, against retrainings on within-melody
     shuffled copies; repetition_bits = IC_r - IC. A melody whose truncated
-    sequence is empty stays in the training pool but is left out as a target."""
+    sequence is empty, or on which the viewpoint is undefined, stays in the
+    training pool as an empty sequence but is left out as a target."""
     if truncate < 1:
         raise SeqModelError(f"truncate must be >= 1, got {truncate}")
     if len(corpus.melodies) < n_train + 1:
         raise SeqModelError(
             f"corpus {corpus.meta.corpus_id!r}: needs at least {n_train + 1} melodies, has {len(corpus.melodies)}"
         )
-    seqs = {}
+    seqs, undefined = {}, {}
     for m in corpus.melodies:
-        seqs[m.id] = extract_viewpoint(m, kind).symbols[:truncate]
+        try:
+            seqs[m.id] = extract_viewpoint(m, kind).symbols[:truncate]
+        except ViewpointError as exc:
+            seqs[m.id] = ()
+            undefined[m.id] = str(exc)
     alphabet = sorted({s for syms in seqs.values() for s in syms})
     per_target = []
     left_out = []
     for m in corpus.melodies:
         target = seqs[m.id]
         if not target:
-            left_out.append(m.id)
+            left_out.append((m.id, undefined.get(m.id, f"empty {kind.value} sequence")))
             continue
         # candidate pool in id order, so results do not depend on corpus ordering
         others = [seqs[mid] for mid in sorted(seqs) if mid != m.id]

@@ -343,6 +343,54 @@ def test_ppm_repetition_reports_targets_without_symbols(tmp_path, capsys):
     expect_error(capsys, [*base, "--truncate", "0"], "truncate")
 
 
+def test_ppm_repetition_skips_melodies_the_viewpoint_is_undefined_on(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    mels = [melody_from_pitches(f"m{i:02d}", list(60 + np.cumsum(rng.integers(-3, 4, 12)))) for i in range(12)]
+    mels[3] = melody_from_pitches("m03", [67])
+    path = write_corpus(tmp_path / "c.json", mels)
+    rc, data = run(["ppm-repetition", "--seed", "1", "--viewpoint", "ioi", "--shuffle-reps", "2", str(path)],
+                   tmp_path / "o.csv")
+    assert rc == 0
+    assert [r["corpus"] for r in rows_of(data)] == ["fixture"]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: corpus 'fixture' melody 'm03' skipped: melody 'm03': IOI needs at least 2 note onsets",
+        "warning: corpus 'fixture': 1 melodies skipped",
+    ]
+
+
+def write_distribution(path, rows):
+    path.write_text("symbol,probability\n" + "".join(f"{s},{p}\n" for s, p in rows))
+    return path
+
+
+@pytest.fixture
+def scale_csvs(tmp_path):
+    # from 0 in a +-3 window, +2 is legal once and +7 never: length-2 walks
+    # succeed and length-10 walks fail
+    intervals = write_distribution(tmp_path / "intervals.csv", [(2, 0.5), (7, 0.5)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(2, 0.5), (10, 0.5)])
+    return ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--o-values", "0.5"]
+
+
+def test_genmodel_scale_reports_failed_walks(tmp_path, capsys, scale_csvs):
+    rc, data = run([*scale_csvs, "--n", "1000", "--seed", "1"], tmp_path / "o.csv")
+    assert rc == 0
+    rows = rows_of(data)
+    assert [r["A"] for r in rows] == ["2"]
+    n_failed = 1000 - int(rows[0]["n_samples"])
+    assert n_failed > 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: genmodel scale: {n_failed} of 1000 walks failed (no legal interval inside the pitch window)"
+    ]
+
+
+def test_genmodel_scale_without_a_successful_walk_is_an_error(tmp_path, capsys, scale_csvs):
+    write_distribution(tmp_path / "lengths.csv", [(10, 1.0)])
+    expect_error(capsys, [*scale_csvs, "--n", "100", "--seed", "1"], "all 100 walks failed")
+    for n in ("0", "-5"):
+        expect_error(capsys, [*scale_csvs, "--n", n, "--seed", "1"], "at least one walk", n)
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import melic.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

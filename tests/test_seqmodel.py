@@ -14,6 +14,7 @@ from melic.seqmodel import (
     train_ppm,
     within_corpus_repetition,
 )
+from melic.viewpoints import ViewpointKind
 
 from conftest import corpus_of, melody_from_pitches
 
@@ -113,10 +114,19 @@ def test_within_corpus_requires_enough_melodies():
 def test_within_corpus_empty_targets_are_left_out():
     corpus = make_corpus([[60, 62, 64, 65]] * 3 + [[67]])
     res = within_corpus_repetition(corpus, n_train=2, n_shuffle_reps=2, seed=1)
-    assert res.left_out == ("m3",)
+    assert res.left_out == (("m3", "empty mint sequence"),)
     assert [t[0] for t in res.per_target] == ["m0", "m1", "m2"]
     with pytest.raises(SeqModelError, match="no melody"):
         within_corpus_repetition(make_corpus([[60]] * 4), n_train=2)
+
+
+def test_within_corpus_undefined_viewpoint_is_left_out():
+    # IOI is undefined on a one-note melody; it stays in the training pool
+    # (n_train=3 draws from all three other melodies) but is not a target
+    corpus = make_corpus([[60, 62, 64, 65]] * 3 + [[67]])
+    res = within_corpus_repetition(corpus, kind=ViewpointKind.IOI, n_train=3, n_shuffle_reps=2, seed=1)
+    assert res.left_out == (("m3", "melody 'm3': IOI needs at least 2 note onsets"),)
+    assert [t[0] for t in res.per_target] == ["m0", "m1", "m2"]
 
 
 def test_within_corpus_identical_melodies_positive():
