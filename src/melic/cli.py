@@ -6,7 +6,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,35 +19,33 @@ from .viewpoints import ViewpointKind, extract_viewpoint
 
 
 def _threads(args) -> int:
+    """--threads, else MELIC_THREADS, else 1. Every command accepts it; only
+    `genmodel scale` runs threads (per-melody work is Python under the GIL)."""
     if args.threads is not None:
-        return args.threads
-    env = os.environ.get("MELIC_THREADS")
-    return int(env) if env else 1
+        name, value = "--threads", args.threads
+    else:
+        env = os.environ.get("MELIC_THREADS")
+        if not env:
+            return 1
+        name = "MELIC_THREADS"
+        try:
+            value = int(env)
+        except ValueError:
+            raise MelicError(f"{name} must be an integer >= 1, got {env!r}") from None
+    if value < 1:
+        raise MelicError(f"{name} must be >= 1, got {value}")
+    return value
 
 
-def parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _per_melody(corpus: Corpus, fn, threads: int = 1) -> list:
+def _per_melody(corpus: Corpus, fn) -> list:
     """fn over the corpus's melodies, in order, leaving out each melody whose
     fn raises MelicError; each skip and the total are reported on stderr."""
-
-    def guarded(m):
-        try:
-            return True, fn(m)
-        except MelicError as exc:
-            return False, exc
-
     rows, skips = [], []
-    for m, (ok, value) in zip(corpus.melodies, parallel_map(guarded, corpus.melodies, threads)):
-        if ok:
-            rows.append(value)
-        else:
-            skips.append((m.id, value))
+    for m in corpus.melodies:
+        try:
+            rows.append(fn(m))
+        except MelicError as exc:
+            skips.append((m.id, exc))
     _report_skips(corpus, skips)
     return rows
 
@@ -174,7 +171,7 @@ def cmd_mi(args):
         )
         return {"id": m.id, "I": i_obs, "I_ran": i_ran, "I_star": i_star}
 
-    # sequential: every melody draws its shuffles from the one rng stream
+    # every melody draws its shuffles from the one rng stream, in corpus order
     records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
     _emit(args, records)
 
@@ -183,7 +180,6 @@ def cmd_repetition(args):
     if args.lmin < 2:
         raise MelicError(f"--lmin must be >= 2, got {args.lmin}")
     kind = ViewpointKind(args.viewpoint)
-    threads = _threads(args)
 
     def one(m):
         seq = extract_viewpoint(m, kind)
@@ -195,18 +191,16 @@ def cmd_repetition(args):
             "fraction": 1.0 - res.l_nr / len(seq.symbols),
         }
 
-    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one, threads)]
+    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
     _emit(args, records)
 
 
 def cmd_totalinfo(args):
-    threads = _threads(args)
-
     def one(m):
         h, l_nr, _ = joint_information(m)
         return {"id": m.id, "H_joint": h, "L_NR": l_nr, "T": h * l_nr}
 
-    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one, threads)]
+    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
     _emit(args, records)
 
 
@@ -240,7 +234,7 @@ def cmd_genmodel_scale(args):
     length_dist = _load_distribution(args.lengths)
     o_values = [float(x) for x in args.o_values.split(",")]
     sim = genmodel.simulate_scale_entropy(
-        interval_dist, length_dist, o_values, args.n, seed=args.seed, threads=_threads(args)
+        interval_dist, length_dist, o_values, args.n, seed=args.seed, threads=args.threads
     )
     why = "(no legal interval inside the pitch window)"
     if sim.n_failed == args.n:
@@ -380,8 +374,6 @@ def cmd_subsample_corr(args):
 
 
 def cmd_summary(args):
-    threads = _threads(args)
-
     def one(m):
         h_chroma, h_dur = _entropies(m, ViewpointKind.CHROMA, ViewpointKind.DURATION)
         h_joint, l_nr, length = joint_information(m)
@@ -396,7 +388,7 @@ def cmd_summary(args):
 
     records = []
     for corpus in sorted(_load_corpora(args.corpus), key=lambda c: c.meta.corpus_id):
-        rows = _per_melody(corpus, one, threads)
+        rows = _per_melody(corpus, one)
         if not rows:
             continue
         records.append(
@@ -418,7 +410,7 @@ def cmd_summary(args):
 def _add_common(p, corpus=True, seed=False):
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="threads for genmodel scale (default: MELIC_THREADS or 1)")
     if seed:
         p.add_argument("--seed", type=int, required=True, help="required: randomized outputs must be citable")
     if corpus:
@@ -534,6 +526,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.threads = _threads(args)
         args.func(args)
     except (MelicError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

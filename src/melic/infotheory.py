@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import MelicError
-from .viewpoints import symbols_of
+from .viewpoints import intern, symbols_of
 
 
 class InfoError(MelicError):
@@ -78,30 +78,41 @@ def gini(d: Distribution) -> float:
 
 # --- mutual information with shuffle null ----------------------------------
 
-def _mi(symsP: tuple, symsR: tuple) -> float:
-    joint = entropy_of(tuple(zip(symsP, symsR)))
-    return entropy_of(symsP) + entropy_of(symsR) - joint
+def _entropy_of_codes(codes: np.ndarray) -> float:
+    """entropy(distribution_of(symbols)) from the symbols' `intern` codes: the
+    same terms, summed in the same ascending-symbol order."""
+    n = codes.size
+    return float(-sum((c / n) * math.log2(c / n) for c in np.bincount(codes).tolist() if c)) + 0.0
 
 
 def mutual_information_excess(seqP, seqR, n_shuffles: int = 10, rng: np.random.Generator | None = None):
     """Nonnegative MI between two aligned sequences, the shuffle-null mean, and
-    their difference I* = I - I_ran."""
-    symsP = symbols_of(seqP)
-    symsR = symbols_of(seqR)
-    if len(symsP) != len(symsR):
-        raise InfoError(f"length mismatch: {len(symsP)} vs {len(symsR)}")
+    their difference I* = I - I_ran.
+
+    Runs on `intern` codes; the joint symbol (p, r) is coded p * |R| + r,
+    which orders the pairs as the pairs of symbols sort."""
+    codesP, _ = intern(seqP)
+    codesR, tableR = intern(seqR)
+    if len(codesP) != len(codesR):
+        raise InfoError(f"length mismatch: {len(codesP)} vs {len(codesR)}")
     if n_shuffles < 0:
         raise InfoError("n_shuffles must be >= 0")
-    i_obs = _mi(symsP, symsR)
+    if not codesP:
+        raise InfoError("cannot build a distribution from an empty sequence")
+    cP = np.array(codesP, dtype=np.int64)
+    cR = np.array(codesR, dtype=np.int64)
+    joint_base = cP * len(tableR)
+    # a shuffle permutes R, which changes neither marginal entropy
+    h_marginals = _entropy_of_codes(cP) + _entropy_of_codes(cR)
+    i_obs = h_marginals - _entropy_of_codes(joint_base + cR)
     if n_shuffles == 0:
         return i_obs, 0.0, i_obs
     if rng is None:
         raise InfoError("shuffled null requires an explicit rng")
     acc = 0.0
-    n = len(symsR)
+    n = len(cR)
     for _ in range(n_shuffles):
-        perm = rng.permutation(n)
-        acc += _mi(symsP, tuple(symsR[i] for i in perm))
+        acc += h_marginals - _entropy_of_codes(joint_base + cR[rng.permutation(n)])
     i_ran = acc / n_shuffles
     return i_obs, i_ran, i_obs - i_ran
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .corpus import MelicError, Melody
 from .infotheory import distribution_of, entropy
-from .viewpoints import ViewpointKind, extract_viewpoint, symbols_of
+from .viewpoints import ViewpointKind, extract_viewpoint, intern, symbols_of
 
 
 class RepetitionError(MelicError):
@@ -95,15 +95,17 @@ def remove_repetition(seq, l_min: int = 2) -> RepetitionResult:
 
     Ties break toward the longer match, then the lexicographically smaller
     one. Each removed match leaves one copy behind as a new piece, which
-    participates in later rounds as ordinary material.
+    participates in later rounds as ordinary material. The search runs on
+    the sorted-rank codes of `intern`, which order substrings as the
+    symbols do; pieces and matches are returned as symbols.
     """
     if l_min < 2:
         raise RepetitionError(f"l_min must be >= 2, got {l_min}")
-    symbols = symbols_of(seq)
-    if not symbols:
+    codes, table = intern(seq)
+    if not codes:
         raise RepetitionError("empty sequence")
-    l_cap = len(symbols) // 2
-    pieces: list[tuple] = [symbols]
+    l_cap = len(codes) // 2
+    pieces: list[tuple] = [codes]
     removed: list[tuple[tuple, int]] = []
     while True:
         cands = _candidates(pieces, l_min, l_cap)
@@ -132,7 +134,12 @@ def remove_repetition(seq, l_min: int = 2) -> RepetitionResult:
             seen.add(p)
             unique.append(p)
     l_nr = sum(len(p) for p in unique)
-    return RepetitionResult(pieces=tuple(pieces), l_nr=l_nr, removed_matches=tuple(removed))
+    decode = lambda piece: tuple(table[c] for c in piece)
+    return RepetitionResult(
+        pieces=tuple(decode(p) for p in pieces),
+        l_nr=l_nr,
+        removed_matches=tuple((decode(sub), k) for sub, k in removed),
+    )
 
 
 def repetition_fraction(seq, l_min: int = 2) -> float:

@@ -391,6 +391,30 @@ def test_genmodel_scale_without_a_successful_walk_is_an_error(tmp_path, capsys, 
         expect_error(capsys, [*scale_csvs, "--n", n, "--seed", "1"], "at least one walk", n)
 
 
+def test_bad_thread_counts_are_errors(tmp_path, capsys, monkeypatch, corpus_file, scale_csvs):
+    # every command accepts --threads and MELIC_THREADS, and rejects a bad value
+    # before any work, whether or not it runs threads
+    commands = [
+        [*scale_csvs, "--n", "100", "--seed", "1"],
+        ["totalinfo", str(corpus_file)],
+        ["mi", "--seed", "1", str(corpus_file)],
+    ]
+    monkeypatch.delenv("MELIC_THREADS", raising=False)
+    for argv in commands:
+        for value in ("0", "-3"):
+            expect_error(capsys, [*argv, "--threads", value], "--threads", value)
+        for value in ("0", "-3", "abc", "1.5"):
+            monkeypatch.setenv("MELIC_THREADS", value)
+            expect_error(capsys, argv, "MELIC_THREADS", value)
+        # the option wins over the environment
+        monkeypatch.setenv("MELIC_THREADS", "abc")
+        assert run([*argv, "--threads", "2"], tmp_path / "o.csv")[0] == 0
+        assert "error" not in capsys.readouterr().err
+        monkeypatch.delenv("MELIC_THREADS")
+    monkeypatch.setenv("MELIC_THREADS", "2")
+    assert run(commands[0], tmp_path / "env.csv") == run([*commands[0], "--threads", "1"], tmp_path / "one.csv")
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import melic.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

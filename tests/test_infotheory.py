@@ -1,6 +1,7 @@
 """Entropy, Gini, mutual information, lower bounds, and power-law contours."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from melic.infotheory import (
     powerlaw_entropy_gini,
     solve_powerlaw_H,
 )
+from melic.viewpoints import ViewpointKind, extract_viewpoint, symbols_of
+
+from conftest import melody_from_pitches
 
 
 def uniform(a):
@@ -132,6 +136,75 @@ def test_mutual_information_errors():
         mutual_information_excess((0, 1), (0,), n_shuffles=0)
     with pytest.raises(InfoError):
         mutual_information_excess((0, 1), (0, 1), n_shuffles=2)  # rng required
+
+
+# --- MI against the tuple-of-symbols oracle -------------------------------------
+
+def _oracle_mi(symsP: tuple, symsR: tuple) -> float:
+    joint = entropy_of(tuple(zip(symsP, symsR)))
+    return entropy_of(symsP) + entropy_of(symsR) - joint
+
+
+def oracle_mi(seqP, seqR, n_shuffles=10, rng=None):
+    """MI on tuples of the symbols themselves, with one rng.permutation per
+    shuffle: mutual_information_excess before it ran on interned codes."""
+    symsP = symbols_of(seqP)
+    symsR = symbols_of(seqR)
+    if len(symsP) != len(symsR):
+        raise InfoError(f"length mismatch: {len(symsP)} vs {len(symsR)}")
+    if n_shuffles < 0:
+        raise InfoError("n_shuffles must be >= 0")
+    i_obs = _oracle_mi(symsP, symsR)
+    if n_shuffles == 0:
+        return i_obs, 0.0, i_obs
+    if rng is None:
+        raise InfoError("shuffled null requires an explicit rng")
+    acc = 0.0
+    n = len(symsR)
+    for _ in range(n_shuffles):
+        perm = rng.permutation(n)
+        acc += _oracle_mi(symsP, tuple(symsR[i] for i in perm))
+    i_ran = acc / n_shuffles
+    return i_obs, i_ran, i_obs - i_ran
+
+
+def _random_melodies(seed, count):
+    rng = np.random.default_rng(seed)
+    values = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+    for i in range(count):
+        n = int(rng.integers(2, 60))
+        pitches = 60 + np.cumsum(rng.integers(-5, 6, n))
+        durations = [values[k] for k in rng.integers(0, int(rng.integers(1, len(values) + 1)), n)]
+        yield melody_from_pitches(f"r{i}", list(pitches), durations)
+
+
+_PAIRS = [
+    (ViewpointKind.CHROMA, ViewpointKind.DURATION),
+    (ViewpointKind.MINT, ViewpointKind.IOI),
+    (ViewpointKind.JOINT_CHROMA_DURATION, ViewpointKind.DURATION_RATIO),
+    (ViewpointKind.PITCH, ViewpointKind.JOINT_MINT_DURATION),
+]
+
+
+@pytest.mark.parametrize("n_shuffles", [0, 10])
+@pytest.mark.parametrize("pkind, rkind", _PAIRS)
+def test_mutual_information_equals_the_oracle(pkind, rkind, n_shuffles):
+    rng_new, rng_old = np.random.default_rng(11), np.random.default_rng(11)
+    for m in _random_melodies(7, 60):
+        p, r = extract_viewpoint(m, pkind).symbols, extract_viewpoint(m, rkind).symbols
+        n = min(len(p), len(r))
+        got = mutual_information_excess(p[:n], r[:n], n_shuffles=n_shuffles, rng=rng_new)
+        assert got == oracle_mi(p[:n], r[:n], n_shuffles=n_shuffles, rng=rng_old)
+    # the same draws were taken from both streams
+    assert rng_new.random() == rng_old.random()
+
+
+def test_mutual_information_of_empty_sequences_is_the_oracle_error():
+    for n_shuffles, rng in ((0, None), (10, np.random.default_rng(0))):
+        with pytest.raises(InfoError, match="^cannot build a distribution from an empty sequence$"):
+            mutual_information_excess((), (), n_shuffles=n_shuffles, rng=rng)
+        with pytest.raises(InfoError, match="^cannot build a distribution from an empty sequence$"):
+            oracle_mi((), (), n_shuffles=n_shuffles, rng=rng)
 
 
 # --- properties ----------------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melic.repetition import (
     RepetitionError,
@@ -11,6 +13,7 @@ from melic.repetition import (
     repetition_fraction,
     total_information,
 )
+from melic.viewpoints import intern
 
 from conftest import melody_from_pitches
 
@@ -172,3 +175,57 @@ def test_total_information():
     assert total_information(m) == pytest.approx(2.0)
     flat = melody_from_pitches("f", [60] * 6)
     assert total_information(flat) == 0.0
+
+
+# --- interned codes ---------------------------------------------------------
+
+def test_intern_codes_are_sorted_ranks():
+    codes, table = intern((Fraction(1, 2), Fraction(2), Fraction(1, 2), Fraction(1, 3)))
+    assert table == (Fraction(1, 3), Fraction(1, 2), Fraction(2))
+    assert codes == (1, 2, 1, 0)
+    assert intern(()) == ((), ())
+
+
+def test_ties_break_toward_the_smaller_substring():
+    # "bbbc" and "cbbb" both score 2 x 4; "bbbc" is the smaller
+    res = remove_repetition(tuple("cbbbbcccbbbcb"))
+    assert res.l_nr == 9
+    assert res.removed_matches == ((("b", "b", "b", "c"), 2),)
+
+
+def test_first_appearance_codes_would_change_l_nr():
+    # coding c=0, b=1 (first-appearance order) reverses the symbol order, so
+    # the tie goes to "cbbb" and a different removal follows: why `intern`
+    # uses sorted ranks
+    relabelled = tuple({"c": 0, "b": 1}[s] for s in "cbbbbcccbbbcb")
+    assert remove_repetition(relabelled).l_nr == 7
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+_sequences = st.lists(st.integers(0, 3), min_size=1, max_size=30)
+
+
+@PROPERTY
+@given(_sequences, st.integers(2, 4))
+def test_l_nr_at_most_l_and_no_residual_repeat(seq, l_min):
+    res = remove_repetition(seq, l_min)
+    assert 1 <= res.l_nr <= len(seq)
+    assert not _oracle_candidates(list(res.pieces), l_min, len(seq) // 2)
+
+
+@PROPERTY
+@given(_sequences, st.lists(st.integers(1, 5), min_size=4, max_size=4))
+def test_symbol_types_give_the_same_removal(seq, steps):
+    # order-preserving relabellings: Fractions, (int, Fraction) pairs, ints
+    # with arbitrary positive gaps
+    ints = [sum(steps[: k + 1]) for k in range(4)]
+    relabellings = [
+        lambda k: Fraction(2 * k + 1, 7),
+        lambda k: (k // 2, Fraction(k % 2 + 1, 3)),
+        lambda k: ints[k],
+    ]
+    base = remove_repetition(tuple(seq))
+    for f in relabellings:
+        res = remove_repetition(tuple(f(k) for k in seq))
+        assert res.l_nr == base.l_nr
+        assert res.removed_matches == tuple((tuple(f(k) for k in sub), n) for sub, n in base.removed_matches)
