@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -110,61 +111,50 @@ def _load_distribution(path: str) -> Distribution:
     )
 
 
-def _emit(args, records: list[dict], schema: list[str] | None = None) -> None:
-    data = write_table(records, format=args.format, schema=schema)
-    if args.out:
-        Path(args.out).write_bytes(data)
-    else:
-        sys.stdout.buffer.write(data)
-
-
 def _sym_str(s) -> str:
     if isinstance(s, tuple):
         return ":".join(str(x) for x in s)
     return str(s)
 
 
-# --- subcommands -----------------------------------------------------------
+def _each_melody(args, fn) -> list:
+    """_per_melody over every corpus argument, rows in corpus order."""
+    return [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, fn)]
+
+
+# --- subcommands: each returns its rows, which main writes ------------------
 
 def cmd_viewpoints(args):
-    kind = ViewpointKind(args.kind)
-
     def one(m):
-        seq = extract_viewpoint(m, kind)
+        seq = extract_viewpoint(m, args.kind)
         return {"id": m.id, "symbols": " ".join(_sym_str(s) for s in seq.symbols)}
 
-    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
-    _emit(args, records, schema=["id", "symbols"])
+    return _each_melody(args, one)
 
 
 def cmd_entropy(args, with_gini=False):
-    kind = ViewpointKind(args.viewpoint)
-
     def one(m):
-        d = distribution_of(extract_viewpoint(m, kind))
+        d = distribution_of(extract_viewpoint(m, args.viewpoint))
         row = {"id": m.id, "A": d.alphabet_size, "H": entropy(d)}
         if with_gini:
             row["G"] = gini(d)
         return row
 
-    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
-    _emit(args, records)
+    return _each_melody(args, one)
 
 
 def cmd_gini(args):
-    cmd_entropy(args, with_gini=True)
+    return cmd_entropy(args, with_gini=True)
 
 
 def cmd_mi(args):
     if args.shuffles < 0:
         raise MelicError(f"--shuffles must be >= 0, got {args.shuffles}")
-    pkind = ViewpointKind(args.viewpoint)
-    rkind = ViewpointKind(args.rhythm_kind)
     rng = np.random.default_rng(args.seed)
 
     def one(m):
-        seq_p = extract_viewpoint(m, pkind)
-        seq_r = extract_viewpoint(m, rkind)
+        seq_p = extract_viewpoint(m, args.viewpoint)
+        seq_r = extract_viewpoint(m, args.rhythm_kind)
         n = min(len(seq_p), len(seq_r))
         i_obs, i_ran, i_star = mutual_information_excess(
             seq_p.symbols[:n], seq_r.symbols[:n], n_shuffles=args.shuffles, rng=rng
@@ -172,17 +162,15 @@ def cmd_mi(args):
         return {"id": m.id, "I": i_obs, "I_ran": i_ran, "I_star": i_star}
 
     # every melody draws its shuffles from the one rng stream, in corpus order
-    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
-    _emit(args, records)
+    return _each_melody(args, one)
 
 
 def cmd_repetition(args):
     if args.lmin < 2:
         raise MelicError(f"--lmin must be >= 2, got {args.lmin}")
-    kind = ViewpointKind(args.viewpoint)
 
     def one(m):
-        seq = extract_viewpoint(m, kind)
+        seq = extract_viewpoint(m, args.viewpoint)
         res = remove_repetition(seq, args.lmin)
         return {
             "id": m.id,
@@ -191,8 +179,7 @@ def cmd_repetition(args):
             "fraction": 1.0 - res.l_nr / len(seq.symbols),
         }
 
-    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
-    _emit(args, records)
+    return _each_melody(args, one)
 
 
 def cmd_totalinfo(args):
@@ -200,17 +187,15 @@ def cmd_totalinfo(args):
         h, l_nr, _ = joint_information(m)
         return {"id": m.id, "H_joint": h, "L_NR": l_nr, "T": h * l_nr}
 
-    records = [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, one)]
-    _emit(args, records)
+    return _each_melody(args, one)
 
 
 def cmd_ppm_repetition(args):
-    kind = ViewpointKind(args.viewpoint)
     records = []
     for corpus in _load_corpora(args.corpus):
         res = within_corpus_repetition(
             corpus,
-            kind=kind,
+            kind=args.viewpoint,
             n_train=args.n_train,
             truncate=args.truncate,
             n_shuffle_reps=args.shuffle_reps,
@@ -226,15 +211,14 @@ def cmd_ppm_repetition(args):
                 "repetition_bits": res.repetition_bits,
             }
         )
-    _emit(args, records)
+    return records
 
 
 def cmd_genmodel_scale(args):
     interval_dist = _load_distribution(args.intervals)
     length_dist = _load_distribution(args.lengths)
-    o_values = [float(x) for x in args.o_values.split(",")]
     sim = genmodel.simulate_scale_entropy(
-        interval_dist, length_dist, o_values, args.n, seed=args.seed, threads=args.threads
+        interval_dist, length_dist, args.o_values, args.n, seed=args.seed, threads=args.threads
     )
     why = "(no legal interval inside the pitch window)"
     if sim.n_failed == args.n:
@@ -246,61 +230,33 @@ def cmd_genmodel_scale(args):
     if args.empirical_h:
         emp = [float(r["H"]) for r in _read_csv(args.empirical_h, ("H",))]
         logl = genmodel.scale_loglikelihood(sim, emp, alpha=args.alpha)
-    records = []
-    for a in sorted(sim.per_a):
-        records.append(
-            {
-                "A": a,
-                "n_samples": int(sim.per_a[a].size),
-                "P_below": probs[a],
-                "logL": logl.get(a),
-            }
-        )
-    _emit(args, records)
+    return [
+        {"A": a, "n_samples": int(sim.per_a[a].size), "P_below": probs[a], "logL": logl.get(a)}
+        for a in sorted(sim.per_a)
+    ]
 
 
 def _entropies(m, *kinds) -> list[float]:
     return [entropy(distribution_of(extract_viewpoint(m, k))) for k in kinds]
 
 
+def _fit(args, family, spec, grids, targets) -> tuple:
+    """Best spec of the --model family over the product of the grid lists,
+    and its JSD."""
+    name, dist = args.model[:-1], int(args.model[-1:])  # an empty --model: ValueError, not IndexError
+    grid = [spec(name, dist, *point) for point in itertools.product(*grids)]
+    return genmodel.fit_generative_model(family, targets, grid, n_per_setting=args.n_per_setting, seed=args.seed)
+
+
 def cmd_genmodel_pitch(args):
     def one(m):
         return _entropies(m, ViewpointKind.CHROMA, ViewpointKind.MINT, ViewpointKind.SINT)
 
-    mint_ratio, sint_ratio = [], []
-    for corpus in _load_corpora(args.corpus):
-        for hc, hm, hs in _per_melody(corpus, one):
-            if hc > 0:
-                mint_ratio.append(hm / hc)
-                sint_ratio.append(hs / hc)
-    family, dist = args.model[:-1], int(args.model[-1])
-    grid = [
-        genmodel.PitchModelSpec(family=family, dist=dist, a=a, length=length, o=o, exponent=exp)
-        for a in [int(x) for x in args.grid_a.split(",")]
-        for length in [int(x) for x in args.grid_l.split(",")]
-        for o in [float(x) for x in args.grid_o.split(",")]
-        for exp in [float(x) for x in args.grid_exp.split(",")]
-    ]
-    best, score = genmodel.fit_generative_model(
-        "pitch",
-        {"mint_ratio": mint_ratio, "sint_ratio": sint_ratio},
-        grid,
-        n_per_setting=args.n_per_setting,
-        seed=args.seed,
-    )
-    _emit(
-        args,
-        [
-            {
-                "model": best.name,
-                "A": best.a,
-                "L": best.length,
-                "O": best.o,
-                "exponent": best.exponent,
-                "JSD": score,
-            }
-        ],
-    )
+    ents = [e for e in _each_melody(args, one) if e[0] > 0]
+    targets = {"mint_ratio": [hm / hc for hc, hm, _ in ents], "sint_ratio": [hs / hc for hc, _, hs in ents]}
+    grids = (args.grid_a, args.grid_l, args.grid_o, args.grid_exp)
+    best, score = _fit(args, "pitch", genmodel.PitchModelSpec, grids, targets)
+    return [{"model": best.name, "A": best.a, "L": best.length, "O": best.o, "exponent": best.exponent, "JSD": score}]
 
 
 def cmd_genmodel_rhythm(args):
@@ -311,30 +267,19 @@ def cmd_genmodel_rhythm(args):
         # H(IOI) > 0 needs two distinct IOIs, so the ratio sequence is non-empty
         return (hi, entropy(distribution_of(ratio)) / hi) if hi > 0 else None
 
-    pairs = [p for corpus in _load_corpora(args.corpus) for p in _per_melody(corpus, one) if p is not None]
-    value_set, dist = args.model[:-1], int(args.model[-1])
-    grid = [
-        genmodel.RhythmModelSpec(value_set=value_set, dist=dist, a=a, length=length, exponent=exp)
-        for a in [int(x) for x in args.grid_a.split(",")]
-        for length in [int(x) for x in args.grid_l.split(",")]
-        for exp in [float(x) for x in args.grid_exp.split(",")]
-    ]
-    best, score = genmodel.fit_generative_model(
-        "rhythm", {"ioi_pairs": pairs}, grid, n_per_setting=args.n_per_setting, seed=args.seed
-    )
-    _emit(
-        args,
-        [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}],
-    )
+    pairs = [p for p in _each_melody(args, one) if p is not None]
+    grids = (args.grid_a, args.grid_l, args.grid_exp)
+    best, score = _fit(args, "rhythm", genmodel.RhythmModelSpec, grids, {"ioi_pairs": pairs})
+    return [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}]
 
 
 def cmd_similarity(args):
-    kind = ViewpointKind(args.viewpoint)
     query_corpus = parse_canonical(Path(args.query).read_bytes())
-    query = extract_viewpoint(query_corpus.melodies[0], kind)
+    query = extract_viewpoint(query_corpus.melodies[0], args.viewpoint)
     records = []
     for corpus in _load_corpora(args.corpus):
-        rep = stats.ngram_similarity(query, corpus, n=args.n, kind=kind)
+        rep = stats.ngram_similarity(query, corpus, n=args.n, kind=args.viewpoint)
+        _report_skips(corpus, list(rep.left_out))
         records.append(
             {
                 "corpus": corpus.meta.corpus_id,
@@ -344,24 +289,21 @@ def cmd_similarity(args):
                 "enrichment": rep.enrichment,
             }
         )
-    _emit(args, records)
+    return records
 
 
 def cmd_null_joint(args):
     means = _load_means(args.means)
     rng = np.random.default_rng(args.seed)
     res = stats.joint_entropy_null(means, n_samples=args.samples, rng=rng)
-    _emit(
-        args,
-        [
-            {
-                "null_variance": res.null_variance,
-                "empirical_variance": res.empirical_variance,
-                "ratio": res.ratio,
-                "degenerate": res.degenerate,
-            }
-        ],
-    )
+    return [
+        {
+            "null_variance": res.null_variance,
+            "empirical_variance": res.empirical_variance,
+            "ratio": res.ratio,
+            "degenerate": res.degenerate,
+        }
+    ]
 
 
 def cmd_subsample_corr(args):
@@ -370,7 +312,7 @@ def cmd_subsample_corr(args):
     mean_r, (lo, hi) = stats.region_balanced_correlation(
         means, args.max_per_region, n_resamples=args.resamples, rng=rng
     )
-    _emit(args, [{"mean_r": mean_r, "ci_low": lo, "ci_high": hi}])
+    return [{"mean_r": mean_r, "ci_low": lo, "ci_high": hi}]
 
 
 def cmd_summary(args):
@@ -402,10 +344,32 @@ def cmd_summary(args):
                 "mean_T": float(np.mean([r["T"] for r in rows])),
             }
         )
-    _emit(args, records)
+    return records
 
 
 # --- parser ----------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse.ArgumentError for a value it cannot convert or an
+    unknown choice, so that main reports it as one `error:` line; subparsers
+    are built from the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(exit_on_error=False, **kwargs)
+
+
+def _list_of(convert):
+    """argparse type for a comma-separated list, such as '3,5,7'."""
+
+    def parse(text: str) -> list:
+        return [convert(x) for x in text.split(",")]
+
+    parse.__name__ = f"{convert.__name__} list"  # argparse names the type in its message
+    return parse
+
+
+_ints, _floats = _list_of(int), _list_of(float)
+
 
 def _add_common(p, corpus=True, seed=False):
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -418,33 +382,33 @@ def _add_common(p, corpus=True, seed=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="melic", description=__doc__)
+    parser = _Parser(prog="melic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("viewpoints", help="per-melody viewpoint symbol lists")
-    p.add_argument("--kind", default="chroma")
+    p.add_argument("--kind", type=ViewpointKind, default="chroma")
     _add_common(p)
-    p.set_defaults(func=cmd_viewpoints)
+    p.set_defaults(func=cmd_viewpoints, schema=["id", "symbols"])
 
     p = sub.add_parser("entropy", help="per-melody alphabet size and entropy")
-    p.add_argument("--viewpoint", default="chroma")
+    p.add_argument("--viewpoint", type=ViewpointKind, default="chroma")
     _add_common(p)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("gini", help="per-melody entropy and Gini coefficient")
-    p.add_argument("--viewpoint", default="chroma")
+    p.add_argument("--viewpoint", type=ViewpointKind, default="chroma")
     _add_common(p)
     p.set_defaults(func=cmd_gini)
 
     p = sub.add_parser("mi", help="pitch-rhythm mutual information with shuffle null")
-    p.add_argument("--viewpoint", default="chroma", help="pitch viewpoint")
-    p.add_argument("--rhythm-kind", default="duration")
+    p.add_argument("--viewpoint", type=ViewpointKind, default="chroma", help="pitch viewpoint")
+    p.add_argument("--rhythm-kind", type=ViewpointKind, default="duration")
     p.add_argument("--shuffles", type=int, default=10)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("repetition", help="recursive repeated-substring removal")
-    p.add_argument("--viewpoint", default="chroma")
+    p.add_argument("--viewpoint", type=ViewpointKind, default="chroma")
     p.add_argument("--lmin", type=int, default=2)
     _add_common(p)
     p.set_defaults(func=cmd_repetition)
@@ -454,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_totalinfo)
 
     p = sub.add_parser("ppm-repetition", help="PPM within-corpus repetition")
-    p.add_argument("--viewpoint", default="mint")
+    p.add_argument("--viewpoint", type=ViewpointKind, default="mint")
     p.add_argument("--n-train", type=int, default=10)
     p.add_argument("--truncate", type=int, default=50)
     p.add_argument("--shuffle-reps", type=int, default=10)
@@ -469,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intervals", required=True, help="CSV symbol,probability")
     p.add_argument("--lengths", required=True, help="CSV symbol,probability")
     p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--o-values", default="0.5,1,1.5,2")
+    p.add_argument("--o-values", type=_floats, default="0.5,1,1.5,2")
     p.add_argument("--threshold", type=float, default=2.8)
     p.add_argument("--alpha", type=float, default=0.999)
     p.add_argument("--empirical-h", default=None, help="CSV with column H for log-likelihoods")
@@ -478,19 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = gsub.add_parser("pitch", help="fit a pitch-sequence model family")
     p.add_argument("--model", required=True, help="e.g. IS3")
-    p.add_argument("--grid-a", default="3,5,7,9,12")
-    p.add_argument("--grid-l", default="15,30,50")
-    p.add_argument("--grid-o", default="1,2,3")
-    p.add_argument("--grid-exp", default="1,2,3")
+    p.add_argument("--grid-a", type=_ints, default="3,5,7,9,12")
+    p.add_argument("--grid-l", type=_ints, default="15,30,50")
+    p.add_argument("--grid-o", type=_floats, default="1,2,3")
+    p.add_argument("--grid-exp", type=_floats, default="1,2,3")
     p.add_argument("--n-per-setting", type=int, default=100)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_genmodel_pitch)
 
     p = gsub.add_parser("rhythm", help="fit a rhythm-sequence model family")
     p.add_argument("--model", required=True, help="e.g. SI4")
-    p.add_argument("--grid-a", default="3,5,7")
-    p.add_argument("--grid-l", default="15,30,50")
-    p.add_argument("--grid-exp", default="1,2,3")
+    p.add_argument("--grid-a", type=_ints, default="3,5,7")
+    p.add_argument("--grid-l", type=_ints, default="15,30,50")
+    p.add_argument("--grid-exp", type=_floats, default="1,2,3")
     p.add_argument("--n-per-setting", type=int, default=100)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_genmodel_rhythm)
@@ -498,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("similarity", help="n-gram melodic similarity vs chance")
     p.add_argument("--query", required=True, help="canonical corpus file; first melody is the query")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--viewpoint", default="mint")
+    p.add_argument("--viewpoint", type=ViewpointKind, default="mint")
     _add_common(p)
     p.set_defaults(func=cmd_similarity)
 
@@ -523,12 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write its rows; a missing or unknown option is
+    argparse's usage error (SystemExit 2), every other failure one `error:`
+    line and exit 1."""
     try:
+        args = build_parser().parse_args(argv)
         args.threads = _threads(args)
-        args.func(args)
-    except (MelicError, OSError, ValueError) as exc:
+        data = write_table(args.func(args), format=args.format, schema=getattr(args, "schema", None))
+        if args.out:
+            Path(args.out).write_bytes(data)
+        else:
+            sys.stdout.buffer.write(data)
+    except (argparse.ArgumentError, MelicError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

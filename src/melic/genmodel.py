@@ -278,6 +278,8 @@ def fit_generative_model(
         raise GenModelError("empty empirical targets")
     if not param_grid:
         raise GenModelError("empty parameter grid")
+    if n_per_setting < 1:
+        raise GenModelError(f"n_per_setting must be >= 1, got {n_per_setting}")
     best_spec = None
     best_score = math.inf
     for i, spec in enumerate(param_grid):

@@ -142,8 +142,9 @@ def within_corpus_repetition(
     shuffled copies; repetition_bits = IC_r - IC. A melody whose truncated
     sequence is empty, or on which the viewpoint is undefined, stays in the
     training pool as an empty sequence but is left out as a target."""
-    if truncate < 1:
-        raise SeqModelError(f"truncate must be >= 1, got {truncate}")
+    for name, value in (("n_train", n_train), ("truncate", truncate), ("n_shuffle_reps", n_shuffle_reps)):
+        if value < 1:
+            raise SeqModelError(f"{name} must be >= 1, got {value}")
     if len(corpus.melodies) < n_train + 1:
         raise SeqModelError(
             f"corpus {corpus.meta.corpus_id!r}: needs at least {n_train + 1} melodies, has {len(corpus.melodies)}"

@@ -160,6 +160,8 @@ def joint_entropy_null(means: list[CorpusMeans], n_samples: int = 10000, rng=Non
     rhythm entropy and mutual information pools; H(C,D) = H(C) + H(D) - I."""
     if len(means) < 2:
         raise StatsError("need at least 2 corpora")
+    if n_samples < 1:
+        raise StatsError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng() if rng is None else rng
     hc = np.array([m.h_chroma for m in means])
     hd = np.array([m.h_duration for m in means])
@@ -186,6 +188,8 @@ def region_balanced_correlation(
     resampling; returns (mean r, 2.5/97.5 percentile CI)."""
     if max_per_region < 1:
         raise StatsError("max_per_region must be >= 1")
+    if n_resamples < 1:
+        raise StatsError(f"n_resamples must be >= 1, got {n_resamples}")
     regions: dict[str, list[CorpusMeans]] = {}
     for m in means:
         regions.setdefault(m.region, []).append(m)
@@ -249,6 +253,7 @@ class SimilarityReport:
     enrichment: float | None
     expected_paper: float
     expected_fixed_query: float
+    left_out: tuple[tuple[str, str], ...]  # (id, reason) of each melody the viewpoint is undefined on
 
 
 def ngram_similarity(query, corpus: Corpus, n: int = 10, kind=ViewpointKind.MINT) -> SimilarityReport:
@@ -270,10 +275,12 @@ def ngram_similarity(query, corpus: Corpus, n: int = 10, kind=ViewpointKind.MINT
     n_matches = 0
     exp_paper = 0.0
     exp_fixed = 0.0
+    left_out = []
     for melody in corpus.melodies:
         try:
             target = extract_viewpoint(melody, kind).symbols
-        except ViewpointError:
+        except ViewpointError as exc:
+            left_out.append((melody.id, str(exc)))
             continue
         positions = len(target) - n + 1
         if positions < 1:
@@ -288,4 +295,5 @@ def ngram_similarity(query, corpus: Corpus, n: int = 10, kind=ViewpointKind.MINT
         enrichment=enrichment,
         expected_paper=exp_paper,
         expected_fixed_query=exp_fixed,
+        left_out=tuple(left_out),
     )

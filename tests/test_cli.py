@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, error handling, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melic.cli import main
+from melic.cli import build_parser, main
 from melic.corpus import serialize_canonical
 from melic.viewpoints import ViewpointKind
 
@@ -298,11 +299,50 @@ def test_corpus_level_failures_are_errors(tmp_path, capsys, corpus_file):
     expect_error(capsys, ["ppm-repetition", "--seed", "1", str(small)], "at least 11 melodies")
     query = write_corpus(tmp_path / "q.json", [melody_from_pitches("q", [60])])
     expect_error(capsys, ["similarity", "--query", str(query), str(corpus_file)], "query shorter")
+    # a count the library uses must be >= 1
+    means = tmp_path / "means.csv"
+    make_means_csv(means, [[f"c{i}", f"r{i % 2}", "Folk", 2 + 0.1 * i, 1 + 0.01 * i * i, 0.1] for i in range(6)])
+    pitch = ["genmodel", "pitch", "--model", "S1", "--grid-a", "4", "--grid-l", "20", "--grid-o", "2", "--grid-exp", "1"]
+    rhythm = ["genmodel", "rhythm", "--model", "SI1", "--grid-a", "3", "--grid-l", "20", "--grid-exp", "1"]
+    for value in ("0", "-1"):
+        for argv, name in [
+            (["ppm-repetition", "--shuffle-reps", value, str(corpus_file)], "n_shuffle_reps"),
+            (["ppm-repetition", "--n-train", value, str(corpus_file)], "n_train"),
+            (["subsample-corr", "--max-per-region", "2", "--resamples", value, str(means)], "n_resamples"),
+            (["null-joint", "--samples", value, str(means)], "n_samples"),
+            ([*pitch, "--n-per-setting", value, str(corpus_file)], "n_per_setting"),
+            ([*rhythm, "--n-per-setting", value, str(corpus_file)], "n_per_setting"),
+        ]:
+            expect_error(capsys, [*argv, "--seed", "1"], f"{name} must be >= 1, got {value}")
+
+
+def test_similarity_reports_melodies_the_viewpoint_is_undefined_on(tmp_path, capsys, with_one_note):
+    rc, data = run(["similarity", "--query", str(with_one_note), "--n", "2", "--viewpoint", "ioi", str(with_one_note)],
+                   tmp_path / "o.csv")
+    assert rc == 0
+    assert [r["n_matches"] for r in rows_of(data)] == ["1"]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: corpus 'fixture' melody 'lone' skipped: melody 'lone': IOI needs at least 2 note onsets",
+        "warning: corpus 'fixture': 1 melodies skipped",
+    ]
 
 
 def test_bad_options_are_rejected_before_any_melody(capsys, corpus_file):
     expect_error(capsys, ["repetition", "--lmin", "1", str(corpus_file)], "--lmin")
     expect_error(capsys, ["mi", "--seed", "1", "--shuffles", "-1", str(corpus_file)], "--shuffles")
+    # a value argparse cannot convert, or an unknown choice, is one error line too
+    pitch = ["genmodel", "pitch", "--model", "S1", "--seed", "1", str(corpus_file)]
+    scale = ["genmodel", "scale", "--intervals", "i.csv", "--lengths", "l.csv", "--seed", "1"]
+    for argv, *fragments in [
+        (["totalinfo", "--threads", "abc", str(corpus_file)], "argument --threads: invalid int value: 'abc'"),
+        (["repetition", "--lmin", "x", str(corpus_file)], "argument --lmin: invalid int value: 'x'"),
+        ([*pitch, "--grid-a", "3,x"], "argument --grid-a: invalid int list value: '3,x'"),
+        ([*pitch[:3], "", *pitch[4:]], "invalid literal for int() with base 10: ''"),
+        ([*scale, "--o-values", "1,x"], "argument --o-values: invalid float list value: '1,x'"),
+        (["entropy", "--viewpoint", "nope", str(corpus_file)], "argument --viewpoint: invalid ViewpointKind value: 'nope'"),
+        (["entropy", "--format", "xml", str(corpus_file)], "argument --format: invalid choice: 'xml'"),
+    ]:
+        expect_error(capsys, argv, *fragments)
 
 
 def test_csv_without_a_required_column_is_an_error(tmp_path, capsys):
@@ -389,6 +429,27 @@ def test_genmodel_scale_without_a_successful_walk_is_an_error(tmp_path, capsys, 
     expect_error(capsys, [*scale_csvs, "--n", "100", "--seed", "1"], "all 100 walks failed")
     for n in ("0", "-5"):
         expect_error(capsys, [*scale_csvs, "--n", n, "--seed", "1"], "at least one walk", n)
+
+
+def _leaf_parsers(parser, command=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield command, parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*command, name))
+
+
+def test_every_subcommand_has_a_function_and_help(capsys):
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert len(leaves) == 14 and ("genmodel", "pitch") in leaves
+    for command, parser in leaves.items():
+        assert callable(parser.get_default("func")), command
+    for command in [*leaves, ("genmodel",)]:
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0, command
+        assert capsys.readouterr().out.startswith(f"usage: melic {' '.join(command)} "), command
 
 
 def test_bad_thread_counts_are_errors(tmp_path, capsys, monkeypatch, corpus_file, scale_csvs):
