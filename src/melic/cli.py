@@ -13,7 +13,7 @@ import numpy as np
 
 from . import genmodel, stats
 from .corpus import Corpus, CorpusError, MelicError, parse_canonical, write_table
-from .infotheory import Distribution, distribution_of, entropy, gini, mutual_information_excess
+from .infotheory import Distribution, distribution_of, entropy, entropy_of, gini, mutual_information_excess
 from .repetition import joint_information, remove_repetition
 from .seqmodel import within_corpus_repetition
 from .viewpoints import ViewpointKind, extract_viewpoint
@@ -236,10 +236,6 @@ def cmd_genmodel_scale(args):
     ]
 
 
-def _entropies(m, *kinds) -> list[float]:
-    return [entropy(distribution_of(extract_viewpoint(m, k))) for k in kinds]
-
-
 def _fit(args, family, spec, grids, targets) -> tuple:
     """Best spec of the --model family over the product of the grid lists,
     and its JSD."""
@@ -250,10 +246,14 @@ def _fit(args, family, spec, grids, targets) -> tuple:
 
 def cmd_genmodel_pitch(args):
     def one(m):
-        return _entropies(m, ViewpointKind.CHROMA, ViewpointKind.MINT, ViewpointKind.SINT)
+        kinds = (ViewpointKind.CHROMA, ViewpointKind.MINT, ViewpointKind.SINT)
+        ratios = genmodel.pitch_ratios(*(extract_viewpoint(m, k) for k in kinds))
+        if ratios is None:
+            raise genmodel.GenModelError("H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined")
+        return ratios
 
-    ents = [e for e in _each_melody(args, one) if e[0] > 0]
-    targets = {"mint_ratio": [hm / hc for hc, hm, _ in ents], "sint_ratio": [hs / hc for hc, _, hs in ents]}
+    ratios = _each_melody(args, one)
+    targets = {"mint_ratio": [hm for hm, _ in ratios], "sint_ratio": [hs for _, hs in ratios]}
     grids = (args.grid_a, args.grid_l, args.grid_o, args.grid_exp)
     best, score = _fit(args, "pitch", genmodel.PitchModelSpec, grids, targets)
     return [{"model": best.name, "A": best.a, "L": best.length, "O": best.o, "exponent": best.exponent, "JSD": score}]
@@ -262,14 +262,13 @@ def cmd_genmodel_pitch(args):
 def cmd_genmodel_rhythm(args):
     def one(m):
         ioi = extract_viewpoint(m, ViewpointKind.IOI)
-        ratio = extract_viewpoint(m, ViewpointKind.IOI_RATIO)
-        hi = entropy(distribution_of(ioi))
-        # H(IOI) > 0 needs two distinct IOIs, so the ratio sequence is non-empty
-        return (hi, entropy(distribution_of(ratio)) / hi) if hi > 0 else None
+        pair = genmodel.rhythm_pair(ioi, extract_viewpoint(m, ViewpointKind.IOI_RATIO))
+        if pair is None:
+            raise genmodel.GenModelError("H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined")
+        return pair
 
-    pairs = [p for p in _each_melody(args, one) if p is not None]
     grids = (args.grid_a, args.grid_l, args.grid_exp)
-    best, score = _fit(args, "rhythm", genmodel.RhythmModelSpec, grids, {"ioi_pairs": pairs})
+    best, score = _fit(args, "rhythm", genmodel.RhythmModelSpec, grids, {"ioi_pairs": _each_melody(args, one)})
     return [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}]
 
 
@@ -317,7 +316,8 @@ def cmd_subsample_corr(args):
 
 def cmd_summary(args):
     def one(m):
-        h_chroma, h_dur = _entropies(m, ViewpointKind.CHROMA, ViewpointKind.DURATION)
+        h_chroma = entropy_of(extract_viewpoint(m, ViewpointKind.CHROMA))
+        h_dur = entropy_of(extract_viewpoint(m, ViewpointKind.DURATION))
         h_joint, l_nr, length = joint_information(m)
         return {
             "H_chroma": h_chroma,

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import _kernels
 from .corpus import MelicError
-from .infotheory import Distribution, distribution_of, entropy
+from .infotheory import Distribution, entropy_of
 from .stats import jsd, kde_silverman
-from .viewpoints import _scale_degrees
+from .viewpoints import intern
 
 PITCH_FAMILIES = ("S", "I", "IS")
 RHYTHM_VALUE_SETS = ("SI", "CI", "SR", "CR")
@@ -24,6 +24,15 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 class GenModelError(MelicError):
     pass
+
+
+def _check_sizes(spec, a_max: float) -> None:
+    """Reject an alphabet size or sequence length the generators cannot use."""
+    if not 1 <= spec.a <= a_max:
+        bound = ">= 1" if spec.a < 1 else f"<= {a_max}"
+        raise GenModelError(f"{spec.name}: alphabet size must be {bound}, got {spec.a}")
+    if spec.length < 2:
+        raise GenModelError(f"{spec.name}: sequence length must be >= 2, got {spec.length}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,8 @@ class PitchModelSpec:
             raise GenModelError(f"unknown pitch family {self.family!r}")
         if self.dist not in (1, 2, 3):
             raise GenModelError(f"unknown distribution code {self.dist}")
+        # S and IS draw a distinct chromas
+        _check_sizes(self, 12 if self.family in ("S", "IS") else math.inf)
 
     @property
     def name(self) -> str:
@@ -59,6 +70,7 @@ class RhythmModelSpec:
             raise GenModelError(f"unknown rhythm value set {self.value_set!r}")
         if self.dist not in (1, 2, 3, 4):
             raise GenModelError(f"unknown distribution code {self.dist}")
+        _check_sizes(self, len(_PRIMES) if self.value_set in ("CI", "CR") else math.inf)
 
     @property
     def name(self) -> str:
@@ -80,9 +92,9 @@ def _weights(k: int, dist: int, exponent: float, rng: np.random.Generator) -> np
 
 
 def _derive(chromas: list[int], mints: list[int]):
-    sdeg = _scale_degrees(chromas)
+    sdeg = intern(chromas)[0]
     sint = [b - a for a, b in zip(sdeg, sdeg[1:])]
-    return tuple(chromas), tuple(mints), tuple(sdeg), tuple(sint)
+    return tuple(chromas), tuple(mints), sdeg, tuple(sint)
 
 
 def _constrained_walk(vals, probs, length, lo, hi, on_scale, rng, max_retries=100):
@@ -147,8 +159,8 @@ def simple_value_set(a: int) -> list[Fraction]:
 
 def complex_value_set(a: int) -> list[Fraction]:
     """Primes and reciprocals of primes: every pairwise ratio is unique."""
-    if a > 2 * len(_PRIMES):
-        raise GenModelError("prime table exhausted")
+    if a > len(_PRIMES):  # a distinct primes
+        raise GenModelError(f"prime table exhausted: a must be <= {len(_PRIMES)}, got {a}")
     vals = []
     for i in range(a):
         p = _PRIMES[i // 2 if i % 2 == 0 else (i - 1) // 2 + (a + 1) // 2]
@@ -211,15 +223,21 @@ def _hist(samples, bins) -> np.ndarray:
     return h.astype(float)
 
 
+def pitch_ratios(chroma, mint, sint) -> tuple[float, float] | None:
+    """(H(M-Int)/H(Chroma), H(S-Int)/H(Chroma)), or None where H(Chroma) is 0."""
+    hc = entropy_of(chroma)
+    return None if hc == 0.0 else (entropy_of(mint) / hc, entropy_of(sint) / hc)
+
+
+def rhythm_pair(ioi, ratio) -> tuple[float, float] | None:
+    """(H(IOI), H(IOI-ratio)/H(IOI)), or None where H(IOI) is 0."""
+    hi = entropy_of(ioi)
+    return None if hi == 0.0 else (hi, entropy_of(ratio) / hi)
+
+
 def _ratio_samples_pitch(seq_sets) -> tuple[list[float], list[float]]:
-    mint_r, sint_r = [], []
-    for chroma, mint, _sdeg, sint in seq_sets:
-        hc = entropy(distribution_of(chroma))
-        if hc <= 0 or len(mint) == 0:
-            continue
-        mint_r.append(entropy(distribution_of(mint)) / hc)
-        sint_r.append(entropy(distribution_of(sint)) / hc)
-    return mint_r, sint_r
+    ratios = [r for chroma, mint, _sdeg, sint in seq_sets if (r := pitch_ratios(chroma, mint, sint)) is not None]
+    return [m for m, _ in ratios], [s for _, s in ratios]
 
 
 def pitch_fit_objective(seq_sets, empirical_targets, bin_width: float = 0.02) -> float:
@@ -237,12 +255,7 @@ def rhythm_fit_objective(seq_sets, empirical_targets, bin_width: float = 0.02, h
     """Expected JSD of P(H(IOI-ratio)/H(IOI) | H(IOI)) under the empirical
     H(IOI) distribution."""
     emp = empirical_targets["ioi_pairs"]  # list of (H_ioi, ratio)
-    model_pairs = []
-    for ioi, ratio in seq_sets:
-        hi = entropy(distribution_of(ioi))
-        if hi <= 0 or len(ratio) == 0:
-            continue
-        model_pairs.append((hi, entropy(distribution_of(ratio)) / hi))
+    model_pairs = [p for ioi, ratio in seq_sets if (p := rhythm_pair(ioi, ratio)) is not None]
     if not model_pairs:
         return 1.0
     bins = np.arange(0.0, 4.0 + bin_width, bin_width)
@@ -394,7 +407,7 @@ def scale_loglikelihood(
     if not 0 < alpha <= 1:
         raise GenModelError("alpha must be in (0, 1]")
     grid = np.arange(bin_width / 2, 5.0, bin_width)
-    p = kde_silverman(empirical_h, grid=grid, clamp=True).density if alpha > 0 else np.zeros_like(grid)
+    p = kde_silverman(empirical_h, grid=grid, clamp=True).density
     p_prime = alpha * p + (1.0 - alpha) / 5.0
     out: dict[int, float] = {}
     for a, samples in sorted(sim.per_a.items()):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import MelicError
-from .viewpoints import intern, symbols_of
+from .viewpoints import intern
 
 
 class InfoError(MelicError):
@@ -40,24 +40,22 @@ class Distribution:
 
 def distribution_of(seq) -> Distribution:
     """Empirical relative frequencies of a symbol sequence."""
-    symbols = symbols_of(seq)
-    if not symbols:
+    codes, alphabet = intern(seq)
+    if not codes:
         raise InfoError("cannot build a distribution from an empty sequence")
-    counts: dict = {}
-    for s in symbols:
-        counts[s] = counts.get(s, 0) + 1
-    alphabet = tuple(sorted(counts))
-    n = len(symbols)
-    return Distribution(
-        alphabet=alphabet,
-        probs=tuple(counts[a] / n for a in alphabet),
-        counts=tuple(counts[a] for a in alphabet),
-    )
+    counts = tuple(np.bincount(codes).tolist())
+    n = len(codes)
+    return Distribution(alphabet=alphabet, probs=tuple(c / n for c in counts), counts=counts)
+
+
+def _plugin_entropy(probs) -> float:
+    """-sum p log2 p in bits, summed in the given (ascending-symbol) order."""
+    return float(-sum(p * math.log2(p) for p in probs if p > 0.0)) + 0.0
 
 
 def entropy(d: Distribution) -> float:
     """Plug-in Shannon entropy in bits."""
-    return float(-sum(p * math.log2(p) for p in d.probs if p > 0.0)) + 0.0
+    return _plugin_entropy(d.probs)
 
 
 def entropy_of(seq) -> float:
@@ -79,10 +77,9 @@ def gini(d: Distribution) -> float:
 # --- mutual information with shuffle null ----------------------------------
 
 def _entropy_of_codes(codes: np.ndarray) -> float:
-    """entropy(distribution_of(symbols)) from the symbols' `intern` codes: the
-    same terms, summed in the same ascending-symbol order."""
+    """entropy(distribution_of(symbols)) from the symbols' `intern` codes."""
     n = codes.size
-    return float(-sum((c / n) * math.log2(c / n) for c in np.bincount(codes).tolist() if c)) + 0.0
+    return _plugin_entropy(c / n for c in np.bincount(codes).tolist())
 
 
 def mutual_information_excess(seqP, seqR, n_shuffles: int = 10, rng: np.random.Generator | None = None):
@@ -124,8 +121,7 @@ def entropy_lower_bound(A: int, L: int) -> float:
     symbol repeated L - A + 1 times, all others heard once."""
     if not 1 <= A <= L:
         raise InfoError(f"need 1 <= A <= L, got A={A}, L={L}")
-    counts = [L - A + 1] + [1] * (A - 1)
-    return float(-sum((c / L) * math.log2(c / L) for c in counts)) + 0.0
+    return _plugin_entropy(c / L for c in [L - A + 1] + [1] * (A - 1))
 
 
 # --- power-law entropy/Gini contour ----------------------------------------

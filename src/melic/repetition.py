@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import MelicError, Melody
-from .infotheory import distribution_of, entropy
+from .infotheory import entropy_of
 from .viewpoints import ViewpointKind, extract_viewpoint, intern, symbols_of
 
 
@@ -21,73 +21,36 @@ class RepetitionResult:
     removed_matches: tuple[tuple[tuple, int], ...]
 
 
-def _nonoverlap_count(positions: list[tuple[int, int]], length: int) -> int:
-    """Leftmost-greedy non-overlapping occurrence count; positions sorted."""
-    count = 0
-    last_piece = -1
-    last_end = -1
-    for piece, start in positions:
-        if piece != last_piece or start >= last_end:
-            count += 1
-            last_piece = piece
-            last_end = start + length
-    return count
+def _candidates(text: str, sep: str, l_min: int, l_cap: int) -> dict[str, int]:
+    """Substrings of `text` free of `sep`, of length in [l_min, l_cap], with
+    >= 2 non-overlapping occurrences, mapped to their occurrence count.
 
-
-def _candidates(pieces: list[tuple], l_min: int, l_cap: int) -> dict[tuple, int]:
-    """Substrings of length in [l_min, l_cap] with >= 2 non-overlapping
-    occurrences across pieces, mapped to their occurrence count.
-
-    Grown breadth-first: a repeated substring's prefix is repeated too, so
-    only positions of repeated (length-1)-prefixes are extended.
+    Grown one length at a time: a repeated substring's prefix is repeated
+    too, so only the start positions of substrings that repeated at the
+    previous length are extended.
     """
-    level: dict[tuple, list[tuple[int, int]]] = {}
-    for pi, piece in enumerate(pieces):
-        for start, sym in enumerate(piece):
-            level.setdefault((sym,), []).append((pi, start))
-    found: dict[tuple, int] = {}
+    level: dict[str, list[int]] = {}
+    for start, sym in enumerate(text):
+        if sym != sep:
+            level.setdefault(sym, []).append(start)
+    found: dict[str, int] = {}
     length = 1
     while level and length < l_cap:
-        nxt: dict[tuple, list[tuple[int, int]]] = {}
-        for sub, positions in level.items():
-            if len(positions) < 2:
-                continue
-            for pi, start in positions:
-                piece = pieces[pi]
-                end = start + length
-                if end < len(piece):
-                    nxt.setdefault(sub + (piece[end],), []).append((pi, start))
         length += 1
+        nxt: dict[str, list[int]] = {}
+        for starts in level.values():
+            if len(starts) > 1:
+                for start in starts:
+                    sub = text[start : start + length]
+                    if len(sub) == length and sub[-1] != sep:
+                        nxt.setdefault(sub, []).append(start)
         level = nxt
         if length >= l_min:
-            for sub, positions in level.items():
-                if len(positions) >= 2:
-                    n = _nonoverlap_count(positions, length)
-                    if n >= 2:
-                        found[sub] = n
+            for sub, starts in level.items():
+                # every occurrence lies in [first start, last start + length)
+                if len(starts) > 1 and (n := text.count(sub, starts[0], starts[-1] + length)) > 1:
+                    found[sub] = n
     return found
-
-
-def _remove_occurrences(piece: tuple, sub: tuple) -> tuple[list[tuple], int]:
-    """Delete leftmost-greedy non-overlapping occurrences; return fragments."""
-    frags = []
-    removed = 0
-    i = 0
-    buf: list = []
-    n, m = len(piece), len(sub)
-    while i < n:
-        if piece[i : i + m] == sub:
-            if buf:
-                frags.append(tuple(buf))
-                buf = []
-            removed += 1
-            i += m
-        else:
-            buf.append(piece[i])
-            i += 1
-    if buf:
-        frags.append(tuple(buf))
-    return frags, removed
 
 
 def remove_repetition(seq, l_min: int = 2) -> RepetitionResult:
@@ -95,50 +58,32 @@ def remove_repetition(seq, l_min: int = 2) -> RepetitionResult:
 
     Ties break toward the longer match, then the lexicographically smaller
     one. Each removed match leaves one copy behind as a new piece, which
-    participates in later rounds as ordinary material. The search runs on
-    the sorted-rank codes of `intern`, which order substrings as the
-    symbols do; pieces and matches are returned as symbols.
+    participates in later rounds as ordinary material.
+
+    The search runs on a string with one character per `intern` code, so
+    code-point order is symbol order, and `str.count`/`str.split` are the
+    leftmost non-overlapping count and removal. The pieces are joined by a
+    separator no symbol is coded as, so no match spans two pieces; pieces
+    and matches are returned as symbols.
     """
     if l_min < 2:
         raise RepetitionError(f"l_min must be >= 2, got {l_min}")
     codes, table = intern(seq)
     if not codes:
         raise RepetitionError("empty sequence")
-    l_cap = len(codes) // 2
-    pieces: list[tuple] = [codes]
-    removed: list[tuple[tuple, int]] = []
-    while True:
-        cands = _candidates(pieces, l_min, l_cap)
-        if not cands:
-            break
-        best_sub = None
-        best_key = None
-        for sub, n in cands.items():
-            key = (n * len(sub), len(sub))
-            if best_key is None or key > best_key or (key == best_key and sub < best_sub):
-                best_key = key
-                best_sub = sub
-        new_pieces: list[tuple] = []
-        total_removed = 0
-        for piece in pieces:
-            frags, k = _remove_occurrences(piece, best_sub)
-            new_pieces.extend(frags)
-            total_removed += k
-        new_pieces.append(best_sub)
-        pieces = new_pieces
-        removed.append((best_sub, total_removed))
-    unique = []
-    seen = set()
-    for p in pieces:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    l_nr = sum(len(p) for p in unique)
-    decode = lambda piece: tuple(table[c] for c in piece)
+    sep = chr(len(table))
+    text = "".join(map(chr, codes))
+    removed: list[tuple[str, int]] = []
+    while cands := _candidates(text, sep, l_min, len(codes) // 2):
+        best = min(cands, key=lambda s: (-cands[s] * len(s), -len(s), s))
+        text = sep.join([*text.split(best), best])
+        removed.append((best, cands[best]))
+    pieces = [p for p in text.split(sep) if p]
+    decode = lambda piece: tuple(table[ord(c)] for c in piece)
     return RepetitionResult(
-        pieces=tuple(decode(p) for p in pieces),
-        l_nr=l_nr,
-        removed_matches=tuple((decode(sub), k) for sub, k in removed),
+        pieces=tuple(map(decode, pieces)),
+        l_nr=sum(map(len, dict.fromkeys(pieces))),
+        removed_matches=tuple((decode(sub), n) for sub, n in removed),
     )
 
 
@@ -153,7 +98,7 @@ def joint_information(melody: Melody, l_min: int = 2) -> tuple[float, int, int]:
     """(H, L_NR, L) of the joint chroma-duration sequence: its unigram entropy
     in bits, its non-repeated length and its length."""
     joint = extract_viewpoint(melody, ViewpointKind.JOINT_CHROMA_DURATION)
-    h = entropy(distribution_of(joint))
+    h = entropy_of(joint)
     return h, remove_repetition(joint, l_min).l_nr, len(joint.symbols)
 
 

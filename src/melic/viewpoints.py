@@ -73,11 +73,6 @@ def _iois(melody: Melody) -> list[Fraction]:
     return [b - a for a, b in zip(onsets, onsets[1:])]
 
 
-def _scale_degrees(chromas: list[int]) -> list[int]:
-    rank = {c: i for i, c in enumerate(sorted(set(chromas)))}
-    return [rank[c] for c in chromas]
-
-
 def _ratios(values: list[Fraction], what: str) -> list[Fraction]:
     out = []
     for a, b in zip(values, values[1:]):
@@ -95,12 +90,12 @@ def extract_viewpoint(melody: Melody, kind: ViewpointKind) -> ViewpointSequence:
     elif kind is ViewpointKind.CHROMA:
         syms = [p % 12 for p in _pitches(melody)]
     elif kind is ViewpointKind.SCALE_DEGREE:
-        syms = _scale_degrees([p % 12 for p in _pitches(melody)])
+        syms = intern([p % 12 for p in _pitches(melody)])[0]
     elif kind is ViewpointKind.MINT:
         p = _pitches(melody)
         syms = [b - a for a, b in zip(p, p[1:])]
     elif kind is ViewpointKind.SINT:
-        sd = _scale_degrees([p % 12 for p in _pitches(melody)])
+        sd = intern([p % 12 for p in _pitches(melody)])[0]
         syms = [b - a for a, b in zip(sd, sd[1:])]
     elif kind is ViewpointKind.CONTOUR:
         p = _pitches(melody)

@@ -316,6 +316,56 @@ def test_corpus_level_failures_are_errors(tmp_path, capsys, corpus_file):
             expect_error(capsys, [*argv, "--seed", "1"], f"{name} must be >= 1, got {value}")
 
 
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (
+            ["genmodel", "pitch", "--model", "S1", "--grid-a", "4", "--grid-l", "20", "--grid-o", "2", "--grid-exp", "1"],
+            [("flat", "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined"),
+             ("lone", "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined")],
+        ),
+        (
+            ["genmodel", "rhythm", "--model", "SI1", "--grid-a", "3", "--grid-l", "20", "--grid-exp", "1"],
+            [("even", "H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined"),
+             ("lone", "melody 'lone': IOI needs at least 2 note onsets")],
+        ),
+    ],
+)
+def test_genmodel_fits_report_melodies_with_zero_base_entropy(tmp_path, capsys, argv, skipped):
+    # 'flat' repeats one pitch (H(Chroma) = 0); 'even' has equal IOIs (H(IOI) = 0)
+    mels = [melody_from_pitches("a", [60, 62, 64, 62, 67], [1, 2, 1, 1, 2]),
+            melody_from_pitches("flat", [60, 60, 60, 60], [1, 2, 1, 2]),
+            melody_from_pitches("even", [60, 62, 64, 65]),
+            melody_from_pitches("lone", [67])]
+    corpus = write_corpus(tmp_path / "zero.json", mels)
+    rc, data = run([*argv, "--n-per-setting", "5", "--seed", "1", str(corpus)], tmp_path / "o.csv")
+    assert rc == 0 and len(rows_of(data)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"warning: corpus 'fixture' melody '{mid}' skipped: {why}" for mid, why in skipped),
+        f"warning: corpus 'fixture': {len(skipped)} melodies skipped",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pitch", "--model", "IS2", "--grid-l", "0"], "IS2: sequence length must be >= 2, got 0"),
+        (["pitch", "--model", "IS2", "--grid-l", "1"], "IS2: sequence length must be >= 2, got 1"),
+        (["pitch", "--model", "S1", "--grid-a", "0"], "S1: alphabet size must be >= 1, got 0"),
+        (["pitch", "--model", "I1", "--grid-a", "0"], "I1: alphabet size must be >= 1, got 0"),
+        (["pitch", "--model", "S1", "--grid-a", "13"], "S1: alphabet size must be <= 12, got 13"),
+        (["pitch", "--model", "IS3", "--grid-a", "5,13"], "IS3: alphabet size must be <= 12, got 13"),
+        (["rhythm", "--model", "SI1", "--grid-a", "0"], "SI1: alphabet size must be >= 1, got 0"),
+        (["rhythm", "--model", "SR1", "--grid-l", "1"], "SR1: sequence length must be >= 2, got 1"),
+        (["rhythm", "--model", "CI1", "--grid-a", "40"], "CI1: alphabet size must be <= 15, got 40"),
+        (["rhythm", "--model", "CR2", "--grid-a", "16"], "CR2: alphabet size must be <= 15, got 16"),
+    ],
+)
+def test_genmodel_rejects_grid_points_the_generators_cannot_use(capsys, corpus_file, argv, message):
+    assert main(["genmodel", *argv, "--seed", "1", str(corpus_file)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_similarity_reports_melodies_the_viewpoint_is_undefined_on(tmp_path, capsys, with_one_note):
     rc, data = run(["similarity", "--query", str(with_one_note), "--n", "2", "--viewpoint", "ioi", str(with_one_note)],
                    tmp_path / "o.csv")

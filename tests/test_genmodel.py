@@ -18,7 +18,9 @@ from melic.genmodel import (
     generate_pitch_sequences,
     generate_rhythm_sequences,
     pitch_fit_objective,
+    pitch_ratios,
     prob_entropy_below,
+    rhythm_pair,
     scale_loglikelihood,
     simple_value_set,
     simulate_scale_entropy,
@@ -71,6 +73,19 @@ def test_value_sets():
     ratios = {a / b for a in cv for b in cv if a != b}
     # prime/reciprocal construction: all pairwise ratios distinct
     assert len(ratios) == 6 * 5
+    # a distinct primes, so the 15-prime table covers a <= 15
+    assert len(set(complex_value_set(15))) == 15
+    with pytest.raises(GenModelError, match="a must be <= 15, got 16"):
+        complex_value_set(16)
+
+
+def test_fit_statistics_are_none_where_the_base_entropy_is_0():
+    assert pitch_ratios((0, 0, 0), (0, 0), (0, 0)) is None
+    assert pitch_ratios((0, 0), (0,), (0,)) is None
+    # H(Chroma) = 1 bit; H(M-Int) = 0.918 bits, H(S-Int) = 0
+    assert pitch_ratios((0, 4, 0, 4), (4, -4, 4), (0, 0, 0)) == pytest.approx((0.9182958, 0.0))
+    assert rhythm_pair((1, 1, 1), (1, 1)) is None
+    assert rhythm_pair((1, 2, 1, 2), (2, Fraction(1, 2), 2)) == pytest.approx((1.0, 0.9182958))
 
 
 def test_metrical_base():

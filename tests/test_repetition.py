@@ -64,10 +64,12 @@ def _oracle_remove(piece, sub):
     return frags
 
 
-def oracle_l_nr(seq, l_min=2):
+def oracle_removal(seq, l_min=2):
+    """(L_NR, removed matches as (substring, count) pairs), by brute force."""
     seq = tuple(seq)
     l_cap = len(seq) // 2
     pieces = [seq]
+    removed = []
     while True:
         cands = _oracle_candidates(pieces, l_min, l_cap)
         if not cands:
@@ -78,7 +80,12 @@ def oracle_l_nr(seq, l_min=2):
             nxt.extend(_oracle_remove(p, best))
         nxt.append(best)
         pieces = nxt
-    return sum(len(p) for p in dict.fromkeys(pieces))
+        removed.append((best, cands[best]))
+    return sum(len(p) for p in dict.fromkeys(pieces)), tuple(removed)
+
+
+def oracle_l_nr(seq, l_min=2):
+    return oracle_removal(seq, l_min)[0]
 
 
 class NegLex:
@@ -154,11 +161,15 @@ def test_validation():
 
 def test_matches_oracle_on_random_sequences():
     rng = np.random.default_rng(2)
-    for _ in range(300):
-        n = int(rng.integers(1, 13))
-        a = int(rng.integers(1, 5))
-        seq = tuple(int(x) for x in rng.integers(0, a, n))
-        assert remove_repetition(seq).l_nr == oracle_l_nr(seq), seq
+    # short sequences over up to 4 symbols, then longer ones over up to 3,
+    # where removals run for many rounds and leave equal pieces behind
+    for lengths, symbols, trials in (((1, 13), (1, 5), 300), ((13, 61), (1, 4), 300)):
+        for _ in range(trials):
+            n = int(rng.integers(*lengths))
+            a = int(rng.integers(*symbols))
+            seq = tuple(int(x) for x in rng.integers(0, a, n))
+            res = remove_repetition(seq)
+            assert (res.l_nr, res.removed_matches) == oracle_removal(seq), seq
 
 
 def test_final_pieces_have_no_repeats():
