@@ -215,6 +215,8 @@ def cmd_ppm_repetition(args):
 
 
 def cmd_genmodel_scale(args):
+    if not 0 < args.alpha <= 1:
+        raise MelicError(f"--alpha must be in (0, 1], got {args.alpha}")
     interval_dist = _load_distribution(args.intervals)
     length_dist = _load_distribution(args.lengths)
     sim = genmodel.simulate_scale_entropy(

@@ -26,13 +26,16 @@ class GenModelError(MelicError):
     pass
 
 
-def _check_sizes(spec, a_max: float) -> None:
-    """Reject an alphabet size or sequence length the generators cannot use."""
+def _check_spec(spec, a_max: float) -> None:
+    """Reject an alphabet size, sequence length or exponent the generators
+    cannot use."""
     if not 1 <= spec.a <= a_max:
         bound = ">= 1" if spec.a < 1 else f"<= {a_max}"
         raise GenModelError(f"{spec.name}: alphabet size must be {bound}, got {spec.a}")
     if spec.length < 2:
         raise GenModelError(f"{spec.name}: sequence length must be >= 2, got {spec.length}")
+    if not math.isfinite(spec.exponent):
+        raise GenModelError(f"{spec.name}: exponent must be finite, got {spec.exponent}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,9 @@ class PitchModelSpec:
         if self.dist not in (1, 2, 3):
             raise GenModelError(f"unknown distribution code {self.dist}")
         # S and IS draw a distinct chromas
-        _check_sizes(self, 12 if self.family in ("S", "IS") else math.inf)
+        _check_spec(self, 12 if self.family in ("S", "IS") else math.inf)
+        if not 0 < self.o < math.inf:
+            raise GenModelError(f"{self.name}: o must be finite and > 0, got {self.o}")
 
     @property
     def name(self) -> str:
@@ -70,7 +75,7 @@ class RhythmModelSpec:
             raise GenModelError(f"unknown rhythm value set {self.value_set!r}")
         if self.dist not in (1, 2, 3, 4):
             raise GenModelError(f"unknown distribution code {self.dist}")
-        _check_sizes(self, len(_PRIMES) if self.value_set in ("CI", "CR") else math.inf)
+        _check_spec(self, len(_PRIMES) if self.value_set in ("CI", "CR") else math.inf)
 
     @property
     def name(self) -> str:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, MelicError
-from .viewpoints import ViewpointError, ViewpointKind, extract_viewpoint, symbols_of
+from .viewpoints import ViewpointError, ViewpointKind, extract_viewpoint, intern
 
 
 class SeqModelError(MelicError):
@@ -20,11 +20,8 @@ class SeqModelError(MelicError):
 class PPMModel:
     max_order: int
     alphabet: tuple
-    context_counts: dict[tuple, dict]
+    context_counts: dict[tuple, np.ndarray]  # context codes -> count of each next code
     _dist_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._index = {a: i for i, a in enumerate(self.alphabet)}
 
 
 @dataclass(frozen=True)
@@ -33,27 +30,33 @@ class ICResult:
     mean_bits: float
 
 
+def _codes(seq, alphabet: tuple, what: str) -> tuple[int, ...]:
+    try:
+        return intern(seq, alphabet)[0]
+    except KeyError as exc:
+        raise SeqModelError(f"{what} {exc.args[0]!r} outside model alphabet") from None
+
+
 def train_ppm(sequences, max_order: int, alphabet) -> PPMModel:
     """Count all n-grams up to max_order over the training sequences."""
     if max_order < 0:
         raise SeqModelError("max_order must be >= 0")
-    alphabet = tuple(sorted(set(alphabet)))
-    alpha_set = set(alphabet)
-    counts: dict[tuple, dict] = {}
+    alphabet = intern(alphabet)[1]
+    contexts, nexts = [], []  # every (context of 0 to max_order codes, next code)
     for seq in sequences:
-        syms = symbols_of(seq)
-        for i, sym in enumerate(syms):
-            if sym not in alpha_set:
-                raise SeqModelError(f"training symbol {sym!r} outside declared alphabet")
-            for k in range(min(i, max_order) + 1):
-                ctx = syms[i - k : i]
-                counts.setdefault(ctx, {})
-                counts[ctx][sym] = counts[ctx].get(sym, 0) + 1
+        codes = _codes(seq, alphabet, "training symbol")
+        for k in range(max_order + 1):
+            contexts += [codes[i - k : i] for i in range(k, len(codes))]
+            nexts += codes[k:]
+    ids = {ctx: j for j, ctx in enumerate(dict.fromkeys(contexts))}
+    rows = np.zeros((len(ids), len(alphabet)), dtype=np.int64)
+    np.add.at(rows, ([ids[ctx] for ctx in contexts], nexts), 1)
+    counts = dict(zip(ids, rows))
     return PPMModel(max_order=max_order, alphabet=alphabet, context_counts=counts)
 
 
 def _level_dist(model: PPMModel, ctx: tuple) -> np.ndarray:
-    """Predictive distribution over the alphabet for one context.
+    """Predictive distribution over the alphabet for one context of codes.
 
     Escape method C: a symbol seen in this context gets c/(n+e); the escape
     mass e/(n+e) goes to the lower-order distribution restricted to the
@@ -65,49 +68,40 @@ def _level_dist(model: PPMModel, ctx: tuple) -> np.ndarray:
     if cached is not None:
         return cached
     a = len(model.alphabet)
-    table = model.context_counts.get(ctx)
-    if not table:
-        out = _level_dist(model, ctx[1:]) if ctx else np.full(a, 1.0 / a)
-        model._dist_cache[ctx] = out
-        return out
     lower = _level_dist(model, ctx[1:]) if ctx else np.full(a, 1.0 / a)
-    n = sum(table.values())
-    e = len(table)
-    out = np.zeros(a)
-    seen = np.zeros(a, dtype=bool)
-    for sym, c in table.items():
-        i = model._index[sym]
-        out[i] = c / (n + e)
-        seen[i] = True
-    esc = e / (n + e)
-    if seen.all():
-        out += esc * lower
+    row = model.context_counts.get(ctx)
+    if row is None:
+        out = lower
     else:
-        z = lower[~seen].sum()
-        out[~seen] = esc * lower[~seen] / z
+        n, e = int(row.sum()), np.count_nonzero(row)
+        out = row / (n + e)
+        esc = e / (n + e)
+        if e == a:
+            out += esc * lower
+        else:
+            unseen = row == 0
+            rest = lower[unseen]
+            out[unseen] = esc * rest / rest.sum()
     model._dist_cache[ctx] = out
     return out
 
 
 def predict_distribution(model: PPMModel, context) -> dict:
     """P(next symbol | context) over the whole alphabet; sums to 1."""
-    ctx = tuple(context)[-model.max_order :] if model.max_order > 0 else ()
-    probs = _level_dist(model, ctx)
+    codes = _codes(context, model.alphabet, "context symbol")
+    probs = _level_dist(model, codes[max(0, len(codes) - model.max_order) :])
     return {a: float(p) for a, p in zip(model.alphabet, probs)}
 
 
 def information_content(model: PPMModel, seq) -> ICResult:
     """Per-symbol surprisal -log2 P under the PPM mixture, and its mean."""
-    syms = symbols_of(seq)
-    if not syms:
+    codes = _codes(seq, model.alphabet, "symbol")
+    if not codes:
         raise SeqModelError("empty sequence")
-    bits = []
-    for i, sym in enumerate(syms):
-        if sym not in model._index:
-            raise SeqModelError(f"symbol {sym!r} outside model alphabet")
-        ctx = syms[max(0, i - model.max_order) : i]
-        p = _level_dist(model, ctx)[model._index[sym]]
-        bits.append(float(-np.log2(p)))
+    bits = [
+        float(-np.log2(_level_dist(model, codes[max(0, i - model.max_order) : i])[code]))
+        for i, code in enumerate(codes)
+    ]
     return ICResult(per_symbol_bits=tuple(bits), mean_bits=float(np.mean(bits)))
 
 
@@ -156,7 +150,10 @@ def within_corpus_repetition(
         except ViewpointError as exc:
             seqs[m.id] = ()
             undefined[m.id] = str(exc)
-    alphabet = sorted({s for syms in seqs.values() for s in syms})
+    # codes keep the symbol order, so PPM on them gives the symbols' bits
+    table = intern([s for syms in seqs.values() for s in syms])[1]
+    seqs = {mid: intern(syms, table)[0] for mid, syms in seqs.items()}
+    alphabet = range(len(table))
     per_target = []
     left_out = []
     for m in corpus.melodies:

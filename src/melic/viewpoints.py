@@ -43,12 +43,14 @@ def symbols_of(seq) -> tuple:
     return seq.symbols if isinstance(seq, ViewpointSequence) else tuple(seq)
 
 
-def intern(seq) -> tuple[tuple[int, ...], tuple]:
-    """(codes, table): each symbol's rank in the sorted symbol set, and that
-    set, so table[code] is the symbol. Ranks keep the symbol order, so codes
-    compare (and tuples of codes sort) exactly as the symbols do."""
+def intern(seq, table: tuple | None = None) -> tuple[tuple[int, ...], tuple]:
+    """(codes, table): each symbol's rank in the sorted symbol set (or in a
+    given table, another intern's; a symbol outside it is a KeyError), and
+    that set, so table[code] is the symbol. Ranks keep the symbol order, so
+    codes compare (and tuples of codes sort) exactly as the symbols do."""
     symbols = symbols_of(seq)
-    table = tuple(sorted(set(symbols)))
+    if table is None:
+        table = tuple(sorted(set(symbols)))
     rank = {s: i for i, s in enumerate(table)}
     return tuple(rank[s] for s in symbols), table
 

@@ -4,7 +4,10 @@ perfbench/spans.py wraps each (module, function) in TARGETS, and
 perfbench/worker.py calls melic._kernels.backend() in the reference check
 that every benchmark run makes, traced or not. Renaming or deleting any of
 them fails every benchmark run, so the contract is checked here;
-perfbench/ itself is only read.
+perfbench/ itself is only read. A span's counter reads the call's arguments
+and result (``res.context_counts``, ``res.per_symbol_bits``, ...); renaming
+one of those breaks only traced runs, so each counter is run here on a real
+call through the harness's own wrappers.
 """
 
 import importlib
@@ -12,7 +15,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import corpus_of, melody_from_pitches
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,3 +40,49 @@ def test_kernel_backend_is_named():
     from melic import _kernels
 
     assert isinstance(_kernels.backend(), str)
+
+
+def small_calls():
+    """(module, function) -> a small real call that reaches it through the
+    module attribute the harness rebinds; walk_chunk, train_ppm and
+    information_content are reached from their callers, as in a benchmark
+    run."""
+    from melic import corpus, genmodel, repetition, seqmodel, stats, viewpoints
+    from melic.infotheory import Distribution
+
+    mels = corpus_of([melody_from_pitches(f"m{i}", [60, 62, 64, 62, 60 + i]) for i in range(4)])
+    steps, lengths = Distribution((-2, 2), (0.5, 0.5)), Distribution((5,), (1.0,))
+
+    def ppm():
+        return seqmodel.within_corpus_repetition(mels, n_train=2, n_shuffle_reps=1)
+
+    def walks():
+        return genmodel.simulate_scale_entropy(steps, lengths, [1.0], 20, threads=1)
+
+    return {
+        ("melic.corpus", "parse_canonical"): lambda: corpus.parse_canonical(corpus.serialize_canonical(mels)),
+        ("melic.corpus", "write_table"): lambda: corpus.write_table([{"a": 1.5}]),
+        ("melic.viewpoints", "extract_viewpoint"): lambda: viewpoints.extract_viewpoint(mels.melodies[0], "mint"),
+        ("melic.repetition", "remove_repetition"): lambda: repetition.remove_repetition((1, 2, 1, 2)),
+        ("melic.seqmodel", "train_ppm"): ppm,
+        ("melic.seqmodel", "information_content"): ppm,
+        ("melic.genmodel", "simulate_scale_entropy"): walks,
+        ("melic._kernels", "walk_chunk"): walks,
+        ("melic.stats", "kde_silverman"): lambda: stats.kde_silverman([1.0, 2.0, 4.0], grid=np.linspace(0, 5, 11)),
+    }
+
+
+@pytest.mark.parametrize("module, function, name", [t[:3] for t in load_spans().TARGETS if t[3] is not None])
+def test_span_counter_reads_a_real_call(module, function, name):
+    spans = load_spans()
+    call = small_calls()[(module, function)]
+    rec = spans.Recorder()
+    restore = spans.install(rec)
+    try:
+        call()
+    finally:
+        spans.uninstall(restore)
+    counted = [s.counts for s in rec.spans if s.name == name]
+    assert counted and all(counted), f"no counts recorded for {name}"
+    for counts in counted:
+        assert all(isinstance(v, int) and v >= 0 for v in counts.values()), counts

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melic import genmodel
 from melic.cli import build_parser, main
 from melic.corpus import serialize_canonical
 from melic.viewpoints import ViewpointKind
@@ -359,6 +360,14 @@ def test_genmodel_fits_report_melodies_with_zero_base_entropy(tmp_path, capsys, 
         (["rhythm", "--model", "SR1", "--grid-l", "1"], "SR1: sequence length must be >= 2, got 1"),
         (["rhythm", "--model", "CI1", "--grid-a", "40"], "CI1: alphabet size must be <= 15, got 40"),
         (["rhythm", "--model", "CR2", "--grid-a", "16"], "CR2: alphabet size must be <= 15, got 16"),
+        (["pitch", "--model", "S1", "--grid-o", "nan"], "S1: o must be finite and > 0, got nan"),
+        (["pitch", "--model", "I2", "--grid-o", "inf"], "I2: o must be finite and > 0, got inf"),
+        (["pitch", "--model", "I1", "--grid-o", "-1"], "I1: o must be finite and > 0, got -1.0"),
+        (["pitch", "--model", "IS3", "--grid-o", "2,0"], "IS3: o must be finite and > 0, got 0.0"),
+        (["pitch", "--model", "S2", "--grid-exp", "nan"], "S2: exponent must be finite, got nan"),
+        (["rhythm", "--model", "SI2", "--grid-exp", "inf"], "SI2: exponent must be finite, got inf"),
+        (["rhythm", "--model", "SI4", "--grid-exp", "1,nan"], "SI4: exponent must be finite, got nan"),
+        (["rhythm", "--model", "CR3", "--grid-exp", "2,-inf"], "CR3: exponent must be finite, got -inf"),
     ],
 )
 def test_genmodel_rejects_grid_points_the_generators_cannot_use(capsys, corpus_file, argv, message):
@@ -479,6 +488,22 @@ def test_genmodel_scale_without_a_successful_walk_is_an_error(tmp_path, capsys, 
     expect_error(capsys, [*scale_csvs, "--n", "100", "--seed", "1"], "all 100 walks failed")
     for n in ("0", "-5"):
         expect_error(capsys, [*scale_csvs, "--n", n, "--seed", "1"], "at least one walk", n)
+
+
+@pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "5", "nan"])
+@pytest.mark.parametrize("empirical", [False, True])
+def test_genmodel_scale_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, monkeypatch, scale_csvs, alpha, empirical):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks ran before --alpha was checked")
+
+    monkeypatch.setattr(genmodel, "simulate_scale_entropy", no_walks)
+    argv = [*scale_csvs, "--n", "100", "--seed", "1", "--alpha", alpha]
+    if empirical:
+        h = tmp_path / "H.csv"
+        h.write_text("H\n2.5\n3.0\n")
+        argv += ["--empirical-h", str(h)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --alpha must be in (0, 1], got {float(alpha)}"]
 
 
 def _leaf_parsers(parser, command=()):

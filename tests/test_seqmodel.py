@@ -1,6 +1,8 @@
 """PPM prediction (escape method C) and within-corpus repetition."""
 
 import math
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,20 +21,157 @@ from melic.viewpoints import ViewpointKind
 from conftest import corpus_of, melody_from_pitches
 
 
+# --- oracle: the dict-based PPM, keyed on the symbols themselves -------------
+
+@dataclass
+class OracleModel:
+    max_order: int
+    alphabet: tuple
+    counts: dict
+    cache: dict = field(default_factory=dict)
+
+
+def oracle_train(sequences, max_order, alphabet):
+    counts = {}
+    for seq in sequences:
+        syms = tuple(seq)
+        for i, sym in enumerate(syms):
+            for k in range(min(i, max_order) + 1):
+                ctx = syms[i - k : i]
+                counts.setdefault(ctx, {})
+                counts[ctx][sym] = counts[ctx].get(sym, 0) + 1
+    return OracleModel(max_order, tuple(sorted(set(alphabet))), counts)
+
+
+def oracle_level_dist(model, ctx):
+    if ctx in model.cache:
+        return model.cache[ctx]
+    a = len(model.alphabet)
+    index = {s: i for i, s in enumerate(model.alphabet)}
+    table = model.counts.get(ctx)
+    lower = oracle_level_dist(model, ctx[1:]) if ctx else np.full(a, 1.0 / a)
+    if not table:
+        out = lower
+    else:
+        n = sum(table.values())
+        e = len(table)
+        out = np.zeros(a)
+        seen = np.zeros(a, dtype=bool)
+        for sym, c in table.items():
+            out[index[sym]] = c / (n + e)
+            seen[index[sym]] = True
+        esc = e / (n + e)
+        if seen.all():
+            out += esc * lower
+        else:
+            z = lower[~seen].sum()
+            out[~seen] = esc * lower[~seen] / z
+    model.cache[ctx] = out
+    return out
+
+
+def oracle_predict(model, context):
+    ctx = tuple(context)[-model.max_order :] if model.max_order > 0 else ()
+    return {a: float(p) for a, p in zip(model.alphabet, oracle_level_dist(model, ctx))}
+
+
+def oracle_bits(model, seq):
+    index = {s: i for i, s in enumerate(model.alphabet)}
+    syms = tuple(seq)
+    return tuple(
+        float(-np.log2(oracle_level_dist(model, syms[max(0, i - model.max_order) : i])[index[sym]]))
+        for i, sym in enumerate(syms)
+    )
+
+
+SYMBOL_POOLS = {
+    "int": [-7, -2, -1, 0, 1, 3, 4, 12],
+    "Fraction": [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)],
+    "(int, Fraction)": [(c, Fraction(d, 2)) for c in (0, 2, 7, 11) for d in (1, 2, 3)],
+    "str": ["a", "ab", "b", "ba", "c", "cab", "z"],
+}
+
+
+@pytest.mark.parametrize("pool", list(SYMBOL_POOLS))
+def test_matches_oracle_on_random_sequences(pool):
+    rng = np.random.default_rng(list(SYMBOL_POOLS).index(pool))
+    symbols = SYMBOL_POOLS[pool]
+
+    def draw(alphabet, lo, hi):
+        return tuple(alphabet[int(i)] for i in rng.integers(0, len(alphabet), int(rng.integers(lo, hi))))
+
+    for _ in range(40):
+        alphabet = [symbols[int(i)] for i in rng.choice(len(symbols), int(rng.integers(1, len(symbols) + 1)), replace=False)]
+        # training uses a subset of the alphabet, so some symbols and contexts are never seen
+        seen = alphabet[: int(rng.integers(1, len(alphabet) + 1))]
+        train = [draw(seen, 0, 40) for _ in range(int(rng.integers(1, 6)))]
+        for max_order in range(6):
+            model = train_ppm(train, max_order, alphabet)
+            oracle = oracle_train(train, max_order, alphabet)
+            decoded = {
+                tuple(model.alphabet[c] for c in ctx): {model.alphabet[i]: n for i, n in enumerate(row) if n}
+                for ctx, row in model.context_counts.items()
+            }
+            assert decoded == oracle.counts
+            for _ in range(3):
+                target = draw(alphabet, 1, 30)
+                ic = information_content(model, target)
+                assert ic.per_symbol_bits == oracle_bits(oracle, target)
+                assert ic.mean_bits == float(np.mean(oracle_bits(oracle, target)))
+                context = draw(alphabet, 0, 8)
+                for k in range(len(context) + 1):
+                    assert predict_distribution(model, context[:k]) == oracle_predict(oracle, context[:k])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda a: st.tuples(
+            st.lists(st.integers(1, 5), min_size=a, max_size=a),
+            st.lists(st.lists(st.integers(0, a - 1), max_size=30), min_size=1, max_size=5),
+            st.lists(st.integers(0, a - 1), min_size=1, max_size=20),
+        )
+    ),
+    st.integers(0, 5),
+)
+def test_order_preserving_relabelling_keeps_every_bit(case, max_order):
+    gaps, seqs, target = case
+    label = [Fraction(int(x), 3) for x in np.cumsum(gaps)]  # strictly increasing in the code
+
+    def relabel(seq):
+        return tuple(label[x] for x in seq)
+
+    model = train_ppm(seqs, max_order, range(len(gaps)))
+    relabelled = train_ppm([relabel(s) for s in seqs], max_order, label)
+    assert information_content(model, target) == information_content(relabelled, relabel(target))
+    assert list(predict_distribution(model, target).values()) == list(
+        predict_distribution(relabelled, relabel(target)).values()
+    )
+
+
 def test_training_counts():
+    # rows are indexed by the code of the next symbol: a -> 0, b -> 1
     model = train_ppm([("a", "b", "a", "b")], max_order=2, alphabet="ab")
-    assert model.context_counts[()] == {"a": 2, "b": 2}
-    assert model.context_counts[("a",)] == {"b": 2}
-    assert model.context_counts[("b",)] == {"a": 1}
-    assert model.context_counts[("a", "b")] == {"a": 1}
+    assert model.alphabet == ("a", "b")
+    assert {ctx: row.tolist() for ctx, row in model.context_counts.items()} == {
+        (): [2, 2],
+        (0,): [0, 2],
+        (1,): [1, 0],
+        (0, 1): [1, 0],
+        (1, 0): [0, 1],
+    }
 
 
 def test_symbol_outside_alphabet_rejected():
-    with pytest.raises(SeqModelError):
+    with pytest.raises(SeqModelError, match="training symbol 'z' outside"):
         train_ppm([("a", "z")], max_order=1, alphabet="ab")
     model = train_ppm([("a", "b")], max_order=1, alphabet="ab")
     with pytest.raises(SeqModelError):
         information_content(model, ("z",))
+    # a context symbol the model cannot code is an error, not a shorter context
+    for context in (("z",), ("a", "z"), ("z", "a")):
+        with pytest.raises(SeqModelError, match="context symbol 'z' outside model alphabet"):
+            predict_distribution(model, context)
 
 
 def test_escape_c_hand_computed():
