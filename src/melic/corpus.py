@@ -55,6 +55,8 @@ class CorpusMeta:
     composer_birth_year: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.corpus_id, str):
+            raise CorpusError(f"corpus_id must be a string, got {self.corpus_id!r:.40}")
         if self.type not in CORPUS_TYPES:
             raise CorpusError(
                 f"corpus {self.corpus_id!r}: type must be one of {CORPUS_TYPES}, got {self.type!r}"
@@ -78,7 +80,8 @@ class Melody:
             if prev is not None and e.onset < prev:
                 raise CorpusError(f"melody {self.id!r}: onsets must be nondecreasing")
             prev = e.onset
-        if self.key_annotation is not None and not 0 <= self.key_annotation < 12:
+        key = self.key_annotation
+        if key is not None and not (isinstance(key, int) and 0 <= key < 12):
             raise CorpusError(f"melody {self.id!r}: key annotation must be a chroma class 0-11")
 
 
@@ -104,6 +107,13 @@ def _parse_rational(s, where: str) -> Fraction:
         raise CorpusError(f"{where}: bad rational {s!r} ({exc})") from exc
 
 
+def _json(value, kind: type, what: str):
+    """value, checked to be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise CorpusError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {value!r:.40}")
+    return value
+
+
 def parse_canonical(data: bytes | str) -> Corpus:
     """Parse the canonical utf-8 JSON corpus format."""
     if isinstance(data, bytes):
@@ -114,17 +124,19 @@ def parse_canonical(data: bytes | str) -> Corpus:
         raise CorpusError(f"malformed corpus file at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
         meta = CorpusMeta(
-            corpus_id=obj["corpus_id"],
+            corpus_id=_json(obj, dict, "a corpus file")["corpus_id"],
             type=obj["type"],
             region=obj.get("region", ""),
             composer_birth_year=obj.get("composer_birth_year"),
         )
         melodies = []
-        for mel in obj["melodies"]:
-            mid = mel["id"]
+        for mel in _json(obj["melodies"], list, "melodies"):
+            mid = _json(mel, dict, "a melody")["id"]
+            if not isinstance(mid, (str, int)):
+                raise CorpusError(f"melody id must be a string or an integer, got {mid!r:.40}")
             events = []
-            for note in mel["notes"]:
-                pitch = note["pitch"]
+            for note in _json(mel["notes"], list, f"melody {mid!r} notes"):
+                pitch = _json(note, dict, f"melody {mid!r} note")["pitch"]
                 if pitch is not None and not isinstance(pitch, int):
                     raise CorpusError(f"melody {mid!r}: pitch must be an integer or null")
                 events.append(

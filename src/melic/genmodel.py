@@ -96,62 +96,45 @@ def _weights(k: int, dist: int, exponent: float, rng: np.random.Generator) -> np
     return w / w.sum()
 
 
-def _derive(chromas: list[int], mints: list[int]):
+def _derive(pitches: list[int]):
+    """(chroma, mint, sdeg, sint) of a pitch sequence."""
+    chromas = [p % 12 for p in pitches]
     sdeg = intern(chromas)[0]
-    sint = [b - a for a, b in zip(sdeg, sdeg[1:])]
-    return tuple(chromas), tuple(mints), sdeg, tuple(sint)
-
-
-def _constrained_walk(vals, probs, length, lo, hi, on_scale, rng, max_retries=100):
-    """Draw a pitch walk from 0; each interval is drawn from the base
-    distribution conditioned on the legal moves (equivalent to rejection
-    resampling of the offending interval)."""
-    for _ in range(max_retries):
-        pitch = 0
-        pitches = [0]
-        ok = True
-        for _ in range(length - 1):
-            mask = np.array(
-                [lo <= pitch + v <= hi and (on_scale is None or (pitch + v) % 12 in on_scale) for v in vals]
-            )
-            w = probs * mask
-            tot = w.sum()
-            if tot <= 0:
-                ok = False
-                break
-            pitch += int(rng.choice(vals, p=w / tot))
-            pitches.append(pitch)
-        if ok:
-            return pitches
-    raise GenModelError("no legal move found after bounded retries")
+    mints = tuple(b - a for a, b in zip(pitches, pitches[1:]))
+    return tuple(chromas), mints, sdeg, tuple(b - a for a, b in zip(sdeg, sdeg[1:]))
 
 
 def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Generator):
-    """Generate n sequences; each item is (chroma, mint, sdeg, sint) tuples."""
-    out = []
-    for _ in range(n):
-        if spec.family == "S":
+    """Generate n sequences; each item is (chroma, mint, sdeg, sint) tuples.
+
+    I and IS are walks from pitch 0 inside +-2*o semitones, an IS walk on its
+    own scale. Each walk draws its scale (IS), its weights and one uniform
+    per step: the stream of one rng.choice per step."""
+    if spec.family == "S":
+        out = []
+        for _ in range(n):
             scale = sorted(rng.choice(12, size=spec.a, replace=False))
             octaves = max(1, round(spec.o))
             alphabet = np.array([s + 12 * k for k in range(octaves) for s in scale])
             alphabet.sort()
             w = _weights(len(alphabet), spec.dist, spec.exponent, rng)
-            pitches = [int(p) for p in rng.choice(alphabet, size=spec.length, p=w)]
-        elif spec.family == "I":
-            vals = np.arange(-spec.a, spec.a + 1)
-            w = _weights(len(vals), spec.dist, spec.exponent, rng)
-            half = max(1, round(2 * spec.o))
-            pitches = _constrained_walk(vals, w, spec.length, -half, half, None, rng)
-        else:  # IS
-            scale = {0} | set(int(c) for c in rng.choice(np.arange(1, 12), size=spec.a - 1, replace=False))
-            vals = np.arange(-spec.a, spec.a + 1)
-            w = _weights(len(vals), spec.dist, spec.exponent, rng)
-            half = max(1, round(2 * spec.o))
-            pitches = _constrained_walk(vals, w, spec.length, -half, half, scale, rng)
-        chromas = [p % 12 for p in pitches]
-        mints = [b - a for a, b in zip(pitches, pitches[1:])]
-        out.append(_derive(chromas, mints))
-    return out
+            out.append(_derive([int(p) for p in rng.choice(alphabet, size=spec.length, p=w)]))
+        return out
+    vals = np.arange(-spec.a, spec.a + 1)
+    probs = np.empty((n, len(vals)))
+    uniforms = np.empty((n, spec.length - 1))
+    allowed = np.zeros((n, 12), dtype=bool) if spec.family == "IS" else None
+    for i in range(n):
+        if allowed is not None:
+            allowed[i, [0, *rng.choice(np.arange(1, 12), size=spec.a - 1, replace=False)]] = True
+        probs[i] = _weights(len(vals), spec.dist, spec.exponent, rng)
+        uniforms[i] = rng.random(spec.length - 1)
+    # a window as wide as the walks' reach gives the same walks as any wider one
+    half = np.full(n, min(max(1, round(2 * spec.o)), spec.a * (spec.length - 1)))
+    pitches, failed = _kernels.walk_chunk(vals, probs, np.full(n, spec.length), -half, half, uniforms, allowed)
+    if failed.any():
+        raise GenModelError(f"{spec.name}: a walk found no legal interval with a weight above 0 (exponent {spec.exponent})")
+    return [_derive(p) for p in pitches.tolist()]
 
 
 # --- rhythm models ---------------------------------------------------------
@@ -332,6 +315,24 @@ def _dist_arrays(d: Distribution):
     return vals, probs
 
 
+def _chroma_entropy(pitches, lengths, failed):
+    """(A, H) of each walk's chroma counts over its lengths[i] pitches; a
+    failed walk gets A = 0 and H = nan."""
+    n, width = pitches.shape
+    counts = np.zeros(n * 13, dtype=np.int64)  # chroma 12 counts the padding
+    rows = np.arange(n)[:, None] * 13
+    for j in range(0, width, 16):  # 16 columns at a time keep temporaries small
+        c = pitches[:, j : j + 16] % 12
+        c[np.arange(j, j + c.shape[1]) >= lengths[:, None]] = 12
+        counts += np.bincount((rows + c).ravel(), minlength=n * 13)
+    p = counts.reshape(n, 13)[:, :12] / lengths.astype(np.float64)[:, None]
+    h = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
+    a = (p > 0).sum(axis=1)
+    a[failed] = 0
+    h[failed] = np.nan
+    return a, h
+
+
 def simulate_scale_entropy(
     interval_dist: Distribution,
     length_dist: Distribution,
@@ -353,11 +354,16 @@ def simulate_scale_entropy(
     o_values = tuple(float(o) for o in o_values)
     if not o_values:
         raise GenModelError("need at least one pitch-range value")
+    for o in o_values:
+        if not 0 < o < math.inf:
+            raise GenModelError(f"o must be finite and > 0, got {o}")
     vals, probs = _dist_arrays(interval_dist)
     lvals, lprobs = _dist_arrays(length_dist)
     if lvals.min() < 1:
         raise GenModelError("melody lengths must be >= 1")
-    half_widths = np.array([round(6.0 * o) for o in o_values], dtype=np.int64)
+    # a window as wide as the walks' reach gives the same walks as any wider one
+    reach = int(np.abs(vals).max()) * (int(lvals.max()) - 1)
+    half_widths = np.array([min(round(6.0 * o), reach) for o in o_values], dtype=np.int64)
     n_chunks = (n_sequences + chunk_size - 1) // chunk_size
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
 
@@ -369,10 +375,8 @@ def simulate_scale_entropy(
         half = half_widths[(start + np.arange(size)) % len(o_values)]
         l_max = int(lengths.max())
         uniforms = rng.random((size, max(1, l_max - 1)))
-        out_a = np.zeros(size, dtype=np.int64)
-        out_h = np.zeros(size, dtype=np.float64)
-        _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms, out_a, out_h)
-        return out_a, out_h
+        pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
+        return _chroma_entropy(pitches, lengths, failed)
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -46,7 +46,7 @@ def small_calls():
     """(module, function) -> a small real call that reaches it through the
     module attribute the harness rebinds; walk_chunk, train_ppm and
     information_content are reached from their callers, as in a benchmark
-    run."""
+    run (walk_chunk from both of its callers)."""
     from melic import corpus, genmodel, repetition, seqmodel, stats, viewpoints
     from melic.infotheory import Distribution
 
@@ -59,6 +59,11 @@ def small_calls():
     def walks():
         return genmodel.simulate_scale_entropy(steps, lengths, [1.0], 20, threads=1)
 
+    def both_walks():
+        walks()
+        spec = genmodel.PitchModelSpec(family="IS", dist=2, a=4, length=6)
+        genmodel.generate_pitch_sequences(spec, 3, np.random.default_rng(0))
+
     return {
         ("melic.corpus", "parse_canonical"): lambda: corpus.parse_canonical(corpus.serialize_canonical(mels)),
         ("melic.corpus", "write_table"): lambda: corpus.write_table([{"a": 1.5}]),
@@ -67,7 +72,7 @@ def small_calls():
         ("melic.seqmodel", "train_ppm"): ppm,
         ("melic.seqmodel", "information_content"): ppm,
         ("melic.genmodel", "simulate_scale_entropy"): walks,
-        ("melic._kernels", "walk_chunk"): walks,
+        ("melic._kernels", "walk_chunk"): both_walks,
         ("melic.stats", "kde_silverman"): lambda: stats.kde_silverman([1.0, 2.0, 4.0], grid=np.linspace(0, 5, 11)),
     }
 
@@ -84,5 +89,7 @@ def test_span_counter_reads_a_real_call(module, function, name):
         spans.uninstall(restore)
     counted = [s.counts for s in rec.spans if s.name == name]
     assert counted and all(counted), f"no counts recorded for {name}"
+    if function == "walk_chunk":  # once per caller
+        assert [c["walks"] for c in counted] == [20, 3]
     for counts in counted:
         assert all(isinstance(v, int) and v >= 0 for v in counts.values()), counts

@@ -506,6 +506,29 @@ def test_genmodel_scale_rejects_alpha_outside_the_unit_interval(tmp_path, capsys
     assert capsys.readouterr().err.splitlines() == [f"error: --alpha must be in (0, 1], got {float(alpha)}"]
 
 
+@pytest.mark.parametrize("o_values, shown", [("inf", "inf"), ("1,-inf", "-inf"), ("nan", "nan"), ("0", "0.0"), ("0.5,-1", "-1.0")])
+def test_genmodel_scale_rejects_unusable_o_values(capsys, monkeypatch, scale_csvs, o_values, shown):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks ran before --o-values was checked")
+
+    monkeypatch.setattr(genmodel._kernels, "walk_chunk", no_walks)
+    assert main([*scale_csvs, "--n", "100", "--seed", "1", "--o-values", o_values]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: o must be finite and > 0, got {shown}"]
+
+
+def test_genmodel_scale_window_wider_than_the_reach_is_the_reach(tmp_path, capsys):
+    # +-1 steps over 3 steps reach 3 semitones: o = 0.5 is a window of
+    # exactly +-3, and every wider one gives the same output
+    intervals = write_distribution(tmp_path / "intervals.csv", [(-1, 0.3), (0, 0.3), (1, 0.4)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(2, 0.5), (4, 0.5)])
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "500", "--seed", "2"]
+    rc, ref = run([*argv, "--o-values", "0.5"], tmp_path / "ref.csv")
+    assert rc == 0
+    for o_values in ("1e300", "4,1e300", "1e300,4"):
+        assert run([*argv, "--o-values", o_values], tmp_path / "o.csv") == (0, ref)
+    assert capsys.readouterr().err == ""
+
+
 def _leaf_parsers(parser, command=()):
     subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subparsers:
@@ -607,3 +630,32 @@ def test_every_melody_is_a_row_or_a_reported_skip(melodies):
                 assert len(rows) == (len(skips) < len(melodies)), argv
             else:
                 assert len(rows) + len(skips) == len(melodies), argv
+
+
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+# corpus-shaped values, with any JSON value at any level
+_field = lambda strategy: strategy | _json_value  # noqa: E731
+_json_note = _field(st.fixed_dictionaries(
+    {"pitch": _field(st.none() | st.integers(40, 90)), "onset": _field(st.just("0")), "duration": _field(st.just("1"))}
+))
+_json_melody = _field(st.fixed_dictionaries(
+    {"id": _field(st.just("m")), "notes": _field(st.lists(_json_note, max_size=3))},
+    optional={"key": _field(st.integers(-1, 12))},
+))
+_json_corpus = _field(st.fixed_dictionaries(
+    {"corpus_id": _field(st.just("c")), "type": _field(st.just("Folk")), "melodies": _field(st.lists(_json_melody, max_size=3))}
+))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_json_corpus)
+def test_any_json_value_as_a_corpus_file_is_a_result_or_an_error(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "c.json", Path(tmp) / "o.csv"
+        src.write_text(json.dumps(value))
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["entropy", str(src), "--out", str(out)]) in (0, 1)

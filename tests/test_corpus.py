@@ -85,6 +85,42 @@ def test_float_pitch_rejected():
         parse_canonical(json.dumps(bad))
 
 
+def _with(path, value):
+    # CANONICAL with the value at path (keys and list indices) replaced
+    obj = json.loads(json.dumps(CANONICAL))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    if last is None:
+        return json.dumps(value)
+    target[last] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((None,), [], "a corpus file must be a JSON object, got []"),
+        ((None,), "demo", "a corpus file must be a JSON object, got 'demo'"),
+        (("corpus_id",), 5, "corpus_id must be a string, got 5"),
+        (("melodies",), 5, "melodies must be a JSON array, got 5"),
+        (("melodies", 0), "m1", "a melody must be a JSON object, got 'm1'"),
+        (("melodies", 0, "notes"), {"pitch": 60}, "melody 'm1' notes must be a JSON array, got {'pitch': 60}"),
+        (("melodies", 0, "notes", 1), 62, "melody 'm1' note must be a JSON object, got 62"),
+        (("melodies", 0, "notes", 1), [62, "1/2", "1/4"], "melody 'm1' note must be a JSON object, got [62, '1/2', '1/4']"),
+        (("melodies", 0, "key"), "C", "melody 'm1': key annotation must be a chroma class 0-11"),
+        (("melodies", 0, "key"), 7.5, "melody 'm1': key annotation must be a chroma class 0-11"),
+        (("melodies", 0, "id"), ["m", 1], "melody id must be a string or an integer, got ['m', 1]"),
+        (("melodies", 0, "id"), None, "melody id must be a string or an integer, got None"),
+    ],
+)
+def test_valid_json_of_the_wrong_shape_is_a_corpus_error(path, value, message):
+    with pytest.raises(CorpusError) as exc:
+        parse_canonical(_with(path, value))
+    assert str(exc.value) == message
+
+
 def test_unknown_corpus_type():
     with pytest.raises(CorpusError, match="type"):
         CorpusMeta(corpus_id="x", type="Pop")

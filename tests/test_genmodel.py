@@ -11,6 +11,8 @@ from melic.genmodel import (
     GenModelError,
     PitchModelSpec,
     RhythmModelSpec,
+    _chroma_entropy,
+    _derive,
     _metrical_base,
     _weights,
     complex_value_set,
@@ -122,6 +124,73 @@ def test_generate_pitch_interval_scale_family():
     for chroma, _, _, _ in generate_pitch_sequences(spec, 10, rng):
         assert 0 in chroma  # walks start on the tonic
         assert len(set(chroma)) <= 4
+
+
+def _constrained_walk(vals, probs, length, lo, hi, on_scale, rng, max_retries=100):
+    """Draw a pitch walk from 0; each interval is drawn from the base
+    distribution conditioned on the legal moves (equivalent to rejection
+    resampling of the offending interval)."""
+    for _ in range(max_retries):
+        pitch = 0
+        pitches = [0]
+        ok = True
+        for _ in range(length - 1):
+            mask = np.array(
+                [lo <= pitch + v <= hi and (on_scale is None or (pitch + v) % 12 in on_scale) for v in vals]
+            )
+            w = probs * mask
+            tot = w.sum()
+            if tot <= 0:
+                ok = False
+                break
+            pitch += int(rng.choice(vals, p=w / tot))
+            pitches.append(pitch)
+        if ok:
+            return pitches
+    raise GenModelError("no legal move found after bounded retries")
+
+
+def oracle_interval_sequences(spec, n, rng):
+    # Oracle for the I and IS families: one rng.choice per step, walk by walk.
+    out = []
+    for _ in range(n):
+        scale = None
+        if spec.family == "IS":
+            scale = {0} | set(int(c) for c in rng.choice(np.arange(1, 12), size=spec.a - 1, replace=False))
+        vals = np.arange(-spec.a, spec.a + 1)
+        w = _weights(len(vals), spec.dist, spec.exponent, rng)
+        half = max(1, round(2 * spec.o))
+        out.append(_derive(_constrained_walk(vals, w, spec.length, -half, half, scale, rng)))
+    return out
+
+
+@pytest.mark.parametrize("family", ["I", "IS"])
+@pytest.mark.parametrize("dist", [1, 2, 3])
+def test_interval_families_match_the_per_step_oracle(family, dist):
+    # Same sequences and the same generator state afterwards, on narrow
+    # (half-width 1) to unbounded windows, a = 1 to 12 and lengths 2 to 50.
+    params = np.random.default_rng([dist, len(family)])
+    for a in (1, 2, 5, 12):
+        for o in (0.25, 0.5, 1.5, 4.0, 1e300):
+            length = int(params.integers(2, 51))
+            spec = PitchModelSpec(family=family, dist=dist, a=a, length=length, o=o, exponent=float(params.uniform(0.5, 3)))
+            seed = int(params.integers(1 << 30))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert generate_pitch_sequences(spec, 12, rng) == oracle_interval_sequences(spec, 12, ref_rng), spec
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, spec
+    for length in (2, 3, 50):
+        spec = PitchModelSpec(family=family, dist=dist, a=3, length=length, o=0.5)
+        rng, ref_rng = np.random.default_rng(length), np.random.default_rng(length)
+        assert generate_pitch_sequences(spec, 30, rng) == oracle_interval_sequences(spec, 30, ref_rng), spec
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, spec
+
+
+def test_interval_walk_without_a_legal_weighted_interval_is_an_error():
+    # exponent 2000 leaves one interval a weight above 0; from 0 in +-2 no
+    # walk can keep stepping by it
+    spec = PitchModelSpec(family="I", dist=2, a=3, length=30, o=1.0, exponent=2000.0)
+    with pytest.raises(GenModelError, match="I2: a walk found no legal interval with a weight above 0"):
+        generate_pitch_sequences(spec, 5, np.random.default_rng(0))
 
 
 def test_generate_rhythm_iid_and_ratio_families():
@@ -241,7 +310,7 @@ def _walk_chunk_loop(vals, probs, lengths, lo, hi, uniforms, out_a, out_h):
         out_h[i] = h
 
 
-def test_kernel_backends_agree():
+def test_walk_kernel_matches_per_walk_loop():
     # The per-walk loop is the reference: the numpy kernel must give the same
     # A and H on identical uniforms.
     rng = np.random.default_rng(9)
@@ -255,11 +324,33 @@ def test_kernel_backends_agree():
     a_ref = np.zeros(n, dtype=np.int64)
     h_ref = np.zeros(n)
     _walk_chunk_loop(vals, probs, lengths, -half, half, uniforms, a_ref, h_ref)
-    a = np.zeros(n, dtype=np.int64)
-    h = np.zeros(n)
-    _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms, a, h)
+    pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
+    a, h = _chroma_entropy(pitches, lengths, failed)
     assert np.array_equal(a, a_ref)
     assert np.allclose(h, h_ref, rtol=0, atol=1e-12, equal_nan=True)
+
+
+def test_walk_kernel_matches_per_walk_loop_where_walks_fail():
+    # Interval sets without 0 and narrow windows, so some walks meet a step
+    # with no legal interval; zero weights and lengths 1-30 too.
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        vals = np.unique(rng.integers(-6, 7, rng.integers(1, 6))).astype(np.int64)
+        probs = rng.random(vals.size) * (rng.random(vals.size) < 0.8)
+        if probs.sum() == 0:
+            continue
+        probs /= probs.sum()
+        n = int(rng.integers(1, 40))
+        lengths = rng.integers(1, 31, n).astype(np.int64)
+        half = rng.integers(0, 8, n).astype(np.int64)
+        uniforms = rng.random((n, 30))
+        a_ref, h_ref = np.zeros(n, dtype=np.int64), np.zeros(n)
+        _walk_chunk_loop(vals, probs, lengths, -half, half, uniforms, a_ref, h_ref)
+        pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
+        a, h = _chroma_entropy(pitches, lengths, failed)
+        assert np.array_equal(failed, a_ref == 0)
+        assert np.array_equal(a, a_ref)
+        assert np.allclose(h, h_ref, rtol=0, atol=1e-12, equal_nan=True)
 
 
 def test_simulate_tight_window_caps_alphabet():
@@ -312,3 +403,17 @@ def test_simulate_validation():
         simulate_scale_entropy(idist, fixed_length(10), [], 100)
     with pytest.raises(GenModelError):
         simulate_scale_entropy(idist, Distribution(alphabet=(0,), probs=(1.0,)), [1.0], 100)
+    for o in (math.inf, -math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(GenModelError, match=f"o must be finite and > 0, got {o}"):
+            simulate_scale_entropy(idist, fixed_length(10), [1.0, o], 100)
+
+
+def test_simulate_windows_wider_than_the_reach_give_the_same_walks():
+    # +-5 intervals over 9 steps reach 45 semitones: o = 7.5 is a window of
+    # exactly +-45, and every wider one gives the same walks
+    idist = triangular_intervals()
+    ref = simulate_scale_entropy(idist, fixed_length(10), [7.5], 3000, seed=8)
+    for o in (7.6, 100.0, 1e300):
+        sim = simulate_scale_entropy(idist, fixed_length(10), [o], 3000, seed=8)
+        assert sim.per_a.keys() == ref.per_a.keys()
+        assert all(np.array_equal(sim.per_a[a], ref.per_a[a]) for a in ref.per_a)
