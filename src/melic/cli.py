@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import genmodel, stats
-from .corpus import Corpus, CorpusError, MelicError, parse_canonical, write_table
+from .corpus import Corpus, MelicError, parse_canonical, write_table
 from .infotheory import Distribution, distribution_of, entropy, entropy_of, gini, mutual_information_excess
 from .repetition import joint_information, remove_repetition
 from .seqmodel import within_corpus_repetition
@@ -69,7 +69,7 @@ def _load_corpora(paths: list[str]) -> list[Corpus]:
         else:
             files.append(path)
     if not files:
-        raise CorpusError("no corpus files given")
+        raise MelicError("no corpus files given")
     return [parse_canonical(f.read_bytes()) for f in files]
 
 
@@ -78,7 +78,7 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
         reader = csv.DictReader(fh, restval="")
         for col in columns:
             if col not in (reader.fieldnames or ()):
-                raise CorpusError(f"{path}: missing column {col!r}")
+                raise MelicError(f"{path}: missing column {col!r}")
         return list(reader)
 
 
@@ -103,7 +103,7 @@ def _load_distribution(path: str) -> Distribution:
     probs = np.array([float(r["probability"]) for r in rows])
     total = probs.sum()
     if (probs < 0).any() or not (np.isfinite(total) and total > 0):
-        raise CorpusError(f"{path}: probabilities must be non-negative with a finite, positive sum")
+        raise MelicError(f"{path}: probabilities must be non-negative with a finite, positive sum")
     probs = probs / total
     order = np.argsort(symbols)
     return Distribution(
@@ -224,7 +224,7 @@ def cmd_genmodel_scale(args):
     )
     why = "(no legal interval inside the pitch window)"
     if sim.n_failed == args.n:
-        raise genmodel.GenModelError(f"genmodel scale: all {args.n} walks failed {why}")
+        raise MelicError(f"genmodel scale: all {args.n} walks failed {why}")
     if sim.n_failed:
         print(f"warning: genmodel scale: {sim.n_failed} of {args.n} walks failed {why}", file=sys.stderr)
     probs = genmodel.prob_entropy_below(sim, args.threshold)
@@ -238,12 +238,12 @@ def cmd_genmodel_scale(args):
     ]
 
 
-def _fit(args, family, spec, grids, targets) -> tuple:
+def _fit(args, spec, grids, targets) -> tuple:
     """Best spec of the --model family over the product of the grid lists,
     and its JSD."""
     name, dist = args.model[:-1], int(args.model[-1:])  # an empty --model: ValueError, not IndexError
     grid = [spec(name, dist, *point) for point in itertools.product(*grids)]
-    return genmodel.fit_generative_model(family, targets, grid, n_per_setting=args.n_per_setting, seed=args.seed)
+    return genmodel.fit_generative_model(targets, grid, n_per_setting=args.n_per_setting, seed=args.seed)
 
 
 def cmd_genmodel_pitch(args):
@@ -251,13 +251,13 @@ def cmd_genmodel_pitch(args):
         kinds = (ViewpointKind.CHROMA, ViewpointKind.MINT, ViewpointKind.SINT)
         ratios = genmodel.pitch_ratios(*(extract_viewpoint(m, k) for k in kinds))
         if ratios is None:
-            raise genmodel.GenModelError("H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined")
+            raise MelicError("H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined")
         return ratios
 
     ratios = _each_melody(args, one)
     targets = {"mint_ratio": [hm for hm, _ in ratios], "sint_ratio": [hs for _, hs in ratios]}
     grids = (args.grid_a, args.grid_l, args.grid_o, args.grid_exp)
-    best, score = _fit(args, "pitch", genmodel.PitchModelSpec, grids, targets)
+    best, score = _fit(args, genmodel.PitchModelSpec, grids, targets)
     return [{"model": best.name, "A": best.a, "L": best.length, "O": best.o, "exponent": best.exponent, "JSD": score}]
 
 
@@ -266,11 +266,11 @@ def cmd_genmodel_rhythm(args):
         ioi = extract_viewpoint(m, ViewpointKind.IOI)
         pair = genmodel.rhythm_pair(ioi, extract_viewpoint(m, ViewpointKind.IOI_RATIO))
         if pair is None:
-            raise genmodel.GenModelError("H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined")
+            raise MelicError("H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined")
         return pair
 
     grids = (args.grid_a, args.grid_l, args.grid_exp)
-    best, score = _fit(args, "rhythm", genmodel.RhythmModelSpec, grids, {"ioi_pairs": _each_melody(args, one)})
+    best, score = _fit(args, genmodel.RhythmModelSpec, grids, {"ioi_pairs": _each_melody(args, one)})
     return [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}]
 
 
@@ -279,8 +279,8 @@ def cmd_similarity(args):
     query = extract_viewpoint(query_corpus.melodies[0], args.viewpoint)
     records = []
     for corpus in _load_corpora(args.corpus):
-        rep = stats.ngram_similarity(query, corpus, n=args.n, kind=args.viewpoint)
-        _report_skips(corpus, list(rep.left_out))
+        targets = _per_melody(corpus, lambda m: extract_viewpoint(m, args.viewpoint).symbols)
+        rep = stats.ngram_similarity(query, targets, n=args.n)
         records.append(
             {
                 "corpus": corpus.meta.corpus_id,

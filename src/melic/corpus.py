@@ -21,17 +21,14 @@ class MelicError(Exception):
     or, raised for one melody, skips that melody with a warning."""
 
 
-class CorpusError(MelicError):
-    """Malformed corpus input."""
-
-
-class KernError(CorpusError):
-    """Unsupported or malformed kern-style token."""
-
-
 class SchemaError(Exception):
     """Rows passed to write_table do not share one schema: a bug in melic's
     own row building, so deliberately not a MelicError."""
+
+
+def _is_int(value) -> bool:
+    """An integer, but not a bool (an int subclass): JSON true is not 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,11 @@ class CorpusMeta:
 
     def __post_init__(self):
         if not isinstance(self.corpus_id, str):
-            raise CorpusError(f"corpus_id must be a string, got {self.corpus_id!r:.40}")
+            raise MelicError(f"corpus_id must be a string, got {self.corpus_id!r:.40}")
+        if self.composer_birth_year is not None and not _is_int(self.composer_birth_year):
+            raise MelicError(f"composer_birth_year must be an integer or null, got {self.composer_birth_year!r:.40}")
         if self.type not in CORPUS_TYPES:
-            raise CorpusError(
+            raise MelicError(
                 f"corpus {self.corpus_id!r}: type must be one of {CORPUS_TYPES}, got {self.type!r}"
             )
 
@@ -72,17 +71,17 @@ class Melody:
 
     def __post_init__(self):
         if not any(not e.is_rest for e in self.events):
-            raise CorpusError(f"melody {self.id!r}: needs at least one non-rest event")
+            raise MelicError(f"melody {self.id!r}: needs at least one non-rest event")
         prev = None
         for e in self.events:
             if e.duration <= 0:
-                raise CorpusError(f"melody {self.id!r}: duration must be positive")
+                raise MelicError(f"melody {self.id!r}: duration must be positive")
             if prev is not None and e.onset < prev:
-                raise CorpusError(f"melody {self.id!r}: onsets must be nondecreasing")
+                raise MelicError(f"melody {self.id!r}: onsets must be nondecreasing")
             prev = e.onset
         key = self.key_annotation
-        if key is not None and not (isinstance(key, int) and 0 <= key < 12):
-            raise CorpusError(f"melody {self.id!r}: key annotation must be a chroma class 0-11")
+        if key is not None and not (_is_int(key) and 0 <= key < 12):
+            raise MelicError(f"melody {self.id!r}: key annotation must be a chroma class 0-11")
 
 
 @dataclass(frozen=True)
@@ -92,25 +91,25 @@ class Corpus:
 
     def __post_init__(self):
         if not self.melodies:
-            raise CorpusError(f"corpus {self.meta.corpus_id!r}: empty")
+            raise MelicError(f"corpus {self.meta.corpus_id!r}: empty")
         ids = [m.id for m in self.melodies]
         if len(set(ids)) != len(ids):
-            raise CorpusError(f"corpus {self.meta.corpus_id!r}: melody ids must be unique")
+            raise MelicError(f"corpus {self.meta.corpus_id!r}: melody ids must be unique")
 
 
 def _parse_rational(s, where: str) -> Fraction:
     if not isinstance(s, str):
-        raise CorpusError(f"{where}: rational must be a 'p/q' string, got {s!r}")
+        raise MelicError(f"{where}: rational must be a 'p/q' string, got {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CorpusError(f"{where}: bad rational {s!r} ({exc})") from exc
+        raise MelicError(f"{where}: bad rational {s!r} ({exc})") from exc
 
 
 def _json(value, kind: type, what: str):
     """value, checked to be a JSON object (kind dict) or array (kind list)."""
     if not isinstance(value, kind):
-        raise CorpusError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {value!r:.40}")
+        raise MelicError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {value!r:.40}")
     return value
 
 
@@ -121,7 +120,7 @@ def parse_canonical(data: bytes | str) -> Corpus:
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
-        raise CorpusError(f"malformed corpus file at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise MelicError(f"malformed corpus file at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
         meta = CorpusMeta(
             corpus_id=_json(obj, dict, "a corpus file")["corpus_id"],
@@ -132,13 +131,13 @@ def parse_canonical(data: bytes | str) -> Corpus:
         melodies = []
         for mel in _json(obj["melodies"], list, "melodies"):
             mid = _json(mel, dict, "a melody")["id"]
-            if not isinstance(mid, (str, int)):
-                raise CorpusError(f"melody id must be a string or an integer, got {mid!r:.40}")
+            if not (isinstance(mid, str) or _is_int(mid)):
+                raise MelicError(f"melody id must be a string or an integer, got {mid!r:.40}")
             events = []
             for note in _json(mel["notes"], list, f"melody {mid!r} notes"):
                 pitch = _json(note, dict, f"melody {mid!r} note")["pitch"]
-                if pitch is not None and not isinstance(pitch, int):
-                    raise CorpusError(f"melody {mid!r}: pitch must be an integer or null")
+                if pitch is not None and not _is_int(pitch):
+                    raise MelicError(f"melody {mid!r}: pitch must be an integer or null")
                 events.append(
                     NoteEvent(
                         pitch=pitch,
@@ -148,7 +147,7 @@ def parse_canonical(data: bytes | str) -> Corpus:
                 )
             melodies.append(Melody(id=mid, events=tuple(events), key_annotation=mel.get("key"), meta=meta))
     except KeyError as exc:
-        raise CorpusError(f"missing required field {exc.args[0]!r}") from exc
+        raise MelicError(f"missing required field {exc.args[0]!r}") from exc
     return Corpus(meta=meta, melodies=tuple(melodies))
 
 
@@ -190,7 +189,7 @@ _LETTER_BASE = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
 def _kern_pitch(body: str, acc: str) -> int:
     letters = set(body)
     if len(letters) != 1:
-        raise KernError(f"unsupported construct: mixed pitch letters in token body {body!r}")
+        raise MelicError(f"unsupported construct: mixed pitch letters in token body {body!r}")
     ch = body[0]
     base = _LETTER_BASE[ch.lower()]
     n = len(body)
@@ -205,7 +204,7 @@ def _kern_pitch(body: str, acc: str) -> int:
 def _kern_duration(dur: str, dots: str) -> Fraction:
     d = int(dur)
     if d <= 0:
-        raise KernError(f"unsupported duration digit {dur!r}")
+        raise MelicError(f"unsupported duration digit {dur!r}")
     base = Fraction(4, d)
     # each dot adds half the previous value
     return base * (2 - Fraction(1, 2 ** len(dots)))
@@ -219,7 +218,7 @@ def parse_kern_subset(text: str, melody_id: str = "kern", meta: CorpusMeta | Non
     skipped; `[`/`]` tie markers merge notes. Anything else errors loudly.
     """
     if "\t" in text:
-        raise KernError("unsupported construct: multiple spines")
+        raise MelicError("unsupported construct: multiple spines")
     events: list[NoteEvent] = []
     onset = Fraction(0)
     tie_pitch: int | None = None
@@ -231,32 +230,32 @@ def parse_kern_subset(text: str, melody_id: str = "kern", meta: CorpusMeta | Non
             continue
         m = _KERN_TOKEN.match(raw)
         if m is None:
-            raise KernError(f"unsupported construct: token {raw!r}")
+            raise MelicError(f"unsupported construct: token {raw!r}")
         dur = _kern_duration(m.group("dur"), m.group("dots"))
         body = m.group("body")
         is_rest = body == "r"
         pitch = None if is_rest else _kern_pitch(body, m.group("acc"))
         if m.group("open"):
             if in_tie:
-                raise KernError(f"unsupported construct: nested tie at {raw!r}")
+                raise MelicError(f"unsupported construct: nested tie at {raw!r}")
             if is_rest:
-                raise KernError("unsupported construct: tied rest")
+                raise MelicError("unsupported construct: tied rest")
             in_tie = True
             tie_pitch, tie_dur, tie_onset = pitch, dur, onset
         elif in_tie:
             if is_rest or pitch != tie_pitch:
-                raise KernError(f"unsupported construct: tie across different pitches at {raw!r}")
+                raise MelicError(f"unsupported construct: tie across different pitches at {raw!r}")
             tie_dur += dur
             if m.group("close"):
                 events.append(NoteEvent(pitch=tie_pitch, onset=tie_onset, duration=tie_dur))
                 in_tie = False
         else:
             if m.group("close"):
-                raise KernError(f"unsupported construct: unmatched tie close at {raw!r}")
+                raise MelicError(f"unsupported construct: unmatched tie close at {raw!r}")
             events.append(NoteEvent(pitch=pitch, onset=onset, duration=dur))
         onset += dur
     if in_tie:
-        raise KernError("unsupported construct: unclosed tie")
+        raise MelicError("unsupported construct: unclosed tie")
     return Melody(id=melody_id, events=tuple(events), meta=meta)
 
 

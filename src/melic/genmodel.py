@@ -22,20 +22,16 @@ RHYTHM_VALUE_SETS = ("SI", "CI", "SR", "CR")
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-class GenModelError(MelicError):
-    pass
-
-
 def _check_spec(spec, a_max: float) -> None:
     """Reject an alphabet size, sequence length or exponent the generators
     cannot use."""
     if not 1 <= spec.a <= a_max:
         bound = ">= 1" if spec.a < 1 else f"<= {a_max}"
-        raise GenModelError(f"{spec.name}: alphabet size must be {bound}, got {spec.a}")
+        raise MelicError(f"{spec.name}: alphabet size must be {bound}, got {spec.a}")
     if spec.length < 2:
-        raise GenModelError(f"{spec.name}: sequence length must be >= 2, got {spec.length}")
+        raise MelicError(f"{spec.name}: sequence length must be >= 2, got {spec.length}")
     if not math.isfinite(spec.exponent):
-        raise GenModelError(f"{spec.name}: exponent must be finite, got {spec.exponent}")
+        raise MelicError(f"{spec.name}: exponent must be finite, got {spec.exponent}")
 
 
 @dataclass(frozen=True)
@@ -49,13 +45,16 @@ class PitchModelSpec:
 
     def __post_init__(self):
         if self.family not in PITCH_FAMILIES:
-            raise GenModelError(f"unknown pitch family {self.family!r}")
+            raise MelicError(f"unknown pitch family {self.family!r}")
         if self.dist not in (1, 2, 3):
-            raise GenModelError(f"unknown distribution code {self.dist}")
+            raise MelicError(f"unknown distribution code {self.dist}")
         # S and IS draw a distinct chromas
         _check_spec(self, 12 if self.family in ("S", "IS") else math.inf)
         if not 0 < self.o < math.inf:
-            raise GenModelError(f"{self.name}: o must be finite and > 0, got {self.o}")
+            raise MelicError(f"{self.name}: o must be finite and > 0, got {self.o}")
+        # S draws from round(o) octaves of its scale: 10 octaves are 120 pitches, within MIDI's 128
+        if self.family == "S" and round(self.o) > 10:
+            raise MelicError(f"{self.name}: o must round to at most 10 octaves, got {self.o}")
 
     @property
     def name(self) -> str:
@@ -72,9 +71,9 @@ class RhythmModelSpec:
 
     def __post_init__(self):
         if self.value_set not in RHYTHM_VALUE_SETS:
-            raise GenModelError(f"unknown rhythm value set {self.value_set!r}")
+            raise MelicError(f"unknown rhythm value set {self.value_set!r}")
         if self.dist not in (1, 2, 3, 4):
-            raise GenModelError(f"unknown distribution code {self.dist}")
+            raise MelicError(f"unknown distribution code {self.dist}")
         _check_spec(self, len(_PRIMES) if self.value_set in ("CI", "CR") else math.inf)
 
     @property
@@ -92,7 +91,7 @@ def _weights(k: int, dist: int, exponent: float, rng: np.random.Generator) -> np
         center = (k - 1) / 2.0
         w = (1.0 + np.abs(np.arange(k) - center)) ** (-exponent)
     else:  # pragma: no cover
-        raise GenModelError(f"bad dist {dist}")
+        raise MelicError(f"bad dist {dist}")
     return w / w.sum()
 
 
@@ -113,12 +112,12 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
     if spec.family == "S":
         out = []
         for _ in range(n):
-            scale = sorted(rng.choice(12, size=spec.a, replace=False))
-            octaves = max(1, round(spec.o))
-            alphabet = np.array([s + 12 * k for k in range(octaves) for s in scale])
-            alphabet.sort()
-            w = _weights(len(alphabet), spec.dist, spec.exponent, rng)
-            out.append(_derive([int(p) for p in rng.choice(alphabet, size=spec.length, p=w)]))
+            scale = np.sort(rng.choice(12, size=spec.a, replace=False))
+            k = spec.a * max(1, round(spec.o))
+            w = _weights(k, spec.dist, spec.exponent, rng)
+            # index i is pitch scale[i % a] + 12 * (i // a): the sorted alphabet, octave by octave
+            i = rng.choice(k, size=spec.length, p=w)
+            out.append(_derive((scale[i % spec.a] + 12 * (i // spec.a)).tolist()))
         return out
     vals = np.arange(-spec.a, spec.a + 1)
     probs = np.empty((n, len(vals)))
@@ -133,7 +132,7 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
     half = np.full(n, min(max(1, round(2 * spec.o)), spec.a * (spec.length - 1)))
     pitches, failed = _kernels.walk_chunk(vals, probs, np.full(n, spec.length), -half, half, uniforms, allowed)
     if failed.any():
-        raise GenModelError(f"{spec.name}: a walk found no legal interval with a weight above 0 (exponent {spec.exponent})")
+        raise MelicError(f"{spec.name}: a walk found no legal interval with a weight above 0 (exponent {spec.exponent})")
     return [_derive(p) for p in pitches.tolist()]
 
 
@@ -148,7 +147,7 @@ def simple_value_set(a: int) -> list[Fraction]:
 def complex_value_set(a: int) -> list[Fraction]:
     """Primes and reciprocals of primes: every pairwise ratio is unique."""
     if a > len(_PRIMES):  # a distinct primes
-        raise GenModelError(f"prime table exhausted: a must be <= {len(_PRIMES)}, got {a}")
+        raise MelicError(f"prime table exhausted: a must be <= {len(_PRIMES)}, got {a}")
     vals = []
     for i in range(a):
         p = _PRIMES[i // 2 if i % 2 == 0 else (i - 1) // 2 + (a + 1) // 2]
@@ -265,34 +264,23 @@ def rhythm_fit_objective(seq_sets, empirical_targets, bin_width: float = 0.02, h
     return total if weight_sum > 0 else 1.0
 
 
-def fit_generative_model(
-    spec_family: str,
-    empirical_targets: dict,
-    param_grid: list,
-    n_per_setting: int = 100,
-    seed: int = 0,
-    bin_width: float = 0.02,
-):
-    """Grid search minimizing the JSD objective; deterministic tie-break to
-    the earliest grid point. spec_family is 'pitch' or 'rhythm'."""
+def fit_generative_model(empirical_targets: dict, param_grid: list, n_per_setting: int = 100, seed: int = 0):
+    """Grid search over pitch or rhythm specs minimizing the JSD objective;
+    deterministic tie-break to the earliest grid point."""
     if not empirical_targets or not any(len(v) for v in empirical_targets.values()):
-        raise GenModelError("empty empirical targets")
+        raise MelicError("empty empirical targets")
     if not param_grid:
-        raise GenModelError("empty parameter grid")
+        raise MelicError("empty parameter grid")
     if n_per_setting < 1:
-        raise GenModelError(f"n_per_setting must be >= 1, got {n_per_setting}")
+        raise MelicError(f"n_per_setting must be >= 1, got {n_per_setting}")
     best_spec = None
     best_score = math.inf
     for i, spec in enumerate(param_grid):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        if spec_family == "pitch":
-            seqs = generate_pitch_sequences(spec, n_per_setting, rng)
-            score = pitch_fit_objective(seqs, empirical_targets, bin_width)
-        elif spec_family == "rhythm":
-            seqs = generate_rhythm_sequences(spec, n_per_setting, rng)
-            score = rhythm_fit_objective(seqs, empirical_targets, bin_width)
+        if isinstance(spec, PitchModelSpec):
+            score = pitch_fit_objective(generate_pitch_sequences(spec, n_per_setting, rng), empirical_targets)
         else:
-            raise GenModelError(f"unknown family {spec_family!r}")
+            score = rhythm_fit_objective(generate_rhythm_sequences(spec, n_per_setting, rng), empirical_targets)
         if score < best_score:
             best_score = score
             best_spec = spec
@@ -307,6 +295,9 @@ class ScaleSimResult:
     n_sequences: int
     o_values: tuple[float, ...]
     n_failed: int = 0
+
+
+_CHUNK = 1 << 15  # walks per kernel call, each chunk with its own derived seed, so the output depends on it
 
 
 def _dist_arrays(d: Distribution):
@@ -340,7 +331,6 @@ def simulate_scale_entropy(
     n_sequences: int,
     seed: int = 0,
     threads: int = 1,
-    chunk_size: int = 1 << 15,
 ) -> ScaleSimResult:
     """Sample interval walks (length and intervals from the given
     distributions, pitch confined to a 12*O-semitone window), fold to chroma,
@@ -350,26 +340,26 @@ def simulate_scale_entropy(
     thread count.
     """
     if n_sequences < 1:
-        raise GenModelError(f"need at least one walk, got {n_sequences}")
+        raise MelicError(f"need at least one walk, got {n_sequences}")
     o_values = tuple(float(o) for o in o_values)
     if not o_values:
-        raise GenModelError("need at least one pitch-range value")
+        raise MelicError("need at least one pitch-range value")
     for o in o_values:
         if not 0 < o < math.inf:
-            raise GenModelError(f"o must be finite and > 0, got {o}")
+            raise MelicError(f"o must be finite and > 0, got {o}")
     vals, probs = _dist_arrays(interval_dist)
     lvals, lprobs = _dist_arrays(length_dist)
     if lvals.min() < 1:
-        raise GenModelError("melody lengths must be >= 1")
+        raise MelicError("melody lengths must be >= 1")
     # a window as wide as the walks' reach gives the same walks as any wider one
     reach = int(np.abs(vals).max()) * (int(lvals.max()) - 1)
     half_widths = np.array([min(round(6.0 * o), reach) for o in o_values], dtype=np.int64)
-    n_chunks = (n_sequences + chunk_size - 1) // chunk_size
+    n_chunks = (n_sequences + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
 
     def run_chunk(ci: int):
-        start = ci * chunk_size
-        size = min(chunk_size, n_sequences - start)
+        start = ci * _CHUNK
+        size = min(_CHUNK, n_sequences - start)
         rng = np.random.default_rng(seeds[ci])
         lengths = rng.choice(lvals, size=size, p=lprobs).astype(np.int64)
         half = half_widths[(start + np.arange(size)) % len(o_values)]
@@ -412,9 +402,9 @@ def scale_loglikelihood(
     """
     empirical_h = np.asarray(list(empirical_h), dtype=float)
     if empirical_h.size == 0:
-        raise GenModelError("empty empirical entropy sample")
+        raise MelicError("empty empirical entropy sample")
     if not 0 < alpha <= 1:
-        raise GenModelError("alpha must be in (0, 1]")
+        raise MelicError("alpha must be in (0, 1]")
     grid = np.arange(bin_width / 2, 5.0, bin_width)
     p = kde_silverman(empirical_h, grid=grid, clamp=True).density
     p_prime = alpha * p + (1.0 - alpha) / 5.0

@@ -13,10 +13,6 @@ from .corpus import MelicError
 from .viewpoints import intern
 
 
-class InfoError(MelicError):
-    pass
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Alphabet with probabilities, sorted ascending by symbol."""
@@ -27,11 +23,11 @@ class Distribution:
 
     def __post_init__(self):
         if len(self.alphabet) < 1:
-            raise InfoError("distribution needs at least one symbol")
+            raise MelicError("distribution needs at least one symbol")
         if any(p < 0 for p in self.probs):
-            raise InfoError("negative probability")
+            raise MelicError("negative probability")
         if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise InfoError(f"probabilities sum to {sum(self.probs)}, not 1")
+            raise MelicError(f"probabilities sum to {sum(self.probs)}, not 1")
 
     @property
     def alphabet_size(self) -> int:
@@ -42,7 +38,7 @@ def distribution_of(seq) -> Distribution:
     """Empirical relative frequencies of a symbol sequence."""
     codes, alphabet = intern(seq)
     if not codes:
-        raise InfoError("cannot build a distribution from an empty sequence")
+        raise MelicError("cannot build a distribution from an empty sequence")
     counts = tuple(np.bincount(codes).tolist())
     n = len(codes)
     return Distribution(alphabet=alphabet, probs=tuple(c / n for c in counts), counts=counts)
@@ -91,11 +87,11 @@ def mutual_information_excess(seqP, seqR, n_shuffles: int = 10, rng: np.random.G
     codesP, _ = intern(seqP)
     codesR, tableR = intern(seqR)
     if len(codesP) != len(codesR):
-        raise InfoError(f"length mismatch: {len(codesP)} vs {len(codesR)}")
+        raise MelicError(f"length mismatch: {len(codesP)} vs {len(codesR)}")
     if n_shuffles < 0:
-        raise InfoError("n_shuffles must be >= 0")
+        raise MelicError("n_shuffles must be >= 0")
     if not codesP:
-        raise InfoError("cannot build a distribution from an empty sequence")
+        raise MelicError("cannot build a distribution from an empty sequence")
     cP = np.array(codesP, dtype=np.int64)
     cR = np.array(codesR, dtype=np.int64)
     joint_base = cP * len(tableR)
@@ -105,7 +101,7 @@ def mutual_information_excess(seqP, seqR, n_shuffles: int = 10, rng: np.random.G
     if n_shuffles == 0:
         return i_obs, 0.0, i_obs
     if rng is None:
-        raise InfoError("shuffled null requires an explicit rng")
+        raise MelicError("shuffled null requires an explicit rng")
     acc = 0.0
     n = len(cR)
     for _ in range(n_shuffles):
@@ -120,7 +116,7 @@ def entropy_lower_bound(A: int, L: int) -> float:
     """Minimum entropy of a length-L sequence using exactly A symbols: one
     symbol repeated L - A + 1 times, all others heard once."""
     if not 1 <= A <= L:
-        raise InfoError(f"need 1 <= A <= L, got A={A}, L={L}")
+        raise MelicError(f"need 1 <= A <= L, got A={A}, L={L}")
     return _plugin_entropy(c / L for c in [L - A + 1] + [1] * (A - 1))
 
 
@@ -128,7 +124,7 @@ def entropy_lower_bound(A: int, L: int) -> float:
 
 def _powerlaw_dist(A: int, exponent: float) -> Distribution:
     if A < 1:
-        raise InfoError("A must be >= 1")
+        raise MelicError("A must be >= 1")
     w = np.arange(1, A + 1, dtype=float) ** (-float(exponent))
     p = w / w.sum()
     return Distribution(alphabet=tuple(range(A)), probs=tuple(p))
@@ -149,16 +145,16 @@ def solve_powerlaw_H(A: int, G: float, tol: float = 1e-8) -> float:
     """Entropy of the power-law distribution on A symbols whose Gini equals G,
     found by bisection on the exponent."""
     if A < 1:
-        raise InfoError("A must be >= 1")
+        raise MelicError("A must be >= 1")
     if G < 0 or G >= max_gini(A) or (A == 1 and G > 0):
-        raise InfoError(f"G={G} outside achievable range [0, {max_gini(A)}) for A={A}")
+        raise MelicError(f"G={G} outside achievable range [0, {max_gini(A)}) for A={A}")
     if G == 0 or A == 1:
         return math.log2(A)
     lo, hi = 0.0, 1.0
     while powerlaw_entropy_gini(A, hi)[1] < G:
         hi *= 2.0
         if hi > 1e6:
-            raise InfoError(f"G={G} not reachable by a power law on A={A} symbols")
+            raise MelicError(f"G={G} not reachable by a power law on A={A} symbols")
     while True:
         mid = 0.5 * (lo + hi)
         h, g = powerlaw_entropy_gini(A, mid)
@@ -183,7 +179,7 @@ def entropy_ratio_bounds(L: int) -> list[dict]:
     """Construct three explicit pitch-sequence families and measure the
     H(Pitch)/H(M-Int) ratio each achieves at length L."""
     if L < 3:
-        raise InfoError("L must be >= 3")
+        raise MelicError("L must be >= 3")
     climb = list(range(L))
     chromatic = [i % 2 for i in range(L)]
     wave = [0 if i % 2 == 0 else (i + 1) // 2 for i in range(L)]

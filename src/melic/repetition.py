@@ -10,10 +10,6 @@ from .infotheory import entropy_of
 from .viewpoints import ViewpointKind, extract_viewpoint, intern, symbols_of
 
 
-class RepetitionError(MelicError):
-    pass
-
-
 @dataclass(frozen=True)
 class RepetitionResult:
     pieces: tuple[tuple, ...]
@@ -67,10 +63,10 @@ def remove_repetition(seq, l_min: int = 2) -> RepetitionResult:
     and matches are returned as symbols.
     """
     if l_min < 2:
-        raise RepetitionError(f"l_min must be >= 2, got {l_min}")
+        raise MelicError(f"l_min must be >= 2, got {l_min}")
     codes, table = intern(seq)
     if not codes:
-        raise RepetitionError("empty sequence")
+        raise MelicError("empty sequence")
     sep = chr(len(table))
     text = "".join(map(chr, codes))
     removed: list[tuple[str, int]] = []

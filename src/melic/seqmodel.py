@@ -9,11 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, MelicError
-from .viewpoints import ViewpointError, ViewpointKind, extract_viewpoint, intern
-
-
-class SeqModelError(MelicError):
-    pass
+from .viewpoints import ViewpointKind, extract_viewpoint, intern
 
 
 @dataclass
@@ -34,13 +30,13 @@ def _codes(seq, alphabet: tuple, what: str) -> tuple[int, ...]:
     try:
         return intern(seq, alphabet)[0]
     except KeyError as exc:
-        raise SeqModelError(f"{what} {exc.args[0]!r} outside model alphabet") from None
+        raise MelicError(f"{what} {exc.args[0]!r} outside model alphabet") from None
 
 
 def train_ppm(sequences, max_order: int, alphabet) -> PPMModel:
     """Count all n-grams up to max_order over the training sequences."""
     if max_order < 0:
-        raise SeqModelError("max_order must be >= 0")
+        raise MelicError("max_order must be >= 0")
     alphabet = intern(alphabet)[1]
     contexts, nexts = [], []  # every (context of 0 to max_order codes, next code)
     for seq in sequences:
@@ -97,7 +93,7 @@ def information_content(model: PPMModel, seq) -> ICResult:
     """Per-symbol surprisal -log2 P under the PPM mixture, and its mean."""
     codes = _codes(seq, model.alphabet, "symbol")
     if not codes:
-        raise SeqModelError("empty sequence")
+        raise MelicError("empty sequence")
     bits = [
         float(-np.log2(_level_dist(model, codes[max(0, i - model.max_order) : i])[code]))
         for i, code in enumerate(codes)
@@ -138,16 +134,16 @@ def within_corpus_repetition(
     training pool as an empty sequence but is left out as a target."""
     for name, value in (("n_train", n_train), ("truncate", truncate), ("n_shuffle_reps", n_shuffle_reps)):
         if value < 1:
-            raise SeqModelError(f"{name} must be >= 1, got {value}")
+            raise MelicError(f"{name} must be >= 1, got {value}")
     if len(corpus.melodies) < n_train + 1:
-        raise SeqModelError(
+        raise MelicError(
             f"corpus {corpus.meta.corpus_id!r}: needs at least {n_train + 1} melodies, has {len(corpus.melodies)}"
         )
     seqs, undefined = {}, {}
     for m in corpus.melodies:
         try:
             seqs[m.id] = extract_viewpoint(m, kind).symbols[:truncate]
-        except ViewpointError as exc:
+        except MelicError as exc:
             seqs[m.id] = ()
             undefined[m.id] = str(exc)
     # codes keep the symbol order, so PPM on them gives the symbols' bits
@@ -175,7 +171,7 @@ def within_corpus_repetition(
         ic_r = acc / n_shuffle_reps
         per_target.append((m.id, ic, ic_r))
     if not per_target:
-        raise SeqModelError(f"corpus {corpus.meta.corpus_id!r}: no melody has a {kind.value} symbol")
+        raise MelicError(f"corpus {corpus.meta.corpus_id!r}: no melody has a {kind.value} symbol")
     mean_ic = float(np.mean([t[1] for t in per_target]))
     mean_ic_r = float(np.mean([t[2] for t in per_target]))
     return WithinCorpusResult(

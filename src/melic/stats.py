@@ -9,17 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, MelicError
-from .viewpoints import (
-    ViewpointError,
-    ViewpointKind,
-    estimate_tonic,
-    extract_viewpoint,
-    symbols_of,
-)
-
-
-class StatsError(MelicError):
-    pass
+from .viewpoints import ViewpointKind, estimate_tonic, extract_viewpoint, symbols_of
 
 
 # --- kernel density estimation ---------------------------------------------
@@ -49,10 +39,10 @@ def kde_silverman(samples, grid: np.ndarray | None = None, clamp: bool = False) 
     """
     samples = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
     if samples.size < 2:
-        raise StatsError("KDE needs at least 2 samples")
+        raise MelicError("KDE needs at least 2 samples")
     h = silverman_bandwidth(samples)
     if h <= 0:
-        raise StatsError("zero-spread samples: the density is a delta, not a KDE")
+        raise MelicError("zero-spread samples: the density is a delta, not a KDE")
     if grid is None:
         lo = samples.min() - 4 * h
         hi = samples.max() + 4 * h
@@ -66,7 +56,7 @@ def kde_silverman(samples, grid: np.ndarray | None = None, clamp: bool = False) 
     step = grid[1] - grid[0]
     total = dens.sum() * step
     if total <= 0:
-        raise StatsError("all sample mass falls outside the evaluation grid")
+        raise MelicError("all sample mass falls outside the evaluation grid")
     return KDEResult(grid=grid, density=dens / total, bandwidth=h)
 
 
@@ -82,9 +72,9 @@ def jsd(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
-        raise StatsError(f"binning mismatch: {p.shape} vs {q.shape}")
+        raise MelicError(f"binning mismatch: {p.shape} vs {q.shape}")
     if p.sum() <= 0 or q.sum() <= 0:
-        raise StatsError("empty histogram")
+        raise MelicError("empty histogram")
     p = p / p.sum()
     q = q / q.sum()
     m = 0.5 * (p + q)
@@ -96,11 +86,11 @@ def pearson(x, y) -> tuple[float, float]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
-        raise StatsError("length mismatch")
+        raise MelicError("length mismatch")
     if x.size < 3:
-        raise StatsError("need at least 3 points")
+        raise MelicError("need at least 3 points")
     if x.std() == 0 or y.std() == 0:
-        raise StatsError("zero variance")
+        raise MelicError("zero variance")
     r = float(np.corrcoef(x, y)[0, 1])
     n = x.size
     if abs(r) >= 1.0:
@@ -118,9 +108,9 @@ def benjamini_hochberg(pvals, q: float) -> list[bool]:
     """Step-up FDR control; flags returned in original index order."""
     pvals = list(pvals)
     if any(not 0 <= p <= 1 for p in pvals):
-        raise StatsError("p-values must lie in [0, 1]")
+        raise MelicError("p-values must lie in [0, 1]")
     if not 0 < q < 1:
-        raise StatsError("q must lie in (0, 1)")
+        raise MelicError("q must lie in (0, 1)")
     m = len(pvals)
     order = sorted(range(m), key=lambda i: pvals[i])
     k_max = 0
@@ -159,9 +149,9 @@ def joint_entropy_null(means: list[CorpusMeans], n_samples: int = 10000, rng=Non
     """Null joint-entropy distribution assuming independent pitch entropy,
     rhythm entropy and mutual information pools; H(C,D) = H(C) + H(D) - I."""
     if len(means) < 2:
-        raise StatsError("need at least 2 corpora")
+        raise MelicError("need at least 2 corpora")
     if n_samples < 1:
-        raise StatsError(f"n_samples must be >= 1, got {n_samples}")
+        raise MelicError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng() if rng is None else rng
     hc = np.array([m.h_chroma for m in means])
     hd = np.array([m.h_duration for m in means])
@@ -187,14 +177,14 @@ def region_balanced_correlation(
     """Pearson r between pitch and rhythm entropy under region-capped
     resampling; returns (mean r, 2.5/97.5 percentile CI)."""
     if max_per_region < 1:
-        raise StatsError("max_per_region must be >= 1")
+        raise MelicError("max_per_region must be >= 1")
     if n_resamples < 1:
-        raise StatsError(f"n_resamples must be >= 1, got {n_resamples}")
+        raise MelicError(f"n_resamples must be >= 1, got {n_resamples}")
     regions: dict[str, list[CorpusMeans]] = {}
     for m in means:
         regions.setdefault(m.region, []).append(m)
     if len(regions) < 2:
-        raise StatsError("need at least 2 regions")
+        raise MelicError("need at least 2 regions")
     rng = np.random.default_rng() if rng is None else rng
     rs = []
     for _ in range(n_resamples):
@@ -218,9 +208,9 @@ def rhythm_deviation_profile(
     """Mean rhythm-value deviation co-occurring with each pitch symbol,
     relative to the corpus-wide mean rhythm value."""
     if pitch_kind not in ("chroma_transposed", "mint_abs"):
-        raise StatsError(f"unknown pitch kind {pitch_kind!r}")
+        raise MelicError(f"unknown pitch kind {pitch_kind!r}")
     if rhythm_kind not in ("ioi", "duration"):
-        raise StatsError(f"unknown rhythm kind {rhythm_kind!r}")
+        raise MelicError(f"unknown rhythm kind {rhythm_kind!r}")
     pairs: list[tuple] = []
     for melody in corpus.melodies:
         rk = ViewpointKind.IOI if rhythm_kind == "ioi" else ViewpointKind.DURATION
@@ -239,7 +229,7 @@ def rhythm_deviation_profile(
             n = min(len(mint), len(rhythm))
             pairs.extend((abs(m), r) for m, r in zip(mint[:n], rhythm[:n]))
     if not pairs:
-        raise StatsError("no pitch-rhythm pairs in corpus")
+        raise MelicError("no pitch-rhythm pairs in corpus")
     overall = float(np.mean([r for _, r in pairs]))
     by_symbol: dict = {}
     for s, r in pairs:
@@ -253,21 +243,20 @@ class SimilarityReport:
     enrichment: float | None
     expected_paper: float
     expected_fixed_query: float
-    left_out: tuple[tuple[str, str], ...]  # (id, reason) of each melody the viewpoint is undefined on
 
 
-def ngram_similarity(query, corpus: Corpus, n: int = 10, kind=ViewpointKind.MINT) -> SimilarityReport:
-    """Count corpus melodies containing the query's leading n-gram, against
-    the chance expectation A^(-2n) per candidate position.
+def ngram_similarity(query, targets, n: int = 10) -> SimilarityReport:
+    """Count the target symbol sequences containing the query's leading
+    n-gram, against the chance expectation A^(-2n) per candidate position.
 
     expected_fixed_query uses the A^(-n) fixed-query convention alongside the
     two-random-sequences figure, so both numbers are visible.
     """
     if n < 2:
-        raise StatsError("n must be >= 2")
+        raise MelicError("n must be >= 2")
     syms = symbols_of(query)
     if len(syms) < n:
-        raise StatsError(f"query shorter than n={n}")
+        raise MelicError(f"query shorter than n={n}")
     gram = syms[:n]
     a = len(set(syms))
     p_paper = float(a) ** (-2 * n)
@@ -275,13 +264,7 @@ def ngram_similarity(query, corpus: Corpus, n: int = 10, kind=ViewpointKind.MINT
     n_matches = 0
     exp_paper = 0.0
     exp_fixed = 0.0
-    left_out = []
-    for melody in corpus.melodies:
-        try:
-            target = extract_viewpoint(melody, kind).symbols
-        except ViewpointError as exc:
-            left_out.append((melody.id, str(exc)))
-            continue
+    for target in targets:
         positions = len(target) - n + 1
         if positions < 1:
             continue
@@ -295,5 +278,4 @@ def ngram_similarity(query, corpus: Corpus, n: int = 10, kind=ViewpointKind.MINT
         enrichment=enrichment,
         expected_paper=exp_paper,
         expected_fixed_query=exp_fixed,
-        left_out=tuple(left_out),
     )

@@ -10,10 +10,6 @@ from fractions import Fraction
 from .corpus import MelicError, Melody
 
 
-class ViewpointError(MelicError):
-    pass
-
-
 class ViewpointKind(str, Enum):
     PITCH = "pitch"
     CHROMA = "chroma"
@@ -71,7 +67,7 @@ def _durations(melody: Melody) -> list[Fraction]:
 def _iois(melody: Melody) -> list[Fraction]:
     onsets = [e.onset for e in _notes(melody)]
     if len(onsets) < 2:
-        raise ViewpointError(f"melody {melody.id!r}: IOI needs at least 2 note onsets")
+        raise MelicError(f"melody {melody.id!r}: IOI needs at least 2 note onsets")
     return [b - a for a, b in zip(onsets, onsets[1:])]
 
 
@@ -79,7 +75,7 @@ def _ratios(values: list[Fraction], what: str) -> list[Fraction]:
     out = []
     for a, b in zip(values, values[1:]):
         if a == 0:
-            raise ViewpointError(f"degenerate input: zero {what} (simultaneous onsets)")
+            raise MelicError(f"degenerate input: zero {what} (simultaneous onsets)")
         out.append(Fraction(b) / Fraction(a))
     return out
 
@@ -122,7 +118,7 @@ def extract_viewpoint(melody: Melody, kind: ViewpointKind) -> ViewpointSequence:
         n = min(len(mi), len(d))
         syms = list(zip(mi[:n], d[:n]))
     else:  # pragma: no cover
-        raise ViewpointError(f"unknown viewpoint {kind}")
+        raise MelicError(f"unknown viewpoint {kind}")
     return ViewpointSequence(kind=kind, symbols=tuple(syms))
 
 
@@ -130,7 +126,7 @@ def estimate_tonic(melody: Melody, method: str = "final") -> int:
     """Estimate the tonic chroma class from the final, first or modal note."""
     chromas = [p % 12 for p in _pitches(melody)]
     if not chromas:
-        raise ViewpointError(f"melody {melody.id!r}: all-rest melody has no tonic")
+        raise MelicError(f"melody {melody.id!r}: all-rest melody has no tonic")
     if method == "final":
         return chromas[-1]
     if method == "first":
@@ -158,15 +154,15 @@ def recover_octaves(chroma_seq: ViewpointSequence, truth: ViewpointSequence | No
     when no true interval sequence is given.
     """
     if ViewpointKind(chroma_seq.kind) is not ViewpointKind.CHROMA:
-        raise ViewpointError("octave recovery needs a chroma sequence")
+        raise MelicError("octave recovery needs a chroma sequence")
     c = chroma_seq.symbols
     if len(c) < 2:
-        raise ViewpointError("octave recovery needs at least 2 symbols")
+        raise MelicError("octave recovery needs at least 2 symbols")
     pred = tuple(fold_interval(a, b) for a, b in zip(c, c[1:]))
     accuracy = None
     if truth is not None:
         true_syms = symbols_of(truth)
         if len(true_syms) != len(pred):
-            raise ViewpointError("true interval sequence length mismatch")
+            raise MelicError("true interval sequence length mismatch")
         accuracy = sum(p == t for p, t in zip(pred, true_syms)) / len(pred)
     return ViewpointSequence(kind=ViewpointKind.MINT, symbols=pred), accuracy

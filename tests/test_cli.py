@@ -368,6 +368,8 @@ def test_genmodel_fits_report_melodies_with_zero_base_entropy(tmp_path, capsys, 
         (["rhythm", "--model", "SI2", "--grid-exp", "inf"], "SI2: exponent must be finite, got inf"),
         (["rhythm", "--model", "SI4", "--grid-exp", "1,nan"], "SI4: exponent must be finite, got nan"),
         (["rhythm", "--model", "CR3", "--grid-exp", "2,-inf"], "CR3: exponent must be finite, got -inf"),
+        (["pitch", "--model", "S1", "--grid-o", "11"], "S1: o must round to at most 10 octaves, got 11.0"),
+        (["pitch", "--model", "S3", "--grid-o", "2,1e300"], "S3: o must round to at most 10 octaves, got 1e+300"),
     ],
 )
 def test_genmodel_rejects_grid_points_the_generators_cannot_use(capsys, corpus_file, argv, message):
@@ -600,9 +602,12 @@ PER_MELODY = [["entropy", "--viewpoint", k.value] for k in ViewpointKind] + [
 ]
 
 
-def _corpus_json(melodies) -> str:
+def _corpus_json(melodies, order=None) -> str:
+    """A corpus of the melodies, melody i with id m{i}, listed in the given
+    order (default: as given)."""
     mels = []
-    for i, notes in enumerate(melodies):
+    for i in range(len(melodies)) if order is None else order:
+        notes = melodies[i]
         onset, events = Fraction(0), []
         for pitch, dur, gap in notes:
             events.append({"pitch": pitch, "onset": str(onset), "duration": dur})
@@ -630,6 +635,54 @@ def test_every_melody_is_a_row_or_a_reported_skip(melodies):
                 assert len(rows) == (len(skips) < len(melodies)), argv
             else:
                 assert len(rows) + len(skips) == len(melodies), argv
+
+
+# --- property: melody order only reorders per-melody output -------------------
+
+def _run_captured(argv, src):
+    """(exit code, output lines, stderr lines) of main on one corpus file."""
+    out, err = src.with_suffix(".csv"), io.StringIO()
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stderr(err):
+        rc = main([*argv, str(src), "--out", str(out)])
+    return rc, out.read_text().splitlines() if rc == 0 else [], err.getvalue().splitlines()
+
+
+def _skip_id(line):
+    # "warning: corpus 'prop' melody 'm3' skipped: ..." -> "m3"; None for any other line
+    head, sep, _ = line.partition("' skipped: ")
+    return head.rpartition(" melody '")[2] if sep else None
+
+
+# mi is left out: it draws every melody's shuffles from one rng stream in corpus
+# order; so is summary, whose means sum in corpus order
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_melody, min_size=2, max_size=4).flatmap(lambda ms: st.tuples(st.just(ms), st.permutations(range(len(ms))))),
+    st.sampled_from(ViewpointKind),
+)
+def test_melody_order_only_reorders_rows_and_skips(case, kind):
+    melodies, order = case
+    rank = {f"m{i}": pos for pos, i in enumerate(order)}
+    with tempfile.TemporaryDirectory() as tmp:
+        given_order, permuted = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        given_order.write_text(_corpus_json(melodies))
+        permuted.write_text(_corpus_json(melodies, order))
+        for argv in (
+            ["entropy", "--viewpoint", kind.value],
+            ["gini", "--viewpoint", kind.value],
+            ["repetition", "--viewpoint", kind.value],
+            ["totalinfo"],
+            ["viewpoints", "--kind", kind.value],
+        ):
+            rc, rows, err = _run_captured(argv, given_order)
+            rc_p, rows_p, err_p = _run_captured(argv, permuted)
+            assert rc_p == rc, argv
+            assert rows_p[:1] == rows[:1], argv
+            assert rows_p[1:] == sorted(rows[1:], key=lambda row: rank[row.split(",", 1)[0]]), argv
+            skips = sorted((line for line in err if _skip_id(line)), key=lambda line: rank[_skip_id(line)])
+            assert [line for line in err_p if _skip_id(line)] == skips, argv
+            assert [line for line in err_p if not _skip_id(line)] == [line for line in err if not _skip_id(line)], argv
 
 
 _json_value = st.recursive(

@@ -1,15 +1,19 @@
 """Corpus parsing, serialization round-trips, the kern subset, and table output."""
 
+import importlib
+import inspect
 import json
+import pkgutil
+import re
 from fractions import Fraction
 
 import pytest
 
+import melic
 from melic.corpus import (
     Corpus,
-    CorpusError,
     CorpusMeta,
-    KernError,
+    MelicError,
     Melody,
     NoteEvent,
     SchemaError,
@@ -60,28 +64,28 @@ def test_parse_accepts_bytes():
 
 
 def test_malformed_json_reports_position():
-    with pytest.raises(CorpusError, match=r"line \d+, column \d+"):
+    with pytest.raises(MelicError, match=r"line \d+, column \d+"):
         parse_canonical('{"corpus_id": "x",')
 
 
 def test_missing_field():
     bad = dict(CANONICAL)
     del bad["melodies"]
-    with pytest.raises(CorpusError, match="melodies"):
+    with pytest.raises(MelicError, match="melodies"):
         parse_canonical(json.dumps(bad))
 
 
 def test_bad_rational():
     bad = json.loads(json.dumps(CANONICAL))
     bad["melodies"][0]["notes"][0]["onset"] = "1/0"
-    with pytest.raises(CorpusError, match="rational"):
+    with pytest.raises(MelicError, match="rational"):
         parse_canonical(json.dumps(bad))
 
 
 def test_float_pitch_rejected():
     bad = json.loads(json.dumps(CANONICAL))
     bad["melodies"][0]["notes"][0]["pitch"] = 60.5
-    with pytest.raises(CorpusError, match="pitch"):
+    with pytest.raises(MelicError, match="pitch"):
         parse_canonical(json.dumps(bad))
 
 
@@ -113,25 +117,29 @@ def _with(path, value):
         (("melodies", 0, "key"), 7.5, "melody 'm1': key annotation must be a chroma class 0-11"),
         (("melodies", 0, "id"), ["m", 1], "melody id must be a string or an integer, got ['m', 1]"),
         (("melodies", 0, "id"), None, "melody id must be a string or an integer, got None"),
+        # JSON true is not the integer 1
+        (("melodies", 0, "notes", 0, "pitch"), True, "melody 'm1': pitch must be an integer or null"),
+        (("melodies", 0, "key"), True, "melody 'm1': key annotation must be a chroma class 0-11"),
+        (("melodies", 0, "id"), True, "melody id must be a string or an integer, got True"),
+        (("composer_birth_year",), True, "composer_birth_year must be an integer or null, got True"),
     ],
 )
 def test_valid_json_of_the_wrong_shape_is_a_corpus_error(path, value, message):
-    with pytest.raises(CorpusError) as exc:
+    with pytest.raises(MelicError, match=f"^{re.escape(message)}$"):
         parse_canonical(_with(path, value))
-    assert str(exc.value) == message
 
 
 def test_unknown_corpus_type():
-    with pytest.raises(CorpusError, match="type"):
+    with pytest.raises(MelicError, match="type"):
         CorpusMeta(corpus_id="x", type="Pop")
 
 
 def test_melody_invariants():
-    with pytest.raises(CorpusError, match="non-rest"):
+    with pytest.raises(MelicError, match="non-rest"):
         Melody(id="r", events=(NoteEvent(None, Fraction(0), Fraction(1)),))
-    with pytest.raises(CorpusError, match="positive"):
+    with pytest.raises(MelicError, match="positive"):
         Melody(id="d", events=(NoteEvent(60, Fraction(0), Fraction(0)),))
-    with pytest.raises(CorpusError, match="nondecreasing"):
+    with pytest.raises(MelicError, match="nondecreasing"):
         Melody(
             id="o",
             events=(
@@ -139,17 +147,29 @@ def test_melody_invariants():
                 NoteEvent(62, Fraction(0), Fraction(1)),
             ),
         )
-    with pytest.raises(CorpusError, match="chroma"):
+    with pytest.raises(MelicError, match="chroma"):
         Melody(id="k", events=(NoteEvent(60, Fraction(0), Fraction(1)),), key_annotation=12)
 
 
 def test_corpus_invariants():
     meta = CorpusMeta(corpus_id="c", type="Art")
     m = Melody(id="m", events=(NoteEvent(60, Fraction(0), Fraction(1)),))
-    with pytest.raises(CorpusError, match="empty"):
+    with pytest.raises(MelicError, match="empty"):
         Corpus(meta=meta, melodies=())
-    with pytest.raises(CorpusError, match="unique"):
+    with pytest.raises(MelicError, match="unique"):
         Corpus(meta=meta, melodies=(m, m))
+
+
+def test_melic_has_one_error_type_besides_schema_error():
+    # __main__ is skipped: importing it runs the CLI
+    modules = [importlib.import_module(f"melic.{m.name}") for m in pkgutil.iter_modules(melic.__path__) if m.name != "__main__"]
+    defined = {
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__.startswith("melic")
+    }
+    assert defined == {MelicError, SchemaError}
 
 
 # --- kern subset ------------------------------------------------------------
@@ -192,22 +212,22 @@ def test_kern_ties_merge():
 
 
 def test_kern_tie_across_pitches_rejected():
-    with pytest.raises(KernError, match="tie"):
+    with pytest.raises(MelicError, match="tie"):
         parse_kern_subset("[2c 4d]")
 
 
 def test_kern_unclosed_tie_rejected():
-    with pytest.raises(KernError, match="tie"):
+    with pytest.raises(MelicError, match="tie"):
         parse_kern_subset("[2c 4c")
 
 
 def test_kern_unknown_token_rejected():
-    with pytest.raises(KernError, match="unsupported"):
+    with pytest.raises(MelicError, match="unsupported"):
         parse_kern_subset("4c 4q")
 
 
 def test_kern_multiple_spines_rejected():
-    with pytest.raises(KernError, match="spine"):
+    with pytest.raises(MelicError, match="spine"):
         parse_kern_subset("4c\t4e")
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from melic import _kernels
+from melic.corpus import MelicError
 from melic.genmodel import (
-    GenModelError,
     PitchModelSpec,
     RhythmModelSpec,
     _chroma_entropy,
@@ -42,11 +42,11 @@ def fixed_length(length):
 
 
 def test_spec_validation():
-    with pytest.raises(GenModelError):
+    with pytest.raises(MelicError, match="^unknown pitch family 'X'$"):
         PitchModelSpec(family="X", dist=1, a=5, length=20)
-    with pytest.raises(GenModelError):
+    with pytest.raises(MelicError, match="^unknown distribution code 4$"):
         PitchModelSpec(family="S", dist=4, a=5, length=20)
-    with pytest.raises(GenModelError):
+    with pytest.raises(MelicError, match="^unknown rhythm value set 'XX'$"):
         RhythmModelSpec(value_set="XX", dist=1, a=5, length=20)
     assert PitchModelSpec(family="IS", dist=3, a=5, length=20).name == "IS3"
     assert RhythmModelSpec(value_set="SI", dist=4, a=5, length=20).name == "SI4"
@@ -77,7 +77,7 @@ def test_value_sets():
     assert len(ratios) == 6 * 5
     # a distinct primes, so the 15-prime table covers a <= 15
     assert len(set(complex_value_set(15))) == 15
-    with pytest.raises(GenModelError, match="a must be <= 15, got 16"):
+    with pytest.raises(MelicError, match="a must be <= 15, got 16"):
         complex_value_set(16)
 
 
@@ -147,7 +147,7 @@ def _constrained_walk(vals, probs, length, lo, hi, on_scale, rng, max_retries=10
             pitches.append(pitch)
         if ok:
             return pitches
-    raise GenModelError("no legal move found after bounded retries")
+    raise MelicError("no legal move found after bounded retries")
 
 
 def oracle_interval_sequences(spec, n, rng):
@@ -189,7 +189,7 @@ def test_interval_walk_without_a_legal_weighted_interval_is_an_error():
     # exponent 2000 leaves one interval a weight above 0; from 0 in +-2 no
     # walk can keep stepping by it
     spec = PitchModelSpec(family="I", dist=2, a=3, length=30, o=1.0, exponent=2000.0)
-    with pytest.raises(GenModelError, match="I2: a walk found no legal interval with a weight above 0"):
+    with pytest.raises(MelicError, match="I2: a walk found no legal interval with a weight above 0"):
         generate_pitch_sequences(spec, 5, np.random.default_rng(0))
 
 
@@ -225,18 +225,16 @@ def test_fit_generative_model_recovers_planted_setting():
     grid = [
         PitchModelSpec(family="S", dist=1, a=a, length=30) for a in (2, 5, 10)
     ]
-    best, score = fit_generative_model(
-        "pitch", {"mint_ratio": mint_r, "sint_ratio": sint_r}, grid, n_per_setting=60, seed=7
-    )
+    best, score = fit_generative_model({"mint_ratio": mint_r, "sint_ratio": sint_r}, grid, n_per_setting=60, seed=7)
     assert best.a == 5
     assert score < 0.5
 
 
 def test_fit_generative_model_validation():
-    with pytest.raises(GenModelError):
-        fit_generative_model("pitch", {"mint_ratio": []}, [None])
-    with pytest.raises(GenModelError):
-        fit_generative_model("pitch", {"mint_ratio": [1.0], "sint_ratio": [1.0]}, [])
+    with pytest.raises(MelicError, match="^empty empirical targets$"):
+        fit_generative_model({"mint_ratio": []}, [None])
+    with pytest.raises(MelicError, match="^empty parameter grid$"):
+        fit_generative_model({"mint_ratio": [1.0], "sint_ratio": [1.0]}, [])
 
 
 def test_pitch_objective_zero_for_identical():
@@ -391,20 +389,20 @@ def test_scale_loglikelihood_prefers_matching_alphabet():
 def test_scale_loglikelihood_validation():
     idist = triangular_intervals()
     sim = simulate_scale_entropy(idist, fixed_length(10), [1.0], 2000, seed=6)
-    with pytest.raises(GenModelError):
+    with pytest.raises(MelicError, match="^empty empirical entropy sample$"):
         scale_loglikelihood(sim, [])
-    with pytest.raises(GenModelError):
+    with pytest.raises(MelicError, match=r"^alpha must be in \(0, 1\]$"):
         scale_loglikelihood(sim, [1.0, 2.0], alpha=1.5)
 
 
 def test_simulate_validation():
     idist = triangular_intervals()
-    with pytest.raises(GenModelError):
+    with pytest.raises(MelicError, match="^need at least one pitch-range value$"):
         simulate_scale_entropy(idist, fixed_length(10), [], 100)
-    with pytest.raises(GenModelError):
+    with pytest.raises(MelicError, match="^melody lengths must be >= 1$"):
         simulate_scale_entropy(idist, Distribution(alphabet=(0,), probs=(1.0,)), [1.0], 100)
     for o in (math.inf, -math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(GenModelError, match=f"o must be finite and > 0, got {o}"):
+        with pytest.raises(MelicError, match=f"o must be finite and > 0, got {o}"):
             simulate_scale_entropy(idist, fixed_length(10), [1.0, o], 100)
 
 

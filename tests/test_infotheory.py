@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melic.corpus import MelicError
 from melic.infotheory import (
     Distribution,
-    InfoError,
     distribution_of,
     entropy,
     entropy_lower_bound,
@@ -45,11 +45,11 @@ def test_distribution_of_counts_and_order():
 
 
 def test_distribution_validation():
-    with pytest.raises(InfoError):
+    with pytest.raises(MelicError, match="^cannot build a distribution from an empty sequence$"):
         distribution_of(())
-    with pytest.raises(InfoError):
+    with pytest.raises(MelicError, match=r"^probabilities sum to 1\.2, not 1$"):
         Distribution(alphabet=(0, 1), probs=(0.6, 0.6))
-    with pytest.raises(InfoError):
+    with pytest.raises(MelicError, match="^negative probability$"):
         Distribution(alphabet=(0, 1), probs=(-0.5, 1.5))
 
 
@@ -110,9 +110,9 @@ def test_entropy_lower_bound_small_exhaustive():
 
 
 def test_entropy_lower_bound_validation():
-    with pytest.raises(InfoError):
+    with pytest.raises(MelicError, match="^need 1 <= A <= L, got A=5, L=4$"):
         entropy_lower_bound(5, 4)
-    with pytest.raises(InfoError):
+    with pytest.raises(MelicError, match="^need 1 <= A <= L, got A=0, L=4$"):
         entropy_lower_bound(0, 4)
 
 
@@ -132,9 +132,9 @@ def test_mutual_information_shuffle_null_near_zero():
 
 
 def test_mutual_information_errors():
-    with pytest.raises(InfoError):
+    with pytest.raises(MelicError, match="^length mismatch: 2 vs 1$"):
         mutual_information_excess((0, 1), (0,), n_shuffles=0)
-    with pytest.raises(InfoError):
+    with pytest.raises(MelicError, match="^shuffled null requires an explicit rng$"):
         mutual_information_excess((0, 1), (0, 1), n_shuffles=2)  # rng required
 
 
@@ -151,14 +151,14 @@ def oracle_mi(seqP, seqR, n_shuffles=10, rng=None):
     symsP = symbols_of(seqP)
     symsR = symbols_of(seqR)
     if len(symsP) != len(symsR):
-        raise InfoError(f"length mismatch: {len(symsP)} vs {len(symsR)}")
+        raise MelicError(f"length mismatch: {len(symsP)} vs {len(symsR)}")
     if n_shuffles < 0:
-        raise InfoError("n_shuffles must be >= 0")
+        raise MelicError("n_shuffles must be >= 0")
     i_obs = _oracle_mi(symsP, symsR)
     if n_shuffles == 0:
         return i_obs, 0.0, i_obs
     if rng is None:
-        raise InfoError("shuffled null requires an explicit rng")
+        raise MelicError("shuffled null requires an explicit rng")
     acc = 0.0
     n = len(symsR)
     for _ in range(n_shuffles):
@@ -201,9 +201,9 @@ def test_mutual_information_equals_the_oracle(pkind, rkind, n_shuffles):
 
 def test_mutual_information_of_empty_sequences_is_the_oracle_error():
     for n_shuffles, rng in ((0, None), (10, np.random.default_rng(0))):
-        with pytest.raises(InfoError, match="^cannot build a distribution from an empty sequence$"):
+        with pytest.raises(MelicError, match="^cannot build a distribution from an empty sequence$"):
             mutual_information_excess((), (), n_shuffles=n_shuffles, rng=rng)
-        with pytest.raises(InfoError, match="^cannot build a distribution from an empty sequence$"):
+        with pytest.raises(MelicError, match="^cannot build a distribution from an empty sequence$"):
             oracle_mi((), (), n_shuffles=n_shuffles, rng=rng)
 
 
@@ -258,7 +258,7 @@ def test_solve_powerlaw_round_trip():
 
 
 def test_solve_powerlaw_validation():
-    with pytest.raises(InfoError):
+    with pytest.raises(MelicError, match=r"^G=0\.75 outside achievable range \[0, 0\.75\) for A=4$"):
         solve_powerlaw_H(4, max_gini(4))
     assert solve_powerlaw_H(4, 0.0) == pytest.approx(2.0)
 
@@ -273,5 +273,5 @@ def test_entropy_ratio_bounds_families():
     assert rows["chromatic"]["ratio"] == pytest.approx(1.0, abs=0.01)
     # wave with repeated returns: interval entropy exceeds pitch entropy
     assert rows["stop_start_wave"]["ratio"] < 1.0
-    with pytest.raises(InfoError):
+    with pytest.raises(MelicError, match="^L must be >= 3$"):
         entropy_ratio_bounds(2)

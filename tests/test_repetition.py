@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melic.corpus import MelicError
 from melic.repetition import (
-    RepetitionError,
     remove_repetition,
     repetition_fraction,
     total_information,
@@ -153,9 +153,9 @@ def test_lmin_three_ignores_short_repeats():
 
 
 def test_validation():
-    with pytest.raises(RepetitionError):
+    with pytest.raises(MelicError, match="^l_min must be >= 2, got 1$"):
         remove_repetition(tuple("abc"), l_min=1)
-    with pytest.raises(RepetitionError):
+    with pytest.raises(MelicError, match="^empty sequence$"):
         remove_repetition(())
 
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melic.corpus import MelicError
 from melic.seqmodel import (
-    SeqModelError,
     information_content,
     predict_distribution,
     train_ppm,
@@ -163,14 +163,14 @@ def test_training_counts():
 
 
 def test_symbol_outside_alphabet_rejected():
-    with pytest.raises(SeqModelError, match="training symbol 'z' outside"):
+    with pytest.raises(MelicError, match="training symbol 'z' outside"):
         train_ppm([("a", "z")], max_order=1, alphabet="ab")
     model = train_ppm([("a", "b")], max_order=1, alphabet="ab")
-    with pytest.raises(SeqModelError):
+    with pytest.raises(MelicError, match="^symbol 'z' outside model alphabet$"):
         information_content(model, ("z",))
     # a context symbol the model cannot code is an error, not a shorter context
     for context in (("z",), ("a", "z"), ("z", "a")):
-        with pytest.raises(SeqModelError, match="context symbol 'z' outside model alphabet"):
+        with pytest.raises(MelicError, match="context symbol 'z' outside model alphabet"):
             predict_distribution(model, context)
 
 
@@ -236,7 +236,7 @@ def test_information_content_mean():
     model = train_ppm([("a", "b", "a")], max_order=1, alphabet="ab")
     ic = information_content(model, ("a", "b", "a"))
     assert ic.mean_bits == pytest.approx(sum(ic.per_symbol_bits) / 3)
-    with pytest.raises(SeqModelError):
+    with pytest.raises(MelicError, match="^empty sequence$"):
         information_content(model, ())
 
 
@@ -246,7 +246,7 @@ def make_corpus(pitch_rows):
 
 def test_within_corpus_requires_enough_melodies():
     corpus = make_corpus([[60, 62, 64]] * 5)
-    with pytest.raises(SeqModelError):
+    with pytest.raises(MelicError, match="needs at least 11 melodies, has "):
         within_corpus_repetition(corpus, n_train=10)
 
 
@@ -255,7 +255,7 @@ def test_within_corpus_empty_targets_are_left_out():
     res = within_corpus_repetition(corpus, n_train=2, n_shuffle_reps=2, seed=1)
     assert res.left_out == (("m3", "empty mint sequence"),)
     assert [t[0] for t in res.per_target] == ["m0", "m1", "m2"]
-    with pytest.raises(SeqModelError, match="no melody"):
+    with pytest.raises(MelicError, match="no melody"):
         within_corpus_repetition(make_corpus([[60]] * 4), n_train=2)
 
 

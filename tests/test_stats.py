@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from melic.corpus import MelicError
 from melic.stats import (
     CorpusMeans,
-    StatsError,
     benjamini_hochberg,
     joint_entropy_null,
     jsd,
@@ -55,9 +55,9 @@ def test_kde_two_sample_symmetry():
 
 
 def test_kde_errors():
-    with pytest.raises(StatsError, match="2 samples"):
+    with pytest.raises(MelicError, match="2 samples"):
         kde_silverman([1.0])
-    with pytest.raises(StatsError, match="delta"):
+    with pytest.raises(MelicError, match="delta"):
         kde_silverman([2.0, 2.0, 2.0])
 
 
@@ -88,9 +88,9 @@ def test_jsd_symmetric_and_bounded():
 
 
 def test_jsd_errors():
-    with pytest.raises(StatsError, match="mismatch"):
+    with pytest.raises(MelicError, match="mismatch"):
         jsd([1, 2], [1, 2, 3])
-    with pytest.raises(StatsError, match="empty"):
+    with pytest.raises(MelicError, match="empty"):
         jsd([0, 0], [1, 1])
 
 
@@ -144,11 +144,11 @@ def test_pearson_p_value_is_scipy_t_sf_bit_for_bit():
 
 
 def test_pearson_errors():
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match="^need at least 3 points$"):
         pearson([1, 2], [1, 2])
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match="^zero variance$"):
         pearson([1, 1, 1], [1, 2, 3])
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match="^length mismatch$"):
         pearson([1, 2, 3], [1, 2])
 
 
@@ -174,9 +174,9 @@ def test_bh_contains_bonferroni():
 
 
 def test_bh_validation():
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match=r"^p-values must lie in \[0, 1\]$"):
         benjamini_hochberg([1.5], 0.05)
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match=r"^q must lie in \(0, 1\)$"):
         benjamini_hochberg([0.5], 1.0)
 
 
@@ -216,7 +216,7 @@ def test_joint_null_independent_pools_additive():
 
 
 def test_joint_null_needs_two():
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match="^need at least 2 corpora$"):
         joint_entropy_null(means_fixture([(1, 1, 0, "a")]))
 
 
@@ -247,9 +247,9 @@ def test_region_balance_negative_correlation_ci():
 
 def test_region_balance_validation():
     means = means_fixture([(1, 1, 0, "a"), (2, 2, 0, "b")])
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match="^max_per_region must be >= 1$"):
         region_balanced_correlation(means, max_per_region=0)
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match="^need at least 2 regions$"):
         region_balanced_correlation(means_fixture([(1, 1, 0, "a"), (2, 2, 0, "a")]), 1)
 
 
@@ -272,13 +272,17 @@ def test_profile_large_intervals_land_on_long_notes():
 
 def test_profile_validation():
     corpus = corpus_of([melody_from_pitches("m", [60, 62])])
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match="^unknown pitch kind 'nope'$"):
         rhythm_deviation_profile(corpus, "nope", "ioi")
-    with pytest.raises(StatsError):
+    with pytest.raises(MelicError, match="^unknown rhythm kind 'beat'$"):
         rhythm_deviation_profile(corpus, "chroma_transposed", "beat")
 
 
 # --- n-gram similarity ------------------------------------------------------
+
+def _mint_targets(corpus):
+    return [extract_viewpoint(m, ViewpointKind.MINT).symbols for m in corpus.melodies]
+
 
 def test_similarity_verbatim_query_matches():
     rng = np.random.default_rng(6)
@@ -288,7 +292,7 @@ def test_similarity_verbatim_query_matches():
     ]
     corpus = corpus_of(mels)
     query = extract_viewpoint(mels[3], ViewpointKind.MINT)
-    rep = ngram_similarity(query, corpus, n=5)
+    rep = ngram_similarity(query, _mint_targets(corpus), n=5)
     assert rep.n_matches >= 1
     assert rep.enrichment == pytest.approx(rep.n_matches / rep.expected_paper)
 
@@ -298,7 +302,7 @@ def test_similarity_chance_formulas():
     syms = tuple([1, 2, 3, 4, -1] * 4)
     query = ViewpointSequence(ViewpointKind.MINT, syms)
     corpus = corpus_of([melody_from_pitches("m", list(60 + np.cumsum([1] * 30)))])
-    rep = ngram_similarity(query, corpus, n=10)
+    rep = ngram_similarity(query, _mint_targets(corpus), n=10)
     # 29 intervals in the target melody -> 20 candidate windows
     assert rep.expected_paper == pytest.approx(5.0 ** (-20) * (29 - 10 + 1))
     assert rep.expected_fixed_query == pytest.approx(5.0 ** (-10) * (29 - 10 + 1))
@@ -313,7 +317,7 @@ def test_similarity_agrees_with_naive_scan():
     corpus = corpus_of(mels)
     query = extract_viewpoint(mels[0], ViewpointKind.MINT)
     n = 4
-    rep = ngram_similarity(query, corpus, n=n)
+    rep = ngram_similarity(query, _mint_targets(corpus), n=n)
     gram = query.symbols[:n]
     naive = sum(
         any(
@@ -328,7 +332,7 @@ def test_similarity_agrees_with_naive_scan():
 def test_similarity_validation():
     query = ViewpointSequence(ViewpointKind.MINT, (1, 2, 3))
     corpus = corpus_of([melody_from_pitches("m", [60, 62, 64])])
-    with pytest.raises(StatsError):
-        ngram_similarity(query, corpus, n=1)
-    with pytest.raises(StatsError):
-        ngram_similarity(query, corpus, n=9)
+    with pytest.raises(MelicError, match="^n must be >= 2$"):
+        ngram_similarity(query, _mint_targets(corpus), n=1)
+    with pytest.raises(MelicError, match="^query shorter than n=9$"):
+        ngram_similarity(query, _mint_targets(corpus), n=9)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from melic.corpus import MelicError
 from melic.viewpoints import (
-    ViewpointError,
     ViewpointKind,
     ViewpointSequence,
     estimate_tonic,
@@ -80,7 +80,7 @@ def test_joint_viewpoints_pairwise():
 
 def test_ioi_needs_two_notes():
     m = melody_from_pitches("s", [60])
-    with pytest.raises(ViewpointError):
+    with pytest.raises(MelicError, match="IOI needs at least 2 note onsets$"):
         extract_viewpoint(m, ViewpointKind.IOI)
 
 
@@ -95,7 +95,7 @@ def test_zero_ioi_rejected():
             NoteEvent(67, Fraction(1), Fraction(1)),
         ),
     )
-    with pytest.raises(ViewpointError, match="zero"):
+    with pytest.raises(MelicError, match="zero"):
         extract_viewpoint(m, ViewpointKind.IOI_RATIO)
 
 
@@ -138,5 +138,5 @@ def test_recover_octaves_without_truth():
 
 
 def test_recover_octaves_needs_chroma():
-    with pytest.raises(ViewpointError):
+    with pytest.raises(MelicError, match="^octave recovery needs a chroma sequence$"):
         recover_octaves(ViewpointSequence(ViewpointKind.PITCH, (60, 62)))
