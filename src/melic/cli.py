@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -17,25 +17,6 @@ from .infotheory import Distribution, distribution_of, entropy, entropy_of, gini
 from .repetition import joint_information, remove_repetition
 from .seqmodel import within_corpus_repetition
 from .viewpoints import ViewpointKind, extract_viewpoint
-
-
-def _threads(args) -> int:
-    """--threads, else MELIC_THREADS, else 1. Every command accepts it; only
-    `genmodel scale` runs threads (per-melody work is Python under the GIL)."""
-    if args.threads is not None:
-        name, value = "--threads", args.threads
-    else:
-        env = os.environ.get("MELIC_THREADS")
-        if not env:
-            return 1
-        name = "MELIC_THREADS"
-        try:
-            value = int(env)
-        except ValueError:
-            raise MelicError(f"{name} must be an integer >= 1, got {env!r}") from None
-    if value < 1:
-        raise MelicError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def _per_melody(corpus: Corpus, fn) -> list:
@@ -82,16 +63,23 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
         return list(reader)
 
 
+def _finite(path: str, row: dict, column: str) -> float:
+    """One CSV cell as a float; a value that is not finite is an error."""
+    value = float(row[column])
+    if not math.isfinite(value):
+        raise MelicError(f"{path}: {column} must be a finite number, got {row[column]!r}")
+    return value
+
+
 def _load_means(path: str) -> list[stats.CorpusMeans]:
     rows = _read_csv(path, ("corpus_id", "H_chroma", "H_duration", "I_chroma_duration"))
     return [
         stats.CorpusMeans(
             corpus_id=r["corpus_id"],
-            h_chroma=float(r["H_chroma"]),
-            h_duration=float(r["H_duration"]),
-            i_chroma_duration=float(r["I_chroma_duration"]),
+            h_chroma=_finite(path, r, "H_chroma"),
+            h_duration=_finite(path, r, "H_duration"),
+            i_chroma_duration=_finite(path, r, "I_chroma_duration"),
             region=r.get("region", ""),
-            type=r.get("type", "Folk"),
         )
         for r in rows
     ]
@@ -217,8 +205,13 @@ def cmd_ppm_repetition(args):
 def cmd_genmodel_scale(args):
     if not 0 < args.alpha <= 1:
         raise MelicError(f"--alpha must be in (0, 1], got {args.alpha}")
+    if not math.isfinite(args.threshold):
+        raise MelicError(f"--threshold must be finite, got {args.threshold}")
     interval_dist = _load_distribution(args.intervals)
     length_dist = _load_distribution(args.lengths)
+    emp = None
+    if args.empirical_h:  # read, and so checked, before any walk
+        emp = [_finite(args.empirical_h, r, "H") for r in _read_csv(args.empirical_h, ("H",))]
     sim = genmodel.simulate_scale_entropy(
         interval_dist, length_dist, args.o_values, args.n, seed=args.seed, threads=args.threads
     )
@@ -228,22 +221,21 @@ def cmd_genmodel_scale(args):
     if sim.n_failed:
         print(f"warning: genmodel scale: {sim.n_failed} of {args.n} walks failed {why}", file=sys.stderr)
     probs = genmodel.prob_entropy_below(sim, args.threshold)
-    logl: dict[int, float] = {}
-    if args.empirical_h:
-        emp = [float(r["H"]) for r in _read_csv(args.empirical_h, ("H",))]
-        logl = genmodel.scale_loglikelihood(sim, emp, alpha=args.alpha)
+    logl = {} if emp is None else genmodel.scale_loglikelihood(sim, emp, alpha=args.alpha)
     return [
         {"A": a, "n_samples": int(sim.per_a[a].size), "P_below": probs[a], "logL": logl.get(a)}
         for a in sorted(sim.per_a)
     ]
 
 
-def _fit(args, spec, grids, targets) -> tuple:
+def _fit(args, spec, grids, one, targets) -> tuple:
     """Best spec of the --model family over the product of the grid lists,
-    and its JSD."""
+    and its JSD, fitted to targets(rows) where rows are one's per-melody
+    results. The grid is built, and so checked, before any melody is read."""
     name, dist = args.model[:-1], int(args.model[-1:])  # an empty --model: ValueError, not IndexError
     grid = [spec(name, dist, *point) for point in itertools.product(*grids)]
-    return genmodel.fit_generative_model(targets, grid, n_per_setting=args.n_per_setting, seed=args.seed)
+    rows = _each_melody(args, one)
+    return genmodel.fit_generative_model(targets(rows), grid, n_per_setting=args.n_per_setting, seed=args.seed)
 
 
 def cmd_genmodel_pitch(args):
@@ -254,10 +246,11 @@ def cmd_genmodel_pitch(args):
             raise MelicError("H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined")
         return ratios
 
-    ratios = _each_melody(args, one)
-    targets = {"mint_ratio": [hm for hm, _ in ratios], "sint_ratio": [hs for _, hs in ratios]}
+    def targets(ratios):
+        return {"mint_ratio": [hm for hm, _ in ratios], "sint_ratio": [hs for _, hs in ratios]}
+
     grids = (args.grid_a, args.grid_l, args.grid_o, args.grid_exp)
-    best, score = _fit(args, genmodel.PitchModelSpec, grids, targets)
+    best, score = _fit(args, genmodel.PitchModelSpec, grids, one, targets)
     return [{"model": best.name, "A": best.a, "L": best.length, "O": best.o, "exponent": best.exponent, "JSD": score}]
 
 
@@ -270,7 +263,7 @@ def cmd_genmodel_rhythm(args):
         return pair
 
     grids = (args.grid_a, args.grid_l, args.grid_exp)
-    best, score = _fit(args, genmodel.RhythmModelSpec, grids, {"ioi_pairs": _each_melody(args, one)})
+    best, score = _fit(args, genmodel.RhythmModelSpec, grids, one, lambda pairs: {"ioi_pairs": pairs})
     return [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}]
 
 
@@ -376,7 +369,7 @@ _ints, _floats = _list_of(int), _list_of(float)
 def _add_common(p, corpus=True, seed=False):
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None, help="threads for genmodel scale (default: MELIC_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="threads for genmodel scale")
     if seed:
         p.add_argument("--seed", type=int, required=True, help="required: randomized outputs must be citable")
     if corpus:
@@ -494,7 +487,8 @@ def main(argv=None) -> int:
     line and exit 1."""
     try:
         args = build_parser().parse_args(argv)
-        args.threads = _threads(args)
+        if args.threads < 1:  # every command accepts --threads; only genmodel scale runs threads
+            raise MelicError(f"--threads must be >= 1, got {args.threads}")
         data = write_table(args.func(args), format=args.format, schema=getattr(args, "schema", None))
         if args.out:
             Path(args.out).write_bytes(data)

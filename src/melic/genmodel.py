@@ -205,8 +205,11 @@ def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Gene
 
 # --- JSD fitting -----------------------------------------------------------
 
-def _hist(samples, bins) -> np.ndarray:
-    h, _ = np.histogram(np.asarray(samples, dtype=float), bins=bins)
+_RATIO_BINS = np.arange(0.0, 4.0 + 0.02, 0.02)  # the fit objectives' entropy-ratio bins, 0.02 wide
+
+
+def _hist(samples) -> np.ndarray:
+    h, _ = np.histogram(np.asarray(samples, dtype=float), bins=_RATIO_BINS)
     return h.astype(float)
 
 
@@ -227,29 +230,27 @@ def _ratio_samples_pitch(seq_sets) -> tuple[list[float], list[float]]:
     return [m for m, _ in ratios], [s for _, s in ratios]
 
 
-def pitch_fit_objective(seq_sets, empirical_targets, bin_width: float = 0.02) -> float:
+def pitch_fit_objective(seq_sets, empirical_targets) -> float:
     """JSD of H(M-Int)/H(Chroma) plus JSD of H(S-Int)/H(Chroma) histograms."""
-    bins = np.arange(0.0, 4.0 + bin_width, bin_width)
     mint_r, sint_r = _ratio_samples_pitch(seq_sets)
     if not mint_r:
         return 2.0
-    return jsd(_hist(mint_r, bins), _hist(empirical_targets["mint_ratio"], bins)) + jsd(
-        _hist(sint_r, bins), _hist(empirical_targets["sint_ratio"], bins)
+    return jsd(_hist(mint_r), _hist(empirical_targets["mint_ratio"])) + jsd(
+        _hist(sint_r), _hist(empirical_targets["sint_ratio"])
     )
 
 
-def rhythm_fit_objective(seq_sets, empirical_targets, bin_width: float = 0.02, h_bin: float = 0.5) -> float:
+def rhythm_fit_objective(seq_sets, empirical_targets) -> float:
     """Expected JSD of P(H(IOI-ratio)/H(IOI) | H(IOI)) under the empirical
-    H(IOI) distribution."""
+    H(IOI) distribution, over H(IOI) bins of 0.5 bits."""
     emp = empirical_targets["ioi_pairs"]  # list of (H_ioi, ratio)
     model_pairs = [p for ioi, ratio in seq_sets if (p := rhythm_pair(ioi, ratio)) is not None]
     if not model_pairs:
         return 1.0
-    bins = np.arange(0.0, 4.0 + bin_width, bin_width)
     emp_h = np.array([p[0] for p in emp])
     total = 0.0
     weight_sum = 0.0
-    h_edges = np.arange(0.0, max(emp_h.max(), 0.5) + h_bin, h_bin)
+    h_edges = np.arange(0.0, max(emp_h.max(), 0.5) + 0.5, 0.5)
     for lo, hi_edge in zip(h_edges, h_edges[1:]):
         emp_in = [r for h, r in emp if lo <= h < hi_edge]
         if not emp_in:
@@ -259,7 +260,7 @@ def rhythm_fit_objective(seq_sets, empirical_targets, bin_width: float = 0.02, h
         if not mod_in:
             total += weight * 1.0  # maximal divergence when the model never lands here
         else:
-            total += weight * jsd(_hist(mod_in, bins), _hist(emp_in, bins))
+            total += weight * jsd(_hist(mod_in), _hist(emp_in))
         weight_sum += weight
     return total if weight_sum > 0 else 1.0
 
@@ -293,7 +294,6 @@ def fit_generative_model(empirical_targets: dict, param_grid: list, n_per_settin
 class ScaleSimResult:
     per_a: dict[int, np.ndarray]
     n_sequences: int
-    o_values: tuple[float, ...]
     n_failed: int = 0
 
 
@@ -368,11 +368,8 @@ def simulate_scale_entropy(
         pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
         return _chroma_entropy(pitches, lengths, failed)
 
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        results = [run_chunk(ci) for ci in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_chunk, range(n_chunks)))
 
     per_a: dict[int, list] = {}
     n_failed = 0
@@ -384,41 +381,39 @@ def simulate_scale_entropy(
                 per_a.setdefault(a, []).append(out_h[mask])
     # sorted samples keep downstream statistics independent of merge order
     merged = {a: np.sort(np.concatenate(chunks)) for a, chunks in per_a.items()}
-    return ScaleSimResult(per_a=merged, n_sequences=n_sequences, o_values=o_values, n_failed=n_failed)
+    return ScaleSimResult(per_a=merged, n_sequences=n_sequences, n_failed=n_failed)
 
 
-def scale_loglikelihood(
-    sim: ScaleSimResult,
-    empirical_h,
-    alpha: float = 0.999,
-    bin_width: float = 0.005,
-    min_samples: int = 30,
-) -> dict[int, float]:
+_H_BIN = 0.005  # bits: the width of the scale log-likelihood's entropy bins
+_MIN_SAMPLES = 30  # an alphabet size with fewer simulated walks gets no logL
+
+
+def scale_loglikelihood(sim: ScaleSimResult, empirical_h, alpha: float = 0.999) -> dict[int, float]:
     """log-likelihood per melody that scales of each alphabet size generated
     the empirical chroma-entropy distribution.
 
     P'(H) = alpha * KDE(empirical) + (1 - alpha)/5 on [0, 5] bits;
-    logL(A) = sum over bins of Q_A(H) * log2 P'(H) * bin_width.
+    logL(A) = sum over bins of Q_A(H) * log2 P'(H) * _H_BIN.
     """
     empirical_h = np.asarray(list(empirical_h), dtype=float)
     if empirical_h.size == 0:
         raise MelicError("empty empirical entropy sample")
     if not 0 < alpha <= 1:
         raise MelicError("alpha must be in (0, 1]")
-    grid = np.arange(bin_width / 2, 5.0, bin_width)
-    p = kde_silverman(empirical_h, grid=grid, clamp=True).density
+    grid = np.arange(_H_BIN / 2, 5.0, _H_BIN)
+    p = kde_silverman(empirical_h, grid=grid).density
     p_prime = alpha * p + (1.0 - alpha) / 5.0
     out: dict[int, float] = {}
     for a, samples in sorted(sim.per_a.items()):
-        if samples.size < min_samples:
+        if samples.size < _MIN_SAMPLES:
             continue  # flagged unreliable
         if np.ptp(samples) == 0:
             # degenerate sample (e.g. A=1 always gives H=0): delta mass in its bin
             q = np.zeros_like(grid)
-            q[int(np.clip(samples[0] // bin_width, 0, grid.size - 1))] = 1.0 / bin_width
+            q[int(np.clip(samples[0] // _H_BIN, 0, grid.size - 1))] = 1.0 / _H_BIN
         else:
-            q = kde_silverman(samples, grid=grid, clamp=True).density
-        out[a] = float(np.sum(q * np.log2(p_prime)) * bin_width)
+            q = kde_silverman(samples, grid=grid).density
+        out[a] = float(np.sum(q * np.log2(p_prime)) * _H_BIN)
     return out
 
 

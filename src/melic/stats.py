@@ -18,7 +18,6 @@ from .viewpoints import ViewpointKind, estimate_tonic, extract_viewpoint, symbol
 class KDEResult:
     grid: np.ndarray
     density: np.ndarray
-    bandwidth: float
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
@@ -31,11 +30,12 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
-def kde_silverman(samples, grid: np.ndarray | None = None, clamp: bool = False) -> KDEResult:
+def kde_silverman(samples, grid: np.ndarray | None = None) -> KDEResult:
     """Gaussian KDE with Silverman bandwidth, renormalized on the grid.
 
-    With clamp=True, samples outside the grid are moved to the nearest grid
-    boundary rather than losing their mass.
+    Samples outside the grid are moved to the nearest grid boundary rather
+    than losing their mass; the default grid, min - 4h to max + 4h, holds
+    every sample.
     """
     samples = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
     if samples.size < 2:
@@ -49,15 +49,14 @@ def kde_silverman(samples, grid: np.ndarray | None = None, clamp: bool = False) 
         grid = np.linspace(lo, hi, 512)
     else:
         grid = np.asarray(grid, dtype=float)
-    if clamp:
-        samples = np.clip(samples, grid[0], grid[-1])
+    samples = np.clip(samples, grid[0], grid[-1])
     z = (grid[:, None] - samples[None, :]) / h
     dens = np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * np.sqrt(2 * np.pi))
     step = grid[1] - grid[0]
     total = dens.sum() * step
     if total <= 0:
         raise MelicError("all sample mass falls outside the evaluation grid")
-    return KDEResult(grid=grid, density=dens / total, bandwidth=h)
+    return KDEResult(grid=grid, density=dens / total)
 
 
 # --- divergences and correlation -------------------------------------------
@@ -133,12 +132,10 @@ class CorpusMeans:
     h_duration: float
     i_chroma_duration: float
     region: str = ""
-    type: str = "Folk"
 
 
 @dataclass(frozen=True)
 class JointNullResult:
-    null_samples: np.ndarray
     null_variance: float
     empirical_variance: float
     ratio: float
@@ -152,7 +149,8 @@ def joint_entropy_null(means: list[CorpusMeans], n_samples: int = 10000, rng=Non
         raise MelicError("need at least 2 corpora")
     if n_samples < 1:
         raise MelicError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng() if rng is None else rng
+    if rng is None:
+        raise MelicError("the joint-entropy null requires an explicit rng")
     hc = np.array([m.h_chroma for m in means])
     hd = np.array([m.h_duration for m in means])
     mi = np.array([m.i_chroma_duration for m in means])
@@ -166,9 +164,9 @@ def joint_entropy_null(means: list[CorpusMeans], n_samples: int = 10000, rng=Non
     null_var = float(null.var())
     emp_var = float(emp.var())
     if null_var == 0.0:
-        return JointNullResult(null, 0.0, emp_var, 1.0, degenerate=True)
+        return JointNullResult(0.0, emp_var, 1.0, degenerate=True)
     ratio = null_var / emp_var if emp_var > 0 else float("inf")
-    return JointNullResult(null, null_var, emp_var, ratio)
+    return JointNullResult(null_var, emp_var, ratio)
 
 
 def region_balanced_correlation(
@@ -185,7 +183,8 @@ def region_balanced_correlation(
         regions.setdefault(m.region, []).append(m)
     if len(regions) < 2:
         raise MelicError("need at least 2 regions")
-    rng = np.random.default_rng() if rng is None else rng
+    if rng is None:
+        raise MelicError("region-balanced resampling requires an explicit rng")
     rs = []
     for _ in range(n_resamples):
         kept: list[CorpusMeans] = []

@@ -518,6 +518,55 @@ def test_genmodel_scale_rejects_unusable_o_values(capsys, monkeypatch, scale_csv
     assert capsys.readouterr().err.splitlines() == [f"error: o must be finite and > 0, got {shown}"]
 
 
+def _refuse_walks(monkeypatch):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks ran before the inputs were checked")
+
+    monkeypatch.setattr(genmodel, "simulate_scale_entropy", no_walks)
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_genmodel_scale_rejects_a_threshold_that_is_not_finite(capsys, monkeypatch, scale_csvs, threshold):
+    _refuse_walks(monkeypatch)
+    assert main([*scale_csvs, "--n", "100", "--seed", "1", f"--threshold={threshold}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --threshold must be finite, got {float(threshold)}"]
+
+
+@pytest.mark.parametrize("h", ["nan", "inf", "-inf"])
+def test_genmodel_scale_rejects_an_empirical_h_that_is_not_finite(tmp_path, capsys, monkeypatch, scale_csvs, h):
+    _refuse_walks(monkeypatch)
+    path = tmp_path / "H.csv"
+    path.write_text(f"H\n2.5\n{h}\n3.0\n")
+    assert main([*scale_csvs, "--n", "100", "--seed", "1", "--empirical-h", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: H must be a finite number, got '{h}'"]
+
+
+MEANS_COLUMNS = ["H_chroma", "H_duration", "I_chroma_duration"]
+
+
+@pytest.mark.parametrize("command", [["null-joint"], ["subsample-corr", "--max-per-region", "2"]])
+@pytest.mark.parametrize("column, value", zip(MEANS_COLUMNS, ["nan", "inf", "-inf"]))
+def test_means_that_are_not_finite_are_errors(tmp_path, capsys, command, column, value):
+    rows = [[f"c{i}", f"r{i % 2}", "Folk", 2 + 0.1 * i, 1 + 0.01 * i * i, 0.1] for i in range(6)]
+    rows[3][3 + MEANS_COLUMNS.index(column)] = value
+    means = tmp_path / "means.csv"
+    make_means_csv(means, rows)
+    expect_error(capsys, [*command, "--seed", "1", str(means)], f"{means}: {column} must be a finite number, got '{value}'")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pitch", "--model", "S1", "--grid-a", "13"], "S1: alphabet size must be <= 12, got 13"),
+        (["rhythm", "--model", "SI1", "--grid-l", "1"], "SI1: sequence length must be >= 2, got 1"),
+    ],
+)
+def test_genmodel_fit_grid_is_checked_before_any_melody(capsys, with_one_note, argv, message):
+    # both fits skip 'lone', but a bad grid point stops the run before any melody is read
+    assert main(["genmodel", *argv, "--seed", "1", str(with_one_note)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_genmodel_scale_window_wider_than_the_reach_is_the_reach(tmp_path, capsys):
     # +-1 steps over 3 steps reach 3 semitones: o = 0.5 is a window of
     # exactly +-3, and every wider one gives the same output
@@ -552,28 +601,26 @@ def test_every_subcommand_has_a_function_and_help(capsys):
         assert capsys.readouterr().out.startswith(f"usage: melic {' '.join(command)} "), command
 
 
-def test_bad_thread_counts_are_errors(tmp_path, capsys, monkeypatch, corpus_file, scale_csvs):
-    # every command accepts --threads and MELIC_THREADS, and rejects a bad value
-    # before any work, whether or not it runs threads
+def test_bad_thread_counts_are_errors(tmp_path, capsys, corpus_file, scale_csvs):
+    # every command accepts --threads, and rejects a bad value before any
+    # work, whether or not it runs threads
     commands = [
         [*scale_csvs, "--n", "100", "--seed", "1"],
         ["totalinfo", str(corpus_file)],
         ["mi", "--seed", "1", str(corpus_file)],
     ]
-    monkeypatch.delenv("MELIC_THREADS", raising=False)
     for argv in commands:
         for value in ("0", "-3"):
             expect_error(capsys, [*argv, "--threads", value], "--threads", value)
-        for value in ("0", "-3", "abc", "1.5"):
-            monkeypatch.setenv("MELIC_THREADS", value)
-            expect_error(capsys, argv, "MELIC_THREADS", value)
-        # the option wins over the environment
-        monkeypatch.setenv("MELIC_THREADS", "abc")
         assert run([*argv, "--threads", "2"], tmp_path / "o.csv")[0] == 0
         assert "error" not in capsys.readouterr().err
-        monkeypatch.delenv("MELIC_THREADS")
-    monkeypatch.setenv("MELIC_THREADS", "2")
-    assert run(commands[0], tmp_path / "env.csv") == run([*commands[0], "--threads", "1"], tmp_path / "one.csv")
+
+
+def test_no_melic_module_reads_the_environment():
+    # every setting is a command-line option
+    for path in sorted(Path(genmodel.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "environ" not in text and "getenv" not in text, path.name
 
 
 def test_cli_import_loads_no_scipy():
@@ -712,3 +759,28 @@ def test_any_json_value_as_a_corpus_file_is_a_result_or_an_error(value):
         src.write_text(json.dumps(value))
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(["entropy", str(src), "--out", str(out)]) in (0, 1)
+
+
+# --- property: genmodel scale output does not depend on --threads -------------
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.dictionaries(st.integers(-6, 6), st.integers(1, 5), min_size=1, max_size=5),
+    st.dictionaries(st.integers(1, 12), st.integers(1, 3), min_size=1, max_size=3),
+    st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3),
+)
+def test_genmodel_scale_output_is_the_same_at_any_thread_count(intervals, lengths, o_values):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            "genmodel", "scale", "--seed", "0", "--o-values", ",".join(map(str, o_values)),
+            "--intervals", str(write_distribution(Path(tmp) / "i.csv", intervals.items())),
+            "--lengths", str(write_distribution(Path(tmp) / "l.csv", lengths.items())),
+            "--n", str(genmodel._CHUNK + 100),  # two chunks of walks
+        ]
+        outcomes = []
+        for threads in ("1", "2", "3"):
+            out, err = Path(tmp) / f"o{threads}.csv", io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([*argv, "--threads", threads, "--out", str(out)])
+            outcomes.append((rc, out.read_bytes() if rc == 0 else b"", err.getvalue()))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]

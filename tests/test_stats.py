@@ -63,7 +63,7 @@ def test_kde_errors():
 
 def test_kde_clamp_keeps_mass():
     grid = np.linspace(0, 1, 200)
-    res = kde_silverman([5.0, 6.0], grid=grid, clamp=True)
+    res = kde_silverman([5.0, 6.0], grid=grid)
     step = grid[1] - grid[0]
     assert res.density.sum() * step == pytest.approx(1.0, abs=1e-6)
 
@@ -220,6 +220,11 @@ def test_joint_null_needs_two():
         joint_entropy_null(means_fixture([(1, 1, 0, "a")]))
 
 
+def test_joint_null_needs_an_rng():
+    with pytest.raises(MelicError, match="^the joint-entropy null requires an explicit rng$"):
+        joint_entropy_null(means_fixture([(1.0, 3.0, 0.1, "a"), (2.0, 2.5, 0.2, "b")]))
+
+
 # --- region-balanced correlation --------------------------------------------
 
 def test_region_balance_reduces_to_plain_pearson():
@@ -251,6 +256,12 @@ def test_region_balance_validation():
         region_balanced_correlation(means, max_per_region=0)
     with pytest.raises(MelicError, match="^need at least 2 regions$"):
         region_balanced_correlation(means_fixture([(1, 1, 0, "a"), (2, 2, 0, "a")]), 1)
+
+
+def test_region_balance_needs_an_rng():
+    means = means_fixture([(1.0, 3.0, 0, "a"), (2.0, 2.5, 0, "b"), (3.0, 1.0, 0, "c")])
+    with pytest.raises(MelicError, match="^region-balanced resampling requires an explicit rng$"):
+        region_balanced_correlation(means, max_per_region=1)
 
 
 # --- rhythm deviation profile -----------------------------------------------
