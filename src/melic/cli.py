@@ -63,11 +63,17 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
         return list(reader)
 
 
-def _finite(path: str, row: dict, column: str) -> float:
-    """One CSV cell as a float; a value that is not finite is an error."""
-    value = float(row[column])
-    if not math.isfinite(value):
-        raise MelicError(f"{path}: {column} must be a finite number, got {row[column]!r}")
+def _cell(path: str, row: dict, column: str, convert=float, finite: bool = True):
+    """One CSV cell as convert(cell); a cell it cannot convert, or where
+    finite is set a number that is not finite, is an error that names the
+    file and the column."""
+    what = "an integer" if convert is int else "a finite number" if finite else "a number"
+    try:
+        value = convert(row[column])
+        if finite and not math.isfinite(value):
+            raise ValueError(value)
+    except ValueError:
+        raise MelicError(f"{path}: {column} must be {what}, got {row[column]!r}") from None
     return value
 
 
@@ -76,9 +82,9 @@ def _load_means(path: str) -> list[stats.CorpusMeans]:
     return [
         stats.CorpusMeans(
             corpus_id=r["corpus_id"],
-            h_chroma=_finite(path, r, "H_chroma"),
-            h_duration=_finite(path, r, "H_duration"),
-            i_chroma_duration=_finite(path, r, "I_chroma_duration"),
+            h_chroma=_cell(path, r, "H_chroma"),
+            h_duration=_cell(path, r, "H_duration"),
+            i_chroma_duration=_cell(path, r, "I_chroma_duration"),
             region=r.get("region", ""),
         )
         for r in rows
@@ -87,8 +93,9 @@ def _load_means(path: str) -> list[stats.CorpusMeans]:
 
 def _load_distribution(path: str) -> Distribution:
     rows = _read_csv(path, ("symbol", "probability"))
-    symbols = [int(r["symbol"]) for r in rows]
-    probs = np.array([float(r["probability"]) for r in rows])
+    symbols = [_cell(path, r, "symbol", int) for r in rows]
+    # a probability that is not finite fails the sum check below
+    probs = np.array([_cell(path, r, "probability", finite=False) for r in rows])
     total = probs.sum()
     if (probs < 0).any() or not (np.isfinite(total) and total > 0):
         raise MelicError(f"{path}: probabilities must be non-negative with a finite, positive sum")
@@ -210,8 +217,9 @@ def cmd_genmodel_scale(args):
     interval_dist = _load_distribution(args.intervals)
     length_dist = _load_distribution(args.lengths)
     emp = None
-    if args.empirical_h:  # read, and so checked, before any walk
-        emp = [_finite(args.empirical_h, r, "H") for r in _read_csv(args.empirical_h, ("H",))]
+    if args.empirical_h:  # read, and checked to be a sample the KDE can use, before any walk
+        emp = [_cell(args.empirical_h, r, "H") for r in _read_csv(args.empirical_h, ("H",))]
+        stats.silverman_bandwidth(np.array(emp))
     sim = genmodel.simulate_scale_entropy(
         interval_dist, length_dist, args.o_values, args.n, seed=args.seed, threads=args.threads
     )
@@ -228,48 +236,43 @@ def cmd_genmodel_scale(args):
     ]
 
 
-def _fit(args, spec, grids, one, targets) -> tuple:
-    """Best spec of the --model family over the product of the grid lists,
-    and its JSD, fitted to targets(rows) where rows are one's per-melody
-    results. The grid is built, and so checked, before any melody is read."""
-    name, dist = args.model[:-1], int(args.model[-1:])  # an empty --model: ValueError, not IndexError
-    grid = [spec(name, dist, *point) for point in itertools.product(*grids)]
-    rows = _each_melody(args, one)
-    return genmodel.fit_generative_model(targets(rows), grid, n_per_setting=args.n_per_setting, seed=args.seed)
+def _fit(args, spec, grids, kinds, statistic, undefined: str) -> tuple:
+    """Best spec of the --model family over the product of the grid lists, and
+    its JSD, fitted to statistic(*viewpoints of kinds) per melody (None skips it
+    as undefined). The grid and --n-per-setting are checked before any melody."""
+    grid = [spec(args.model[:-1], int(args.model[-1]), *point) for point in itertools.product(*grids)]
+    genmodel.check_fit(grid, args.n_per_setting)
+
+    def one(m):
+        value = statistic(*(extract_viewpoint(m, k) for k in kinds))
+        if value is None:
+            raise MelicError(undefined)
+        return value
+
+    empirical = _each_melody(args, one)
+    return genmodel.fit_generative_model(empirical, grid, n_per_setting=args.n_per_setting, seed=args.seed)
 
 
 def cmd_genmodel_pitch(args):
-    def one(m):
-        kinds = (ViewpointKind.CHROMA, ViewpointKind.MINT, ViewpointKind.SINT)
-        ratios = genmodel.pitch_ratios(*(extract_viewpoint(m, k) for k in kinds))
-        if ratios is None:
-            raise MelicError("H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined")
-        return ratios
-
-    def targets(ratios):
-        return {"mint_ratio": [hm for hm, _ in ratios], "sint_ratio": [hs for _, hs in ratios]}
-
     grids = (args.grid_a, args.grid_l, args.grid_o, args.grid_exp)
-    best, score = _fit(args, genmodel.PitchModelSpec, grids, one, targets)
+    kinds = (ViewpointKind.CHROMA, ViewpointKind.MINT, ViewpointKind.SINT)
+    why = "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined"
+    best, score = _fit(args, genmodel.PitchModelSpec, grids, kinds, genmodel.pitch_ratios, why)
     return [{"model": best.name, "A": best.a, "L": best.length, "O": best.o, "exponent": best.exponent, "JSD": score}]
 
 
 def cmd_genmodel_rhythm(args):
-    def one(m):
-        ioi = extract_viewpoint(m, ViewpointKind.IOI)
-        pair = genmodel.rhythm_pair(ioi, extract_viewpoint(m, ViewpointKind.IOI_RATIO))
-        if pair is None:
-            raise MelicError("H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined")
-        return pair
-
     grids = (args.grid_a, args.grid_l, args.grid_exp)
-    best, score = _fit(args, genmodel.RhythmModelSpec, grids, one, lambda pairs: {"ioi_pairs": pairs})
+    kinds = (ViewpointKind.IOI, ViewpointKind.IOI_RATIO)
+    why = "H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined"
+    best, score = _fit(args, genmodel.RhythmModelSpec, grids, kinds, genmodel.rhythm_pair, why)
     return [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}]
 
 
 def cmd_similarity(args):
     query_corpus = parse_canonical(Path(args.query).read_bytes())
     query = extract_viewpoint(query_corpus.melodies[0], args.viewpoint)
+    stats.ngram_query(query, args.n)  # checked before any corpus is read
     records = []
     for corpus in _load_corpora(args.corpus):
         targets = _per_melody(corpus, lambda m: extract_viewpoint(m, args.viewpoint).symbols)
@@ -436,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_genmodel_scale)
 
     p = gsub.add_parser("pitch", help="fit a pitch-sequence model family")
-    p.add_argument("--model", required=True, help="e.g. IS3")
+    p.add_argument("--model", required=True, choices=[f"{f}{d}" for f in genmodel.PITCH_FAMILIES for d in "123"])
     p.add_argument("--grid-a", type=_ints, default="3,5,7,9,12")
     p.add_argument("--grid-l", type=_ints, default="15,30,50")
     p.add_argument("--grid-o", type=_floats, default="1,2,3")
@@ -446,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_genmodel_pitch)
 
     p = gsub.add_parser("rhythm", help="fit a rhythm-sequence model family")
-    p.add_argument("--model", required=True, help="e.g. SI4")
+    p.add_argument("--model", required=True, choices=[f"{v}{d}" for v in genmodel.RHYTHM_VALUE_SETS for d in "1234"])
     p.add_argument("--grid-a", type=_ints, default="3,5,7")
     p.add_argument("--grid-l", type=_ints, default="15,30,50")
     p.add_argument("--grid-exp", type=_floats, default="1,2,3")

@@ -209,8 +209,7 @@ _RATIO_BINS = np.arange(0.0, 4.0 + 0.02, 0.02)  # the fit objectives' entropy-ra
 
 
 def _hist(samples) -> np.ndarray:
-    h, _ = np.histogram(np.asarray(samples, dtype=float), bins=_RATIO_BINS)
-    return h.astype(float)
+    return np.histogram(samples, bins=_RATIO_BINS)[0]  # counts; jsd takes them as floats
 
 
 def pitch_ratios(chroma, mint, sint) -> tuple[float, float] | None:
@@ -225,67 +224,65 @@ def rhythm_pair(ioi, ratio) -> tuple[float, float] | None:
     return None if hi == 0.0 else (hi, entropy_of(ratio) / hi)
 
 
-def _ratio_samples_pitch(seq_sets) -> tuple[list[float], list[float]]:
-    ratios = [r for chroma, mint, _sdeg, sint in seq_sets if (r := pitch_ratios(chroma, mint, sint)) is not None]
-    return [m for m, _ in ratios], [s for _, s in ratios]
-
-
-def pitch_fit_objective(seq_sets, empirical_targets) -> float:
-    """JSD of H(M-Int)/H(Chroma) plus JSD of H(S-Int)/H(Chroma) histograms."""
-    mint_r, sint_r = _ratio_samples_pitch(seq_sets)
-    if not mint_r:
+def pitch_fit_objective(seq_sets, empirical) -> float:
+    """JSD of H(M-Int)/H(Chroma) plus JSD of H(S-Int)/H(Chroma) histograms,
+    the model sequences' pitch_ratios against the empirical ones."""
+    model = [r for chroma, mint, _sdeg, sint in seq_sets if (r := pitch_ratios(chroma, mint, sint)) is not None]
+    if not model:
         return 2.0
-    return jsd(_hist(mint_r), _hist(empirical_targets["mint_ratio"])) + jsd(
-        _hist(sint_r), _hist(empirical_targets["sint_ratio"])
-    )
+    (mint_m, sint_m), (mint_e, sint_e) = zip(*model), zip(*empirical)
+    return jsd(_hist(mint_m), _hist(mint_e)) + jsd(_hist(sint_m), _hist(sint_e))
 
 
-def rhythm_fit_objective(seq_sets, empirical_targets) -> float:
+def _h_bins(pairs) -> dict[float, list[float]]:
+    """The ratios of (H(IOI), ratio) pairs grouped by H(IOI) bins of 0.5
+    bits: key k holds k/2 <= H(IOI) < (k+1)/2."""
+    bins: dict[float, list[float]] = {}
+    for h, r in pairs:
+        bins.setdefault(h // 0.5, []).append(r)
+    return bins
+
+
+def rhythm_fit_objective(seq_sets, empirical) -> float:
     """Expected JSD of P(H(IOI-ratio)/H(IOI) | H(IOI)) under the empirical
-    H(IOI) distribution, over H(IOI) bins of 0.5 bits."""
-    emp = empirical_targets["ioi_pairs"]  # list of (H_ioi, ratio)
-    model_pairs = [p for ioi, ratio in seq_sets if (p := rhythm_pair(ioi, ratio)) is not None]
-    if not model_pairs:
+    H(IOI) distribution, the model sequences' rhythm_pairs against the
+    empirical ones, over H(IOI) bins of 0.5 bits."""
+    model = _h_bins(p for ioi, ratio in seq_sets if (p := rhythm_pair(ioi, ratio)) is not None)
+    if not model:
         return 1.0
-    emp_h = np.array([p[0] for p in emp])
     total = 0.0
-    weight_sum = 0.0
-    h_edges = np.arange(0.0, max(emp_h.max(), 0.5) + 0.5, 0.5)
-    for lo, hi_edge in zip(h_edges, h_edges[1:]):
-        emp_in = [r for h, r in emp if lo <= h < hi_edge]
-        if not emp_in:
-            continue
-        mod_in = [r for h, r in model_pairs if lo <= h < hi_edge]
-        weight = len(emp_in) / len(emp)
-        if not mod_in:
-            total += weight * 1.0  # maximal divergence when the model never lands here
-        else:
-            total += weight * jsd(_hist(mod_in), _hist(emp_in))
-        weight_sum += weight
-    return total if weight_sum > 0 else 1.0
+    for k, emp_in in sorted(_h_bins(empirical).items()):
+        mod_in = model.get(k)
+        divergence = jsd(_hist(mod_in), _hist(emp_in)) if mod_in else 1.0  # maximal where the model never lands
+        total += len(emp_in) / len(empirical) * divergence
+    return total
 
 
-def fit_generative_model(empirical_targets: dict, param_grid: list, n_per_setting: int = 100, seed: int = 0):
-    """Grid search over pitch or rhythm specs minimizing the JSD objective;
-    deterministic tie-break to the earliest grid point."""
-    if not empirical_targets or not any(len(v) for v in empirical_targets.values()):
-        raise MelicError("empty empirical targets")
+def check_fit(param_grid: list, n_per_setting: int) -> None:
+    """Reject an empty grid or fewer than 1 sequence per grid point."""
     if not param_grid:
         raise MelicError("empty parameter grid")
     if n_per_setting < 1:
         raise MelicError(f"n_per_setting must be >= 1, got {n_per_setting}")
-    best_spec = None
-    best_score = math.inf
+
+
+def fit_generative_model(empirical: list, param_grid: list, n_per_setting: int = 100, seed: int = 0):
+    """Grid search over pitch or rhythm specs minimizing the JSD objective
+    between model sequences and empirical, the per-melody pitch_ratios or
+    rhythm_pairs; deterministic tie-break to the earliest grid point."""
+    if not empirical:
+        raise MelicError("empty empirical targets")
+    check_fit(param_grid, n_per_setting)
+    if isinstance(param_grid[0], PitchModelSpec):
+        generate, objective = generate_pitch_sequences, pitch_fit_objective
+    else:
+        generate, objective = generate_rhythm_sequences, rhythm_fit_objective
+    scores = []
     for i, spec in enumerate(param_grid):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        if isinstance(spec, PitchModelSpec):
-            score = pitch_fit_objective(generate_pitch_sequences(spec, n_per_setting, rng), empirical_targets)
-        else:
-            score = rhythm_fit_objective(generate_rhythm_sequences(spec, n_per_setting, rng), empirical_targets)
-        if score < best_score:
-            best_score = score
-            best_spec = spec
-    return best_spec, best_score
+        scores.append(objective(generate(spec, n_per_setting, rng), empirical))
+    best = min(range(len(scores)), key=scores.__getitem__)  # the earliest of equal scores
+    return param_grid[best], scores[best]
 
 
 # --- scale-entropy pipeline ------------------------------------------------

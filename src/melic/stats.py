@@ -1,6 +1,6 @@
 """Statistical plumbing: Silverman KDE, Jensen-Shannon divergence, Pearson
 correlation, Benjamini-Hochberg, the joint-entropy null model, region-balanced
-subsampling, rhythm-deviation profiles, and n-gram melodic similarity."""
+subsampling, and n-gram melodic similarity."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, MelicError
-from .viewpoints import ViewpointKind, estimate_tonic, extract_viewpoint, symbols_of
+from .corpus import MelicError
+from .viewpoints import symbols_of
 
 
 # --- kernel density estimation ---------------------------------------------
@@ -21,13 +21,19 @@ class KDEResult:
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    """h = 0.9 * min(sigma, IQR/1.34) * n^(-1/5)."""
+    """h = 0.9 * min(sigma, IQR/1.34) * n^(-1/5); the KDE needs at least 2
+    samples and a spread above 0."""
     n = samples.size
+    if n < 2:
+        raise MelicError("KDE needs at least 2 samples")
     sigma = samples.std(ddof=1)
     q75, q25 = np.percentile(samples, [75, 25])
     iqr = q75 - q25
     spread = min(sigma, iqr / 1.34) if iqr > 0 else sigma
-    return 0.9 * spread * n ** (-0.2)
+    h = 0.9 * spread * n ** (-0.2)
+    if h <= 0:
+        raise MelicError("zero-spread samples: the density is a delta, not a KDE")
+    return h
 
 
 def kde_silverman(samples, grid: np.ndarray | None = None) -> KDEResult:
@@ -38,11 +44,7 @@ def kde_silverman(samples, grid: np.ndarray | None = None) -> KDEResult:
     every sample.
     """
     samples = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
-    if samples.size < 2:
-        raise MelicError("KDE needs at least 2 samples")
     h = silverman_bandwidth(samples)
-    if h <= 0:
-        raise MelicError("zero-spread samples: the density is a delta, not a KDE")
     if grid is None:
         lo = samples.min() - 4 * h
         hi = samples.max() + 4 * h
@@ -201,47 +203,23 @@ def region_balanced_correlation(
     return float(rs.mean()), (float(lo), float(hi))
 
 
-def rhythm_deviation_profile(
-    corpus: Corpus, pitch_kind: str = "chroma_transposed", rhythm_kind: str = "ioi"
-) -> dict:
-    """Mean rhythm-value deviation co-occurring with each pitch symbol,
-    relative to the corpus-wide mean rhythm value."""
-    if pitch_kind not in ("chroma_transposed", "mint_abs"):
-        raise MelicError(f"unknown pitch kind {pitch_kind!r}")
-    if rhythm_kind not in ("ioi", "duration"):
-        raise MelicError(f"unknown rhythm kind {rhythm_kind!r}")
-    pairs: list[tuple] = []
-    for melody in corpus.melodies:
-        rk = ViewpointKind.IOI if rhythm_kind == "ioi" else ViewpointKind.DURATION
-        rhythm = [float(v) for v in extract_viewpoint(melody, rk).symbols]
-        if pitch_kind == "chroma_transposed":
-            tonic = estimate_tonic(melody, "final")
-            chroma = extract_viewpoint(melody, ViewpointKind.CHROMA).symbols
-            syms = [(c - tonic) % 12 for c in chroma]
-            n = min(len(syms), len(rhythm))
-            pairs.extend(zip(syms[:n], rhythm[:n]))
-        else:
-            mint = extract_viewpoint(melody, ViewpointKind.MINT).symbols
-            if rhythm_kind == "duration":
-                # the interval co-occurs with the note it lands on
-                rhythm = rhythm[1:]
-            n = min(len(mint), len(rhythm))
-            pairs.extend((abs(m), r) for m, r in zip(mint[:n], rhythm[:n]))
-    if not pairs:
-        raise MelicError("no pitch-rhythm pairs in corpus")
-    overall = float(np.mean([r for _, r in pairs]))
-    by_symbol: dict = {}
-    for s, r in pairs:
-        by_symbol.setdefault(s, []).append(r)
-    return {s: float(np.mean(v)) - overall for s, v in sorted(by_symbol.items())}
-
-
 @dataclass(frozen=True)
 class SimilarityReport:
     n_matches: int
     enrichment: float | None
     expected_paper: float
     expected_fixed_query: float
+
+
+def ngram_query(query, n: int) -> tuple[tuple, int]:
+    """The query's leading n-gram and its alphabet size; n must be >= 2 and
+    the query at least n symbols long."""
+    if n < 2:
+        raise MelicError("n must be >= 2")
+    syms = symbols_of(query)
+    if len(syms) < n:
+        raise MelicError(f"query shorter than n={n}")
+    return syms[:n], len(set(syms))
 
 
 def ngram_similarity(query, targets, n: int = 10) -> SimilarityReport:
@@ -251,13 +229,7 @@ def ngram_similarity(query, targets, n: int = 10) -> SimilarityReport:
     expected_fixed_query uses the A^(-n) fixed-query convention alongside the
     two-random-sequences figure, so both numbers are visible.
     """
-    if n < 2:
-        raise MelicError("n must be >= 2")
-    syms = symbols_of(query)
-    if len(syms) < n:
-        raise MelicError(f"query shorter than n={n}")
-    gram = syms[:n]
-    a = len(set(syms))
+    gram, a = ngram_query(query, n)
     p_paper = float(a) ** (-2 * n)
     p_fixed = float(a) ** (-n)
     n_matches = 0

@@ -398,7 +398,9 @@ def test_bad_options_are_rejected_before_any_melody(capsys, corpus_file):
         (["totalinfo", "--threads", "abc", str(corpus_file)], "argument --threads: invalid int value: 'abc'"),
         (["repetition", "--lmin", "x", str(corpus_file)], "argument --lmin: invalid int value: 'x'"),
         ([*pitch, "--grid-a", "3,x"], "argument --grid-a: invalid int list value: '3,x'"),
-        ([*pitch[:3], "", *pitch[4:]], "invalid literal for int() with base 10: ''"),
+        ([*pitch[:3], "", *pitch[4:]], "argument --model: invalid choice: ''"),
+        ([*pitch[:3], "SI", *pitch[4:]], "argument --model: invalid choice: 'SI'"),
+        (["genmodel", "rhythm", "--model", "IS3", "--seed", "1", str(corpus_file)], "argument --model: invalid choice: 'IS3'"),
         ([*scale, "--o-values", "1,x"], "argument --o-values: invalid float list value: '1,x'"),
         (["entropy", "--viewpoint", "nope", str(corpus_file)], "argument --viewpoint: invalid ViewpointKind value: 'nope'"),
         (["entropy", "--format", "xml", str(corpus_file)], "argument --format: invalid choice: 'xml'"),
@@ -417,6 +419,24 @@ def test_csv_without_a_required_column_is_an_error(tmp_path, capsys):
     lengths.write_text("symbol,probability\n10,1.0\n")
     argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "10", "--seed", "1"]
     expect_error(capsys, argv, str(intervals), "'symbol'")
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (("1.5", "0.5"), "symbol must be an integer, got '1.5'"),
+        (("", "0.5"), "symbol must be an integer, got ''"),
+        (("1", "abc"), "probability must be a number, got 'abc'"),
+    ],
+)
+def test_distribution_csv_cells_that_are_not_numbers_name_the_file_and_column(tmp_path, capsys, cells, message):
+    intervals = tmp_path / "intervals.csv"
+    intervals.write_text("symbol,probability\n{},{}\n-1,0.5\n".format(*cells))
+    lengths = tmp_path / "lengths.csv"
+    lengths.write_text("symbol,probability\n10,1.0\n")
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "100", "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {intervals}: {message}"]
 
 
 @pytest.mark.parametrize("probabilities", [("0", "0"), ("0.5", "-0.1"), ("0.5", "nan"), ("0.5", "inf")])
@@ -532,7 +552,7 @@ def test_genmodel_scale_rejects_a_threshold_that_is_not_finite(capsys, monkeypat
     assert capsys.readouterr().err.splitlines() == [f"error: --threshold must be finite, got {float(threshold)}"]
 
 
-@pytest.mark.parametrize("h", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("h", ["nan", "inf", "-inf", "abc"])
 def test_genmodel_scale_rejects_an_empirical_h_that_is_not_finite(tmp_path, capsys, monkeypatch, scale_csvs, h):
     _refuse_walks(monkeypatch)
     path = tmp_path / "H.csv"
@@ -541,11 +561,32 @@ def test_genmodel_scale_rejects_an_empirical_h_that_is_not_finite(tmp_path, caps
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: H must be a finite number, got '{h}'"]
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["2.5"], "KDE needs at least 2 samples"),
+        ([], "KDE needs at least 2 samples"),
+        (["2.5", "2.5", "2.5"], "zero-spread samples: the density is a delta, not a KDE"),
+    ],
+)
+def test_genmodel_scale_rejects_an_empirical_h_the_kde_cannot_use_before_any_walk(
+    tmp_path, capsys, monkeypatch, scale_csvs, rows, message
+):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks ran before the empirical H sample was checked")
+
+    monkeypatch.setattr(genmodel._kernels, "walk_chunk", no_walks)
+    path = tmp_path / "H.csv"
+    path.write_text("H\n" + "".join(f"{h}\n" for h in rows))
+    assert main([*scale_csvs, "--n", "100", "--seed", "1", "--empirical-h", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 MEANS_COLUMNS = ["H_chroma", "H_duration", "I_chroma_duration"]
 
 
 @pytest.mark.parametrize("command", [["null-joint"], ["subsample-corr", "--max-per-region", "2"]])
-@pytest.mark.parametrize("column, value", zip(MEANS_COLUMNS, ["nan", "inf", "-inf"]))
+@pytest.mark.parametrize("column, value", [*zip(MEANS_COLUMNS, ["nan", "inf", "-inf"]), ("H_duration", "abc")])
 def test_means_that_are_not_finite_are_errors(tmp_path, capsys, command, column, value):
     rows = [[f"c{i}", f"r{i % 2}", "Folk", 2 + 0.1 * i, 1 + 0.01 * i * i, 0.1] for i in range(6)]
     rows[3][3 + MEANS_COLUMNS.index(column)] = value
@@ -559,12 +600,56 @@ def test_means_that_are_not_finite_are_errors(tmp_path, capsys, command, column,
     [
         (["pitch", "--model", "S1", "--grid-a", "13"], "S1: alphabet size must be <= 12, got 13"),
         (["rhythm", "--model", "SI1", "--grid-l", "1"], "SI1: sequence length must be >= 2, got 1"),
+        (["pitch", "--model", "S1", "--n-per-setting", "0"], "n_per_setting must be >= 1, got 0"),
+        (["rhythm", "--model", "CR4", "--n-per-setting", "-2"], "n_per_setting must be >= 1, got -2"),
     ],
 )
 def test_genmodel_fit_grid_is_checked_before_any_melody(capsys, with_one_note, argv, message):
     # both fits skip 'lone', but a bad grid point stops the run before any melody is read
     assert main(["genmodel", *argv, "--seed", "1", str(with_one_note)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("n, message", [("1", "n must be >= 2"), ("4", "query shorter than n=4")])
+def test_similarity_checks_n_and_the_query_before_any_melody(capsys, with_one_note, n, message):
+    # at ioi the corpus skips 'lone'; the query 'a' has 3 IOIs
+    argv = ["similarity", "--query", str(with_one_note), "--viewpoint", "ioi", "--n", n, str(with_one_note)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def _ioi_corpus(path, iois_of):
+    """Twelve melodies; melody i has the IOIs iois_of(i)."""
+    mels = []
+    for i in range(12):
+        iois = iois_of(i)
+        mels.append(melody_from_pitches(f"m{i:02d}", [60 + (j * 5) % 12 for j in range(len(iois) + 1)], [*iois, 1]))
+    return write_corpus(path, mels)
+
+
+def test_genmodel_rhythm_counts_melodies_whose_h_ioi_is_the_top_bin_edge(tmp_path):
+    # half the melodies use IOIs 1 and 2 equally (H(IOI) = 1.0 bit exactly, the
+    # corpus maximum), half use 1, 1, 2 (H(IOI) ~ 0.918): both halves weigh 0.5
+    corpus = _ioi_corpus(tmp_path / "c.json", lambda i: [1, 2] * 10 if i < 6 else [1, 1, 2] * 7)
+    argv = ["genmodel", "rhythm", "--model", "SI1", "--grid-a", "2,3,5", "--grid-l", "20", "--grid-exp", "1",
+            "--seed", "1", str(corpus)]
+    rc, data = run(argv, tmp_path / "o.csv")
+    assert rc == 0
+    assert rows_of(data) == [{"model": "SI1", "A": "2", "L": "20", "exponent": "1.0", "JSD": "0.957609"}]
+
+
+def test_genmodel_rhythm_fits_a_corpus_whose_every_h_ioi_is_one_bit(tmp_path):
+    # every melody uses IOIs 1 and 2 ten times each, in a seeded order, as an
+    # a=2 model sequence with an even split does; no a=3 sequence of 20 IOIs
+    # with all three values has H(IOI) below 1.5, so a=2 fits best
+    rng = np.random.default_rng(3)
+    corpus = _ioi_corpus(tmp_path / "c.json", lambda i: list(rng.permutation([1, 2] * 10)))
+    argv = ["genmodel", "rhythm", "--model", "SI1", "--grid-a", "3,2", "--grid-l", "20", "--grid-exp", "1",
+            "--seed", "1", str(corpus)]
+    rc, data = run(argv, tmp_path / "o.csv")
+    assert rc == 0
+    (row,) = rows_of(data)
+    assert row["A"] == "2" and float(row["JSD"]) < 0.5
 
 
 def test_genmodel_scale_window_wider_than_the_reach_is_the_reach(tmp_path, capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melic import _kernels
 from melic.corpus import MelicError
@@ -22,6 +24,7 @@ from melic.genmodel import (
     pitch_fit_objective,
     pitch_ratios,
     prob_entropy_below,
+    rhythm_fit_objective,
     rhythm_pair,
     scale_loglikelihood,
     simple_value_set,
@@ -215,37 +218,62 @@ def test_generate_rhythm_metrical_prefers_strong_beats():
     assert on_grid > 0.5  # heavily weighted toward integer beats
 
 
+def _pitch_pairs(seq_sets):
+    """The pitch_ratios of each generated sequence where they are defined."""
+    return [r for chroma, mint, _sdeg, sint in seq_sets if (r := pitch_ratios(chroma, mint, sint)) is not None]
+
+
 def test_fit_generative_model_recovers_planted_setting():
     rng = np.random.default_rng(6)
     target_spec = PitchModelSpec(family="S", dist=1, a=5, length=30)
     target = generate_pitch_sequences(target_spec, 150, rng)
-    from melic.genmodel import _ratio_samples_pitch
-
-    mint_r, sint_r = _ratio_samples_pitch(target)
     grid = [
         PitchModelSpec(family="S", dist=1, a=a, length=30) for a in (2, 5, 10)
     ]
-    best, score = fit_generative_model({"mint_ratio": mint_r, "sint_ratio": sint_r}, grid, n_per_setting=60, seed=7)
+    best, score = fit_generative_model(_pitch_pairs(target), grid, n_per_setting=60, seed=7)
     assert best.a == 5
     assert score < 0.5
 
 
 def test_fit_generative_model_validation():
     with pytest.raises(MelicError, match="^empty empirical targets$"):
-        fit_generative_model({"mint_ratio": []}, [None])
+        fit_generative_model([], [None])
     with pytest.raises(MelicError, match="^empty parameter grid$"):
-        fit_generative_model({"mint_ratio": [1.0], "sint_ratio": [1.0]}, [])
+        fit_generative_model([(1.0, 1.0)], [])
 
 
 def test_pitch_objective_zero_for_identical():
     rng = np.random.default_rng(7)
     seqs = generate_pitch_sequences(PitchModelSpec(family="S", dist=1, a=5, length=30), 50, rng)
-    from melic.genmodel import _ratio_samples_pitch
+    assert pitch_fit_objective(seqs, _pitch_pairs(seqs)) == pytest.approx(0.0, abs=1e-12)
 
-    mint_r, sint_r = _ratio_samples_pitch(seqs)
-    assert pitch_fit_objective(seqs, {"mint_ratio": mint_r, "sint_ratio": sint_r}) == pytest.approx(
-        0.0, abs=1e-12
-    )
+
+def _rhythm_seqs(ioi_lists):
+    """(ioi, ratio) sequences, as generate_rhythm_sequences returns them."""
+    iois = [tuple(Fraction(x) for x in xs) for xs in ioi_lists]
+    return [(ioi, tuple(b / a for a, b in zip(ioi, ioi[1:]))) for ioi in iois]
+
+
+# H(IOI) values include multiples of 0.5 bit, where the bins meet
+_h_ioi = st.one_of(st.integers(1, 8).map(lambda k: k / 2), st.floats(0.01, 4.0))
+_pairs = st.lists(st.tuples(_h_ioi, st.floats(0.0, 3.99)), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    empirical=_pairs,
+    ioi_lists=st.lists(st.lists(st.integers(1, 4), min_size=2, max_size=12), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_rhythm_objective_weighs_every_melody_once_in_any_order(empirical, ioi_lists, data):
+    # 24 equally used IOIs give H(IOI) = log2(24) > 4.5 bits, a bin no empirical
+    # pair is in, so each bin scores 1 and the objective is the sum of the bin weights
+    far = _rhythm_seqs([list(range(1, 25))])
+    assert rhythm_fit_objective(far, empirical) == pytest.approx(1.0, abs=1e-12)
+    model = _rhythm_seqs(ioi_lists)
+    shuffled_model = data.draw(st.permutations(model))
+    shuffled_empirical = data.draw(st.permutations(empirical))
+    assert rhythm_fit_objective(shuffled_model, shuffled_empirical) == rhythm_fit_objective(model, empirical)
 
 
 # --- scale-entropy pipeline -------------------------------------------------

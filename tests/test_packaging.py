@@ -1,5 +1,6 @@
-"""Every hard dependency declared in pyproject.toml must be installed, so a
-dependency that cannot be installed is not declared."""
+"""Every hard dependency and every dependency of the `test` extra declared
+in pyproject.toml must be installed, so a dependency that cannot be installed
+is not declared."""
 
 import importlib.metadata
 import re
@@ -14,7 +15,8 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 def declared_dependencies() -> list[str]:
     with open(PYPROJECT, "rb") as fh:
-        return tomllib.load(fh)["project"]["dependencies"]
+        project = tomllib.load(fh)["project"]
+    return [*project["dependencies"], *project["optional-dependencies"]["test"]]
 
 
 @pytest.mark.parametrize("requirement", declared_dependencies())

@@ -1,4 +1,4 @@
-"""KDE, JSD, Pearson, Benjamini-Hochberg, null models, profiles, similarity."""
+"""KDE, JSD, Pearson, Benjamini-Hochberg, null models, similarity."""
 
 import math
 
@@ -15,7 +15,6 @@ from melic.stats import (
     ngram_similarity,
     pearson,
     region_balanced_correlation,
-    rhythm_deviation_profile,
     silverman_bandwidth,
 )
 from melic.viewpoints import ViewpointKind, ViewpointSequence, extract_viewpoint
@@ -262,31 +261,6 @@ def test_region_balance_needs_an_rng():
     means = means_fixture([(1.0, 3.0, 0, "a"), (2.0, 2.5, 0, "b"), (3.0, 1.0, 0, "c")])
     with pytest.raises(MelicError, match="^region-balanced resampling requires an explicit rng$"):
         region_balanced_correlation(means, max_per_region=1)
-
-
-# --- rhythm deviation profile -----------------------------------------------
-
-def test_profile_constant_rhythm_is_zero():
-    corpus = corpus_of([melody_from_pitches("m", [60, 62, 64, 60], [1, 1, 1, 1])])
-    prof = rhythm_deviation_profile(corpus, "chroma_transposed", "duration")
-    assert all(v == pytest.approx(0.0) for v in prof.values())
-
-
-def test_profile_large_intervals_land_on_long_notes():
-    # |interval| 7 always arrives on a long note, |interval| 1 on a short one
-    pitches = [60, 67, 66, 73, 72, 79]
-    durations = [1, 4, 1, 4, 1, 4]
-    corpus = corpus_of([melody_from_pitches("m", pitches, durations)])
-    prof = rhythm_deviation_profile(corpus, "mint_abs", "duration")
-    assert prof[7] > 0 > prof[1]
-
-
-def test_profile_validation():
-    corpus = corpus_of([melody_from_pitches("m", [60, 62])])
-    with pytest.raises(MelicError, match="^unknown pitch kind 'nope'$"):
-        rhythm_deviation_profile(corpus, "nope", "ioi")
-    with pytest.raises(MelicError, match="^unknown rhythm kind 'beat'$"):
-        rhythm_deviation_profile(corpus, "chroma_transposed", "beat")
 
 
 # --- n-gram similarity ------------------------------------------------------
