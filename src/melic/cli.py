@@ -55,12 +55,17 @@ def _load_corpora(paths: list[str]) -> list[Corpus]:
 
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        for col in columns:
-            if col not in (reader.fieldnames or ()):
-                raise MelicError(f"{path}: missing column {col!r}")
-        return list(reader)
+    """The rows of a CSV file with the given columns; a file that cannot be
+    decoded or parsed is an error that names it."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh, restval="")
+            for col in columns:
+                if col not in (reader.fieldnames or ()):
+                    raise MelicError(f"{path}: missing column {col!r}")
+            return list(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise MelicError(f"{path}: {exc}") from None
 
 
 def _cell(path: str, row: dict, column: str, convert=float, finite: bool = True):
@@ -210,8 +215,7 @@ def cmd_ppm_repetition(args):
 
 
 def cmd_genmodel_scale(args):
-    if not 0 < args.alpha <= 1:
-        raise MelicError(f"--alpha must be in (0, 1], got {args.alpha}")
+    genmodel.check_alpha(args.alpha)
     if not math.isfinite(args.threshold):
         raise MelicError(f"--threshold must be finite, got {args.threshold}")
     interval_dist = _load_distribution(args.intervals)
@@ -238,13 +242,13 @@ def cmd_genmodel_scale(args):
 
 def _fit(args, spec, grids, kinds, statistic, undefined: str) -> tuple:
     """Best spec of the --model family over the product of the grid lists, and
-    its JSD, fitted to statistic(*viewpoints of kinds) per melody (None skips it
+    its JSD, fitted to statistic(*symbols of kinds) per melody (None skips it
     as undefined). The grid and --n-per-setting are checked before any melody."""
     grid = [spec(args.model[:-1], int(args.model[-1]), *point) for point in itertools.product(*grids)]
     genmodel.check_fit(grid, args.n_per_setting)
 
     def one(m):
-        value = statistic(*(extract_viewpoint(m, k) for k in kinds))
+        value = statistic(*(extract_viewpoint(m, k).symbols for k in kinds))
         if value is None:
             raise MelicError(undefined)
         return value
@@ -255,7 +259,7 @@ def _fit(args, spec, grids, kinds, statistic, undefined: str) -> tuple:
 
 def cmd_genmodel_pitch(args):
     grids = (args.grid_a, args.grid_l, args.grid_o, args.grid_exp)
-    kinds = (ViewpointKind.CHROMA, ViewpointKind.MINT, ViewpointKind.SINT)
+    kinds = (ViewpointKind.PITCH,)
     why = "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined"
     best, score = _fit(args, genmodel.PitchModelSpec, grids, kinds, genmodel.pitch_ratios, why)
     return [{"model": best.name, "A": best.a, "L": best.length, "O": best.o, "exponent": best.exponent, "JSD": score}]
@@ -492,6 +496,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.threads < 1:  # every command accepts --threads; only genmodel scale runs threads
             raise MelicError(f"--threads must be >= 1, got {args.threads}")
+        if "seed" in args and args.seed < 0:  # checked before any input is read
+            raise MelicError(f"--seed must be >= 0, got {args.seed}")
         data = write_table(args.func(args), format=args.format, schema=getattr(args, "schema", None))
         if args.out:
             Path(args.out).write_bytes(data)

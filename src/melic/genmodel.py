@@ -14,7 +14,7 @@ from . import _kernels
 from .corpus import MelicError
 from .infotheory import Distribution, entropy_of
 from .stats import jsd, kde_silverman
-from .viewpoints import intern
+from .viewpoints import ViewpointKind, pitch_symbols
 
 PITCH_FAMILIES = ("S", "I", "IS")
 RHYTHM_VALUE_SETS = ("SI", "CI", "SR", "CR")
@@ -95,16 +95,8 @@ def _weights(k: int, dist: int, exponent: float, rng: np.random.Generator) -> np
     return w / w.sum()
 
 
-def _derive(pitches: list[int]):
-    """(chroma, mint, sdeg, sint) of a pitch sequence."""
-    chromas = [p % 12 for p in pitches]
-    sdeg = intern(chromas)[0]
-    mints = tuple(b - a for a, b in zip(pitches, pitches[1:]))
-    return tuple(chromas), mints, sdeg, tuple(b - a for a, b in zip(sdeg, sdeg[1:]))
-
-
 def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Generator):
-    """Generate n sequences; each item is (chroma, mint, sdeg, sint) tuples.
+    """Generate n pitch sequences, each a list of spec.length pitches.
 
     I and IS are walks from pitch 0 inside +-2*o semitones, an IS walk on its
     own scale. Each walk draws its scale (IS), its weights and one uniform
@@ -117,7 +109,7 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
             w = _weights(k, spec.dist, spec.exponent, rng)
             # index i is pitch scale[i % a] + 12 * (i // a): the sorted alphabet, octave by octave
             i = rng.choice(k, size=spec.length, p=w)
-            out.append(_derive((scale[i % spec.a] + 12 * (i // spec.a)).tolist()))
+            out.append((scale[i % spec.a] + 12 * (i // spec.a)).tolist())
         return out
     vals = np.arange(-spec.a, spec.a + 1)
     probs = np.empty((n, len(vals)))
@@ -133,7 +125,7 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
     pitches, failed = _kernels.walk_chunk(vals, probs, np.full(n, spec.length), -half, half, uniforms, allowed)
     if failed.any():
         raise MelicError(f"{spec.name}: a walk found no legal interval with a weight above 0 (exponent {spec.exponent})")
-    return [_derive(p) for p in pitches.tolist()]
+    return pitches.tolist()
 
 
 # --- rhythm models ---------------------------------------------------------
@@ -212,10 +204,17 @@ def _hist(samples) -> np.ndarray:
     return np.histogram(samples, bins=_RATIO_BINS)[0]  # counts; jsd takes them as floats
 
 
-def pitch_ratios(chroma, mint, sint) -> tuple[float, float] | None:
-    """(H(M-Int)/H(Chroma), H(S-Int)/H(Chroma)), or None where H(Chroma) is 0."""
-    hc = entropy_of(chroma)
-    return None if hc == 0.0 else (entropy_of(mint) / hc, entropy_of(sint) / hc)
+def pitch_ratios(pitches) -> tuple[float, float] | None:
+    """(H(M-Int)/H(Chroma), H(S-Int)/H(Chroma)) of a pitch sequence, or None
+    where H(Chroma) is 0."""
+    sdeg = pitch_symbols(pitches, ViewpointKind.SCALE_DEGREE)
+    # scale degrees rank the chromas in chroma order, so their entropy is H(Chroma) bit for bit
+    hc = entropy_of(sdeg)
+    if hc == 0.0:
+        return None
+    # S-Int is the M-Int of the scale degrees
+    mint, sint = pitch_symbols(pitches, ViewpointKind.MINT), pitch_symbols(sdeg, ViewpointKind.MINT)
+    return entropy_of(mint) / hc, entropy_of(sint) / hc
 
 
 def rhythm_pair(ioi, ratio) -> tuple[float, float] | None:
@@ -227,7 +226,7 @@ def rhythm_pair(ioi, ratio) -> tuple[float, float] | None:
 def pitch_fit_objective(seq_sets, empirical) -> float:
     """JSD of H(M-Int)/H(Chroma) plus JSD of H(S-Int)/H(Chroma) histograms,
     the model sequences' pitch_ratios against the empirical ones."""
-    model = [r for chroma, mint, _sdeg, sint in seq_sets if (r := pitch_ratios(chroma, mint, sint)) is not None]
+    model = [r for pitches in seq_sets if (r := pitch_ratios(pitches)) is not None]
     if not model:
         return 2.0
     (mint_m, sint_m), (mint_e, sint_e) = zip(*model), zip(*empirical)
@@ -368,21 +367,20 @@ def simulate_scale_entropy(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run_chunk, range(n_chunks)))
 
-    per_a: dict[int, list] = {}
-    n_failed = 0
-    for out_a, out_h in results:
-        n_failed += int((out_a == 0).sum())
-        for a in range(1, 13):
-            mask = out_a == a
-            if mask.any():
-                per_a.setdefault(a, []).append(out_h[mask])
+    a, h = (np.concatenate(x) for x in zip(*results))
     # sorted samples keep downstream statistics independent of merge order
-    merged = {a: np.sort(np.concatenate(chunks)) for a, chunks in per_a.items()}
-    return ScaleSimResult(per_a=merged, n_sequences=n_sequences, n_failed=n_failed)
+    per_a = {int(k): np.sort(h[a == k]) for k in np.unique(a[a > 0])}
+    return ScaleSimResult(per_a=per_a, n_sequences=n_sequences, n_failed=int((a == 0).sum()))
 
 
 _H_BIN = 0.005  # bits: the width of the scale log-likelihood's entropy bins
 _MIN_SAMPLES = 30  # an alphabet size with fewer simulated walks gets no logL
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a KDE mixing weight outside (0, 1]."""
+    if not 0 < alpha <= 1:
+        raise MelicError(f"alpha must be in (0, 1], got {alpha}")
 
 
 def scale_loglikelihood(sim: ScaleSimResult, empirical_h, alpha: float = 0.999) -> dict[int, float]:
@@ -393,10 +391,7 @@ def scale_loglikelihood(sim: ScaleSimResult, empirical_h, alpha: float = 0.999) 
     logL(A) = sum over bins of Q_A(H) * log2 P'(H) * _H_BIN.
     """
     empirical_h = np.asarray(list(empirical_h), dtype=float)
-    if empirical_h.size == 0:
-        raise MelicError("empty empirical entropy sample")
-    if not 0 < alpha <= 1:
-        raise MelicError("alpha must be in (0, 1]")
+    check_alpha(alpha)
     grid = np.arange(_H_BIN / 2, 5.0, _H_BIN)
     p = kde_silverman(empirical_h, grid=grid).density
     p_prime = alpha * p + (1.0 - alpha) / 5.0

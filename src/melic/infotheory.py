@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import MelicError
-from .viewpoints import intern
+from .viewpoints import ViewpointKind, intern, pitch_symbols
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def solve_powerlaw_H(A: int, G: float, tol: float = 1e-8) -> float:
 
 def _measure(pitches: list[int]) -> dict:
     h_pitch = entropy_of(pitches)
-    h_mint = entropy_of([b - a for a, b in zip(pitches, pitches[1:])])
+    h_mint = entropy_of(pitch_symbols(pitches, ViewpointKind.MINT))
     ratio = math.inf if h_mint == 0.0 else h_pitch / h_mint
     return {"length": len(pitches), "H_pitch": h_pitch, "H_mint": h_mint, "ratio": ratio}
 

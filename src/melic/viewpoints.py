@@ -80,25 +80,30 @@ def _ratios(values: list[Fraction], what: str) -> list[Fraction]:
     return out
 
 
+def pitch_symbols(pitches: list[int], kind: ViewpointKind) -> list:
+    """The symbols of a pitch kind (pitch, chroma, sdeg, mint, sint or
+    contour) for a list of pitches. Melodies and model sequences alike get
+    their pitch viewpoints here."""
+    kind = ViewpointKind(kind)
+    if kind is ViewpointKind.SCALE_DEGREE or kind is ViewpointKind.SINT:
+        # the scale degrees, each chroma's rank among the sequence's chromas,
+        # stand in for the pitches: S-Int is the M-Int of the scale degrees
+        pitches = intern([p % 12 for p in pitches])[0]
+    if kind is ViewpointKind.PITCH or kind is ViewpointKind.SCALE_DEGREE:
+        return list(pitches)
+    if kind is ViewpointKind.CHROMA:
+        return [p % 12 for p in pitches]
+    if kind is ViewpointKind.MINT or kind is ViewpointKind.SINT:
+        return [b - a for a, b in zip(pitches, pitches[1:])]
+    if kind is ViewpointKind.CONTOUR:
+        return [(b > a) - (b < a) for a, b in zip(pitches, pitches[1:])]
+    raise MelicError(f"{kind.value} is not a pitch viewpoint")
+
+
 def extract_viewpoint(melody: Melody, kind: ViewpointKind) -> ViewpointSequence:
     """Derive the viewpoint symbol sequence for one melody."""
     kind = ViewpointKind(kind)
-    if kind is ViewpointKind.PITCH:
-        syms = _pitches(melody)
-    elif kind is ViewpointKind.CHROMA:
-        syms = [p % 12 for p in _pitches(melody)]
-    elif kind is ViewpointKind.SCALE_DEGREE:
-        syms = intern([p % 12 for p in _pitches(melody)])[0]
-    elif kind is ViewpointKind.MINT:
-        p = _pitches(melody)
-        syms = [b - a for a, b in zip(p, p[1:])]
-    elif kind is ViewpointKind.SINT:
-        sd = intern([p % 12 for p in _pitches(melody)])[0]
-        syms = [b - a for a, b in zip(sd, sd[1:])]
-    elif kind is ViewpointKind.CONTOUR:
-        p = _pitches(melody)
-        syms = [(b > a) - (b < a) for a, b in zip(p, p[1:])]
-    elif kind is ViewpointKind.DURATION:
+    if kind is ViewpointKind.DURATION:
         syms = _durations(melody)
     elif kind is ViewpointKind.IOI:
         syms = _iois(melody)
@@ -107,24 +112,17 @@ def extract_viewpoint(melody: Melody, kind: ViewpointKind) -> ViewpointSequence:
     elif kind is ViewpointKind.DURATION_RATIO:
         syms = _ratios(_durations(melody), "duration")
     elif kind is ViewpointKind.JOINT_CHROMA_DURATION:
-        c = [p % 12 for p in _pitches(melody)]
-        d = _durations(melody)
-        n = min(len(c), len(d))
-        syms = list(zip(c[:n], d[:n]))
+        syms = zip(pitch_symbols(_pitches(melody), ViewpointKind.CHROMA), _durations(melody))
     elif kind is ViewpointKind.JOINT_MINT_DURATION:
-        p = _pitches(melody)
-        mi = [b - a for a, b in zip(p, p[1:])]
-        d = _durations(melody)
-        n = min(len(mi), len(d))
-        syms = list(zip(mi[:n], d[:n]))
-    else:  # pragma: no cover
-        raise MelicError(f"unknown viewpoint {kind}")
+        syms = zip(pitch_symbols(_pitches(melody), ViewpointKind.MINT), _durations(melody))
+    else:  # the six pitch kinds
+        syms = pitch_symbols(_pitches(melody), kind)
     return ViewpointSequence(kind=kind, symbols=tuple(syms))
 
 
 def estimate_tonic(melody: Melody, method: str = "final") -> int:
     """Estimate the tonic chroma class from the final, first or modal note."""
-    chromas = [p % 12 for p in _pitches(melody)]
+    chromas = pitch_symbols(_pitches(melody), ViewpointKind.CHROMA)
     if not chromas:
         raise MelicError(f"melody {melody.id!r}: all-rest melody has no tonic")
     if method == "final":

@@ -422,6 +422,30 @@ def test_csv_without_a_required_column_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "header, argv",
+    [
+        ("symbol,probability", ["genmodel", "scale", "--intervals", "{path}", "--lengths", "{path}", "--n", "10"]),
+        ("corpus_id,H_chroma,H_duration,I_chroma_duration", ["null-joint", "{path}"]),
+        ("H", ["genmodel", "scale", "--intervals", "{ok}", "--lengths", "{ok}", "--n", "10", "--empirical-h", "{path}"]),
+    ],
+    ids=["intervals", "means", "empirical-h"],
+)
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (b"9" * 200_000, "field larger than field limit (131072)"),  # the csv module's default limit
+        (b"0.5\xff", "can't decode byte 0xff"),
+    ],
+    ids=["field-limit", "undecodable"],
+)
+def test_csv_files_that_cannot_be_read_are_errors_that_name_the_file(tmp_path, capsys, header, argv, row, message):
+    path, ok = tmp_path / "bad.csv", write_distribution(tmp_path / "ok.csv", [(1, 1.0)])
+    path.write_bytes(header.encode() + b"\n" + row + b"\n")
+    argv = [a.format(path=path, ok=ok) for a in argv]
+    expect_error(capsys, [*argv, "--seed", "1"], f"error: {path}: ", message)
+
+
+@pytest.mark.parametrize(
     "cells, message",
     [
         (("1.5", "0.5"), "symbol must be an integer, got '1.5'"),
@@ -525,7 +549,7 @@ def test_genmodel_scale_rejects_alpha_outside_the_unit_interval(tmp_path, capsys
         h.write_text("H\n2.5\n3.0\n")
         argv += ["--empirical-h", str(h)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: --alpha must be in (0, 1], got {float(alpha)}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: alpha must be in (0, 1], got {float(alpha)}"]
 
 
 @pytest.mark.parametrize("o_values, shown", [("inf", "inf"), ("1,-inf", "-inf"), ("nan", "nan"), ("0", "0.0"), ("0.5,-1", "-1.0")])
@@ -699,6 +723,32 @@ def test_bad_thread_counts_are_errors(tmp_path, capsys, corpus_file, scale_csvs)
             expect_error(capsys, [*argv, "--threads", value], "--threads", value)
         assert run([*argv, "--threads", "2"], tmp_path / "o.csv")[0] == 0
         assert "error" not in capsys.readouterr().err
+
+
+# every seeded command, with input files that do not exist: a read would fail
+SEEDED = {
+    ("mi",): ["{corpus}"],
+    ("ppm-repetition",): ["{corpus}"],
+    ("genmodel", "scale"): ["--intervals", "{csv}", "--lengths", "{csv}"],
+    ("genmodel", "pitch"): ["--model", "S1", "{corpus}"],
+    ("genmodel", "rhythm"): ["--model", "SI1", "{corpus}"],
+    ("null-joint",): ["{csv}"],
+    ("subsample-corr",): ["--max-per-region", "2", "{csv}"],
+}
+
+
+def test_every_seeded_command_is_tested_with_a_negative_seed():
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert {c for c, p in leaves.items() if "--seed" in p._option_string_actions} == set(SEEDED)
+
+
+@pytest.mark.parametrize("command", list(SEEDED), ids=" ".join)
+@pytest.mark.parametrize("seed", ["-1", "-20"])
+def test_a_negative_seed_is_an_error_before_any_input_is_read(tmp_path, capsys, command, seed):
+    paths = {"corpus": tmp_path / "missing.json", "csv": tmp_path / "missing.csv"}
+    argv = [*command, *(a.format(**paths) for a in SEEDED[command]), "--seed", seed]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --seed must be >= 0, got {seed}"]
 
 
 def test_no_melic_module_reads_the_environment():

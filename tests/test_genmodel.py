@@ -14,7 +14,6 @@ from melic.genmodel import (
     PitchModelSpec,
     RhythmModelSpec,
     _chroma_entropy,
-    _derive,
     _metrical_base,
     _weights,
     complex_value_set,
@@ -30,7 +29,8 @@ from melic.genmodel import (
     simple_value_set,
     simulate_scale_entropy,
 )
-from melic.infotheory import Distribution
+from melic.infotheory import Distribution, entropy_of
+from melic.viewpoints import ViewpointKind, pitch_symbols
 
 
 def triangular_intervals():
@@ -85,12 +85,24 @@ def test_value_sets():
 
 
 def test_fit_statistics_are_none_where_the_base_entropy_is_0():
-    assert pitch_ratios((0, 0, 0), (0, 0), (0, 0)) is None
-    assert pitch_ratios((0, 0), (0,), (0,)) is None
-    # H(Chroma) = 1 bit; H(M-Int) = 0.918 bits, H(S-Int) = 0
-    assert pitch_ratios((0, 4, 0, 4), (4, -4, 4), (0, 0, 0)) == pytest.approx((0.9182958, 0.0))
+    assert pitch_ratios((60, 60, 60)) is None
+    assert pitch_ratios((60, 72)) is None  # one chroma in two octaves
+    # H(Chroma) = 1 bit; H(M-Int) = H(S-Int) = 0.918 bits
+    assert pitch_ratios((60, 64, 60, 64)) == pytest.approx((0.9182958, 0.9182958))
+    # H(Chroma) = 1 bit; one M-Int and one S-Int, so both are 0
+    assert pitch_ratios((60, 64)) == pytest.approx((0.0, 0.0))
     assert rhythm_pair((1, 1, 1), (1, 1)) is None
     assert rhythm_pair((1, 2, 1, 2), (2, Fraction(1, 2), 2)) == pytest.approx((1.0, 0.9182958))
+
+
+@given(st.lists(st.integers(-30, 130), min_size=1, max_size=40))
+def test_pitch_ratios_are_the_entropy_ratios_of_the_pitch_symbols(pitches):
+    hc = entropy_of(pitch_symbols(pitches, ViewpointKind.CHROMA))
+    if hc == 0.0:
+        assert pitch_ratios(pitches) is None
+    else:
+        h_mint, h_sint = (entropy_of(pitch_symbols(pitches, k)) for k in (ViewpointKind.MINT, ViewpointKind.SINT))
+        assert pitch_ratios(pitches) == (h_mint / hc, h_sint / hc)
 
 
 def test_metrical_base():
@@ -105,8 +117,10 @@ def test_metrical_base():
 def test_generate_pitch_scale_family():
     spec = PitchModelSpec(family="S", dist=1, a=5, length=30, o=2)
     rng = np.random.default_rng(1)
-    seqs = generate_pitch_sequences(spec, 10, rng)
-    for chroma, mint, sdeg, sint in seqs:
+    for pitches in generate_pitch_sequences(spec, 10, rng):
+        chroma = pitch_symbols(pitches, ViewpointKind.CHROMA)
+        mint = pitch_symbols(pitches, ViewpointKind.MINT)
+        sdeg = pitch_symbols(pitches, ViewpointKind.SCALE_DEGREE)
         assert len(chroma) == 30 and len(mint) == 29
         assert len(set(chroma)) <= 5
         assert max(sdeg) <= len(set(chroma)) - 1
@@ -115,16 +129,17 @@ def test_generate_pitch_scale_family():
 def test_generate_pitch_interval_family_respects_window():
     spec = PitchModelSpec(family="I", dist=1, a=3, length=40, o=1.0)
     rng = np.random.default_rng(2)
-    for chroma, mint, _, _ in generate_pitch_sequences(spec, 10, rng):
-        pitches = np.concatenate([[0], np.cumsum(mint)])
-        assert pitches.min() >= -2 and pitches.max() <= 2
+    for pitches in generate_pitch_sequences(spec, 10, rng):
+        mint = pitch_symbols(pitches, ViewpointKind.MINT)
+        assert pitches[0] == 0 and min(pitches) >= -2 and max(pitches) <= 2
         assert all(abs(i) <= 3 for i in mint)
 
 
 def test_generate_pitch_interval_scale_family():
     spec = PitchModelSpec(family="IS", dist=1, a=4, length=25, o=2.0)
     rng = np.random.default_rng(3)
-    for chroma, _, _, _ in generate_pitch_sequences(spec, 10, rng):
+    for pitches in generate_pitch_sequences(spec, 10, rng):
+        chroma = pitch_symbols(pitches, ViewpointKind.CHROMA)
         assert 0 in chroma  # walks start on the tonic
         assert len(set(chroma)) <= 4
 
@@ -163,7 +178,7 @@ def oracle_interval_sequences(spec, n, rng):
         vals = np.arange(-spec.a, spec.a + 1)
         w = _weights(len(vals), spec.dist, spec.exponent, rng)
         half = max(1, round(2 * spec.o))
-        out.append(_derive(_constrained_walk(vals, w, spec.length, -half, half, scale, rng)))
+        out.append(_constrained_walk(vals, w, spec.length, -half, half, scale, rng))
     return out
 
 
@@ -220,7 +235,7 @@ def test_generate_rhythm_metrical_prefers_strong_beats():
 
 def _pitch_pairs(seq_sets):
     """The pitch_ratios of each generated sequence where they are defined."""
-    return [r for chroma, mint, _sdeg, sint in seq_sets if (r := pitch_ratios(chroma, mint, sint)) is not None]
+    return [r for pitches in seq_sets if (r := pitch_ratios(pitches)) is not None]
 
 
 def test_fit_generative_model_recovers_planted_setting():
@@ -417,9 +432,9 @@ def test_scale_loglikelihood_prefers_matching_alphabet():
 def test_scale_loglikelihood_validation():
     idist = triangular_intervals()
     sim = simulate_scale_entropy(idist, fixed_length(10), [1.0], 2000, seed=6)
-    with pytest.raises(MelicError, match="^empty empirical entropy sample$"):
+    with pytest.raises(MelicError, match="^KDE needs at least 2 samples$"):
         scale_loglikelihood(sim, [])
-    with pytest.raises(MelicError, match=r"^alpha must be in \(0, 1\]$"):
+    with pytest.raises(MelicError, match=r"^alpha must be in \(0, 1\], got 1.5$"):
         scale_loglikelihood(sim, [1.0, 2.0], alpha=1.5)
 
 

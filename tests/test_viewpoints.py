@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from melic.corpus import MelicError
 from melic.viewpoints import (
@@ -12,6 +14,8 @@ from melic.viewpoints import (
     estimate_tonic,
     extract_viewpoint,
     fold_interval,
+    intern,
+    pitch_symbols,
     recover_octaves,
 )
 
@@ -76,6 +80,37 @@ def test_joint_viewpoints_pairwise():
     md = vp(ViewpointKind.JOINT_MINT_DURATION)
     assert md[0] == (4, Fraction(1))
     assert len(md) == 5
+
+
+def _derive(pitches):
+    """Reference for pitch_symbols: each pitch kind of a pitch list, derived
+    on its own."""
+    chromas = [p % 12 for p in pitches]
+    sdeg = intern(chromas)[0]
+    mints = tuple(b - a for a, b in zip(pitches, pitches[1:]))
+    return {
+        ViewpointKind.PITCH: tuple(pitches),
+        ViewpointKind.CHROMA: tuple(chromas),
+        ViewpointKind.SCALE_DEGREE: sdeg,
+        ViewpointKind.MINT: mints,
+        ViewpointKind.SINT: tuple(b - a for a, b in zip(sdeg, sdeg[1:])),
+        ViewpointKind.CONTOUR: tuple((b > a) - (b < a) for a, b in zip(pitches, pitches[1:])),
+    }
+
+
+@given(st.lists(st.integers(-40, 140), max_size=40))
+@example([])
+@example([-7])
+@example([-13, 2])
+@example([61, 61])
+def test_pitch_symbols_match_the_reference_on_any_pitch_list(pitches):
+    for kind, expected in _derive(pitches).items():
+        assert tuple(pitch_symbols(pitches, kind)) == expected, kind
+
+
+def test_pitch_symbols_reject_a_kind_that_is_not_a_pitch_kind():
+    with pytest.raises(MelicError, match="^duration is not a pitch viewpoint$"):
+        pitch_symbols([60, 62], ViewpointKind.DURATION)
 
 
 def test_ioi_needs_two_notes():
