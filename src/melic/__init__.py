@@ -6,7 +6,6 @@ from .corpus import (
     Melody,
     NoteEvent,
     parse_canonical,
-    parse_kern_subset,
     serialize_canonical,
     write_table,
 )
@@ -16,11 +15,8 @@ from .infotheory import (
     entropy,
     entropy_lower_bound,
     entropy_of,
-    entropy_ratio_bounds,
     gini,
     mutual_information_excess,
-    powerlaw_entropy_gini,
-    solve_powerlaw_H,
 )
 from .repetition import remove_repetition, repetition_fraction, total_information
 from .seqmodel import (
@@ -32,7 +28,6 @@ from .seqmodel import (
 from .viewpoints import (
     ViewpointKind,
     ViewpointSequence,
-    estimate_tonic,
     extract_viewpoint,
     recover_octaves,
 )

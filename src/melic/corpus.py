@@ -1,4 +1,4 @@
-"""Corpus ingestion (canonical JSON format + minimal kern subset) and table output.
+"""Corpus ingestion (the canonical JSON format) and table output.
 
 Durations and onsets are exact rationals throughout; the Duration viewpoint's
 alphabet depends on exact equality, so floats are never used for time values.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,7 +66,6 @@ class Melody:
     id: str
     events: tuple[NoteEvent, ...]
     key_annotation: int | None = None
-    meta: CorpusMeta | None = None
 
     def __post_init__(self):
         if not any(not e.is_rest for e in self.events):
@@ -145,7 +143,7 @@ def parse_canonical(data: bytes | str) -> Corpus:
                         duration=_parse_rational(note["duration"], f"melody {mid!r} duration"),
                     )
                 )
-            melodies.append(Melody(id=mid, events=tuple(events), key_annotation=mel.get("key"), meta=meta))
+            melodies.append(Melody(id=mid, events=tuple(events), key_annotation=mel.get("key")))
     except KeyError as exc:
         raise MelicError(f"missing required field {exc.args[0]!r}") from exc
     return Corpus(meta=meta, melodies=tuple(melodies))
@@ -175,88 +173,6 @@ def serialize_canonical(corpus: Corpus) -> str:
         ],
     }
     return json.dumps(obj, indent=1)
-
-
-# --- kern-style subset -----------------------------------------------------
-
-_KERN_TOKEN = re.compile(
-    r"^(?P<open>\[)?(?P<dur>\d+)(?P<dots>\.*)(?P<body>[a-gA-G]+|r)(?P<acc>[#-]*)(?P<close>\])?$"
-)
-
-_LETTER_BASE = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
-
-
-def _kern_pitch(body: str, acc: str) -> int:
-    letters = set(body)
-    if len(letters) != 1:
-        raise MelicError(f"unsupported construct: mixed pitch letters in token body {body!r}")
-    ch = body[0]
-    base = _LETTER_BASE[ch.lower()]
-    n = len(body)
-    if ch.islower():
-        midi = 60 + 12 * (n - 1) + base
-    else:
-        midi = 48 - 12 * (n - 1) + base
-    midi += acc.count("#") - acc.count("-")
-    return midi
-
-
-def _kern_duration(dur: str, dots: str) -> Fraction:
-    d = int(dur)
-    if d <= 0:
-        raise MelicError(f"unsupported duration digit {dur!r}")
-    base = Fraction(4, d)
-    # each dot adds half the previous value
-    return base * (2 - Fraction(1, 2 ** len(dots)))
-
-
-def parse_kern_subset(text: str, melody_id: str = "kern", meta: CorpusMeta | None = None) -> Melody:
-    """Parse a single-spine monophonic kern-style melody.
-
-    Supported: duration digit(s) + optional dots + pitch letters (with octave
-    doubling and #/- accidentals) or `r` for rest; `=`-prefixed bar lines are
-    skipped; `[`/`]` tie markers merge notes. Anything else errors loudly.
-    """
-    if "\t" in text:
-        raise MelicError("unsupported construct: multiple spines")
-    events: list[NoteEvent] = []
-    onset = Fraction(0)
-    tie_pitch: int | None = None
-    tie_dur = Fraction(0)
-    tie_onset = Fraction(0)
-    in_tie = False
-    for raw in text.split():
-        if raw.startswith("=") or raw.startswith("*") or raw.startswith("!"):
-            continue
-        m = _KERN_TOKEN.match(raw)
-        if m is None:
-            raise MelicError(f"unsupported construct: token {raw!r}")
-        dur = _kern_duration(m.group("dur"), m.group("dots"))
-        body = m.group("body")
-        is_rest = body == "r"
-        pitch = None if is_rest else _kern_pitch(body, m.group("acc"))
-        if m.group("open"):
-            if in_tie:
-                raise MelicError(f"unsupported construct: nested tie at {raw!r}")
-            if is_rest:
-                raise MelicError("unsupported construct: tied rest")
-            in_tie = True
-            tie_pitch, tie_dur, tie_onset = pitch, dur, onset
-        elif in_tie:
-            if is_rest or pitch != tie_pitch:
-                raise MelicError(f"unsupported construct: tie across different pitches at {raw!r}")
-            tie_dur += dur
-            if m.group("close"):
-                events.append(NoteEvent(pitch=tie_pitch, onset=tie_onset, duration=tie_dur))
-                in_tie = False
-        else:
-            if m.group("close"):
-                raise MelicError(f"unsupported construct: unmatched tie close at {raw!r}")
-            events.append(NoteEvent(pitch=pitch, onset=onset, duration=dur))
-        onset += dur
-    if in_tie:
-        raise MelicError("unsupported construct: unclosed tie")
-    return Melody(id=melody_id, events=tuple(events), meta=meta)
 
 
 # --- table output ----------------------------------------------------------

@@ -201,7 +201,8 @@ _RATIO_BINS = np.arange(0.0, 4.0 + 0.02, 0.02)  # the fit objectives' entropy-ra
 
 
 def _hist(samples) -> np.ndarray:
-    return np.histogram(samples, bins=_RATIO_BINS)[0]  # counts; jsd takes them as floats
+    # an entropy ratio can exceed 4: the last bin, closed on the right, takes every one above it
+    return np.histogram(np.minimum(samples, _RATIO_BINS[-1]), bins=_RATIO_BINS)[0]  # counts; jsd takes them as floats
 
 
 def pitch_ratios(pitches) -> tuple[float, float] | None:

@@ -1,6 +1,5 @@
 """Unigram information measures: entropy, Gini coefficient, mutual information
-with a shuffle null, entropy lower bound, power-law contours, and constructed
-bounds on first/second-order entropy ratios."""
+with a shuffle null, and the entropy lower bound."""
 
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import MelicError
-from .viewpoints import ViewpointKind, intern, pitch_symbols
+from .viewpoints import intern
 
 
 @dataclass(frozen=True)
@@ -19,7 +18,6 @@ class Distribution:
 
     alphabet: tuple
     probs: tuple[float, ...]
-    counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if len(self.alphabet) < 1:
@@ -39,9 +37,8 @@ def distribution_of(seq) -> Distribution:
     codes, alphabet = intern(seq)
     if not codes:
         raise MelicError("cannot build a distribution from an empty sequence")
-    counts = tuple(np.bincount(codes).tolist())
     n = len(codes)
-    return Distribution(alphabet=alphabet, probs=tuple(c / n for c in counts), counts=counts)
+    return Distribution(alphabet=alphabet, probs=tuple(c / n for c in np.bincount(codes).tolist()))
 
 
 def _plugin_entropy(probs) -> float:
@@ -118,74 +115,3 @@ def entropy_lower_bound(A: int, L: int) -> float:
     if not 1 <= A <= L:
         raise MelicError(f"need 1 <= A <= L, got A={A}, L={L}")
     return _plugin_entropy(c / L for c in [L - A + 1] + [1] * (A - 1))
-
-
-# --- power-law entropy/Gini contour ----------------------------------------
-
-def _powerlaw_dist(A: int, exponent: float) -> Distribution:
-    if A < 1:
-        raise MelicError("A must be >= 1")
-    w = np.arange(1, A + 1, dtype=float) ** (-float(exponent))
-    p = w / w.sum()
-    return Distribution(alphabet=tuple(range(A)), probs=tuple(p))
-
-
-def powerlaw_entropy_gini(A: int, exponent: float) -> tuple[float, float]:
-    """Entropy and Gini of p_i proportional to i^-exponent, i = 1..A."""
-    d = _powerlaw_dist(A, exponent)
-    return entropy(d), gini(d)
-
-
-def max_gini(A: int) -> float:
-    """Supremum of the Gini coefficient over distributions on A symbols."""
-    return (A - 1) / A
-
-
-def solve_powerlaw_H(A: int, G: float, tol: float = 1e-8) -> float:
-    """Entropy of the power-law distribution on A symbols whose Gini equals G,
-    found by bisection on the exponent."""
-    if A < 1:
-        raise MelicError("A must be >= 1")
-    if G < 0 or G >= max_gini(A) or (A == 1 and G > 0):
-        raise MelicError(f"G={G} outside achievable range [0, {max_gini(A)}) for A={A}")
-    if G == 0 or A == 1:
-        return math.log2(A)
-    lo, hi = 0.0, 1.0
-    while powerlaw_entropy_gini(A, hi)[1] < G:
-        hi *= 2.0
-        if hi > 1e6:
-            raise MelicError(f"G={G} not reachable by a power law on A={A} symbols")
-    while True:
-        mid = 0.5 * (lo + hi)
-        h, g = powerlaw_entropy_gini(A, mid)
-        if abs(g - G) <= tol:
-            return h
-        if g < G:
-            lo = mid
-        else:
-            hi = mid
-
-
-# --- constructed entropy-ratio bound families ------------------------------
-
-def _measure(pitches: list[int]) -> dict:
-    h_pitch = entropy_of(pitches)
-    h_mint = entropy_of(pitch_symbols(pitches, ViewpointKind.MINT))
-    ratio = math.inf if h_mint == 0.0 else h_pitch / h_mint
-    return {"length": len(pitches), "H_pitch": h_pitch, "H_mint": h_mint, "ratio": ratio}
-
-
-def entropy_ratio_bounds(L: int) -> list[dict]:
-    """Construct three explicit pitch-sequence families and measure the
-    H(Pitch)/H(M-Int) ratio each achieves at length L."""
-    if L < 3:
-        raise MelicError("L must be >= 3")
-    climb = list(range(L))
-    chromatic = [i % 2 for i in range(L)]
-    wave = [0 if i % 2 == 0 else (i + 1) // 2 for i in range(L)]
-    out = []
-    for name, seq in (("climb", climb), ("chromatic", chromatic), ("stop_start_wave", wave)):
-        rec = {"family": name}
-        rec.update(_measure(seq))
-        out.append(rec)
-    return out

@@ -41,7 +41,8 @@ def train_ppm(sequences, max_order: int, alphabet) -> PPMModel:
     contexts, nexts = [], []  # every (context of 0 to max_order codes, next code)
     for seq in sequences:
         codes = _codes(seq, alphabet, "training symbol")
-        for k in range(max_order + 1):
+        # a context of k codes needs k + 1 of them: longer orders add nothing
+        for k in range(min(max_order, len(codes) - 1) + 1):
             contexts += [codes[i - k : i] for i in range(k, len(codes))]
             nexts += codes[k:]
     ids = {ctx: j for j, ctx in enumerate(dict.fromkeys(contexts))}

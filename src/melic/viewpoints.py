@@ -1,5 +1,5 @@
 """Derived melodic viewpoints: pitch, chroma, scale degree, intervals, contour,
-duration, IOI and ratio sequences, plus tonic estimation and octave recovery."""
+duration, IOI and ratio sequences, plus octave recovery."""
 
 from __future__ import annotations
 
@@ -118,26 +118,6 @@ def extract_viewpoint(melody: Melody, kind: ViewpointKind) -> ViewpointSequence:
     else:  # the six pitch kinds
         syms = pitch_symbols(_pitches(melody), kind)
     return ViewpointSequence(kind=kind, symbols=tuple(syms))
-
-
-def estimate_tonic(melody: Melody, method: str = "final") -> int:
-    """Estimate the tonic chroma class from the final, first or modal note."""
-    chromas = pitch_symbols(_pitches(melody), ViewpointKind.CHROMA)
-    if not chromas:
-        raise MelicError(f"melody {melody.id!r}: all-rest melody has no tonic")
-    if method == "final":
-        return chromas[-1]
-    if method == "first":
-        return chromas[0]
-    if method == "modal":
-        counts: dict[int, int] = {}
-        for c in chromas:
-            counts[c] = counts.get(c, 0) + 1
-        best = max(counts.values())
-        tied = sorted(c for c, n in counts.items() if n == best)
-        # ties break toward the final note's chroma, then the lowest class
-        return chromas[-1] if chromas[-1] in tied else tied[0]
-    raise ValueError(f"unknown tonic method {method!r}")
 
 
 def fold_interval(a: int, b: int) -> int:

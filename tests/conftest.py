@@ -17,7 +17,7 @@ def melody_from_pitches(mid, pitches, durations=None):
         d = Fraction(d)
         events.append(NoteEvent(pitch=None if p is None else int(p), onset=onset, duration=d))
         onset += d
-    return Melody(id=mid, events=tuple(events), meta=META)
+    return Melody(id=mid, events=tuple(events))
 
 
 def corpus_of(melodies):

@@ -676,6 +676,26 @@ def test_genmodel_rhythm_fits_a_corpus_whose_every_h_ioi_is_one_bit(tmp_path):
     assert row["A"] == "2" and float(row["JSD"]) < 0.5
 
 
+def test_genmodel_pitch_fits_ratios_above_the_last_bin_edge_into_the_last_bin(tmp_path):
+    # octave leaps over a near-constant chroma: H(M-Int)/H(Chroma) is 8.67,
+    # above the bins' top edge of 4
+    pitches = [60, 72, 48, 84, 36, 96, 60, 24, 108, 60, 72, 48, 84, 36, 96, 61]
+    corpus = write_corpus(tmp_path / "c.json", [melody_from_pitches("leaps", pitches)])
+    argv = ["genmodel", "pitch", "--model", "S1", "--grid-a", "5", "--grid-l", "20", "--grid-o", "2",
+            "--grid-exp", "1", "--n-per-setting", "5", "--seed", "1", str(corpus)]
+    rc, data = run(argv, tmp_path / "o.csv")
+    assert rc == 0
+    assert data.decode().splitlines()[1:] == ["S1,5,20,2.0,1.0,2.0"]
+
+
+def test_ppm_repetition_finishes_at_any_max_order(tmp_path, corpus_file):
+    # orders beyond the longest training sequence add no context, so they cost nothing
+    base = ["ppm-repetition", "--seed", "3", "--n-train", "5", "--shuffle-reps", "2", str(corpus_file)]
+    assert run([*base, "--max-order", "1000000000"], tmp_path / "a.csv") == run(
+        [*base, "--max-order", "24"], tmp_path / "b.csv"
+    )
+
+
 def test_genmodel_scale_window_wider_than_the_reach_is_the_reach(tmp_path, capsys):
     # +-1 steps over 3 steps reach 3 semitones: o = 0.5 is a window of
     # exactly +-3, and every wider one gives the same output

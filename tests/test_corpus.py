@@ -1,4 +1,5 @@
-"""Corpus parsing, serialization round-trips, the kern subset, and table output."""
+"""Corpus parsing, serialization round-trips, table output, and guards on the
+package surface: one error type, and no export that nothing reaches."""
 
 import importlib
 import inspect
@@ -6,6 +7,7 @@ import json
 import pkgutil
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,6 @@ from melic.corpus import (
     NoteEvent,
     SchemaError,
     parse_canonical,
-    parse_kern_subset,
     serialize_canonical,
     write_table,
 )
@@ -172,63 +173,25 @@ def test_melic_has_one_error_type_besides_schema_error():
     assert defined == {MelicError, SchemaError}
 
 
-# --- kern subset ------------------------------------------------------------
-
-def test_kern_pitches():
-    m = parse_kern_subset("4c 4cc 4C 4CC 4b 4B")
-    assert [e.pitch for e in m.events] == [60, 72, 48, 36, 71, 59]
-
-
-def test_kern_accidentals():
-    m = parse_kern_subset("4c# 4c## 4d- 4e--")
-    assert [e.pitch for e in m.events] == [61, 62, 61, 62]
-
-
-def test_kern_durations_and_dots():
-    m = parse_kern_subset("4c 8c 2c 4.c 4..c 1c")
-    assert [e.duration for e in m.events] == [
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(2),
-        Fraction(3, 2),
-        Fraction(7, 4),
-        Fraction(4),
+def test_every_export_is_reached_beyond_its_own_definition():
+    # an export counts as reached when a command, an acceptance criterion or
+    # the benchmark names it: another melic module, the acceptance suite or a
+    # perfbench file, not counting the def or class line that defines it
+    root = Path(__file__).resolve().parents[1]
+    files = [
+        *(f for f in (root / "src" / "melic").glob("*.py") if f.name != "__init__.py"),
+        root / "tests" / "test_acceptance.py",
+        *(root / "perfbench").glob("*.py"),
     ]
-    # onsets are running sums of durations
-    assert m.events[2].onset == Fraction(3, 2)
+    lines = [line for f in files for line in f.read_text().splitlines()]
 
+    def reached(name):
+        return any(
+            re.search(rf"\b{name}\b", line) and not re.match(rf"\s*(def|class) {name}\b", line) for line in lines
+        )
 
-def test_kern_rests_and_barlines():
-    m = parse_kern_subset("4c =1 4r 4d ==")
-    assert [e.pitch for e in m.events] == [60, None, 62]
-    assert m.events[2].onset == Fraction(2)
-
-
-def test_kern_ties_merge():
-    m = parse_kern_subset("[2c 4c] 4d")
-    assert [e.pitch for e in m.events] == [60, 62]
-    assert m.events[0].duration == Fraction(3)
-    assert m.events[1].onset == Fraction(3)
-
-
-def test_kern_tie_across_pitches_rejected():
-    with pytest.raises(MelicError, match="tie"):
-        parse_kern_subset("[2c 4d]")
-
-
-def test_kern_unclosed_tie_rejected():
-    with pytest.raises(MelicError, match="tie"):
-        parse_kern_subset("[2c 4c")
-
-
-def test_kern_unknown_token_rejected():
-    with pytest.raises(MelicError, match="unsupported"):
-        parse_kern_subset("4c 4q")
-
-
-def test_kern_multiple_spines_rejected():
-    with pytest.raises(MelicError, match="spine"):
-        parse_kern_subset("4c\t4e")
+    exports = sorted(name for name, value in vars(melic).items() if callable(value) and not name.startswith("_"))
+    assert [name for name in exports if not reached(name)] == []
 
 
 # --- table output -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Entropy, Gini, mutual information, lower bounds, and power-law contours."""
+"""Entropy, Gini, mutual information, and the entropy lower bound."""
 
 import math
 from fractions import Fraction
@@ -15,12 +15,8 @@ from melic.infotheory import (
     entropy,
     entropy_lower_bound,
     entropy_of,
-    entropy_ratio_bounds,
     gini,
-    max_gini,
     mutual_information_excess,
-    powerlaw_entropy_gini,
-    solve_powerlaw_H,
 )
 from melic.viewpoints import ViewpointKind, extract_viewpoint, symbols_of
 
@@ -40,7 +36,6 @@ def gini_pairwise(probs):
 def test_distribution_of_counts_and_order():
     d = distribution_of(("b", "a", "b", "c"))
     assert d.alphabet == ("a", "b", "c")
-    assert d.counts == (1, 2, 1)
     assert d.probs == (0.25, 0.5, 0.25)
 
 
@@ -74,13 +69,13 @@ def test_gini_matches_pairwise_oracle_random():
         assert gini(d) == pytest.approx(gini_pairwise(p), abs=1e-9)
 
 
-def test_max_gini():
-    assert max_gini(4) == pytest.approx(0.75)
-    # a nearly-degenerate distribution approaches the supremum
+def test_gini_approaches_its_supremum_from_below():
+    # over distributions on A symbols the Gini supremum is (A - 1) / A, 0.75 for
+    # A = 4; a nearly-degenerate distribution approaches it
     eps = 1e-9
     d = Distribution(alphabet=(0, 1, 2, 3), probs=(1 - 3 * eps, eps, eps, eps))
-    assert gini(d) < max_gini(4)
-    assert gini(d) == pytest.approx(max_gini(4), abs=1e-6)
+    assert gini(d) < 0.75
+    assert gini(d) == pytest.approx(0.75, abs=1e-6)
 
 
 def exhaustive_min_entropy(a, length):
@@ -227,7 +222,7 @@ def test_gini_below_its_maximum(seq):
     g = gini(d)
     assert g >= -1e-12  # 0 up to rounding, reached by a uniform distribution
     if d.alphabet_size > 1:
-        assert g < max_gini(d.alphabet_size)
+        assert g < (d.alphabet_size - 1) / d.alphabet_size
 
 
 @PROPERTY
@@ -241,37 +236,3 @@ def test_mutual_information_is_nonnegative(pairs, n_shuffles, seed):
     i_obs, i_ran, _ = mutual_information_excess(p, r, n_shuffles=n_shuffles, rng=np.random.default_rng(seed))
     assert i_obs >= -1e-12
     assert i_ran >= -1e-12
-
-
-def test_powerlaw_limits():
-    h, g = powerlaw_entropy_gini(8, 0.0)
-    assert h == pytest.approx(3.0, abs=1e-12)
-    assert g == pytest.approx(0.0, abs=1e-12)
-    h_steep, g_steep = powerlaw_entropy_gini(8, 5.0)
-    assert h_steep < 1.0 and g_steep > 0.8
-
-
-def test_solve_powerlaw_round_trip():
-    for a, exp in [(5, 0.7), (12, 1.3), (9, 2.0)]:
-        h_true, g = powerlaw_entropy_gini(a, exp)
-        assert solve_powerlaw_H(a, g) == pytest.approx(h_true, abs=1e-5)
-
-
-def test_solve_powerlaw_validation():
-    with pytest.raises(MelicError, match=r"^G=0\.75 outside achievable range \[0, 0\.75\) for A=4$"):
-        solve_powerlaw_H(4, max_gini(4))
-    assert solve_powerlaw_H(4, 0.0) == pytest.approx(2.0)
-
-
-def test_entropy_ratio_bounds_families():
-    rows = {r["family"]: r for r in entropy_ratio_bounds(16)}
-    # strictly ascending line: maximal pitch entropy, zero interval entropy
-    assert rows["climb"]["H_pitch"] == pytest.approx(4.0)
-    assert rows["climb"]["H_mint"] == 0.0
-    assert rows["climb"]["ratio"] == math.inf
-    # two-note oscillation: both entropies near 1 bit, ratio near 1
-    assert rows["chromatic"]["ratio"] == pytest.approx(1.0, abs=0.01)
-    # wave with repeated returns: interval entropy exceeds pitch entropy
-    assert rows["stop_start_wave"]["ratio"] < 1.0
-    with pytest.raises(MelicError, match="^L must be >= 3$"):
-        entropy_ratio_bounds(2)

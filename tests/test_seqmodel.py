@@ -162,6 +162,17 @@ def test_training_counts():
     }
 
 
+def test_orders_beyond_the_longest_sequence_add_no_context():
+    # a sequence of n symbols has contexts of at most n - 1 of them
+    seqs = [("a", "b", "a", "b"), ("b", "a"), ()]
+    longest = train_ppm(seqs, max_order=3, alphabet="ab")
+    huge = train_ppm(seqs, max_order=10**9, alphabet="ab")
+    assert huge.max_order == 10**9
+    assert {ctx: row.tolist() for ctx, row in huge.context_counts.items()} == {
+        ctx: row.tolist() for ctx, row in longest.context_counts.items()
+    }
+
+
 def test_symbol_outside_alphabet_rejected():
     with pytest.raises(MelicError, match="training symbol 'z' outside"):
         train_ppm([("a", "z")], max_order=1, alphabet="ab")

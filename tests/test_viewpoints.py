@@ -1,4 +1,4 @@
-"""Viewpoint extraction, tonic estimation, interval folding, octave recovery."""
+"""Viewpoint extraction, interval folding, octave recovery."""
 
 from fractions import Fraction
 
@@ -11,7 +11,6 @@ from melic.corpus import MelicError
 from melic.viewpoints import (
     ViewpointKind,
     ViewpointSequence,
-    estimate_tonic,
     extract_viewpoint,
     fold_interval,
     intern,
@@ -132,18 +131,6 @@ def test_zero_ioi_rejected():
     )
     with pytest.raises(MelicError, match="zero"):
         extract_viewpoint(m, ViewpointKind.IOI_RATIO)
-
-
-def test_estimate_tonic_methods():
-    m = melody_from_pitches("t", [62, 64, 62, 60])
-    assert estimate_tonic(m, "final") == 0
-    assert estimate_tonic(m, "first") == 2
-    assert estimate_tonic(m, "modal") == 2
-    # modal tie resolves toward the final note's chroma
-    m2 = melody_from_pitches("t2", [64, 64, 60, 60])
-    assert estimate_tonic(m2, "modal") == 0
-    with pytest.raises(ValueError):
-        estimate_tonic(m, "median")
 
 
 def test_fold_interval_all_pairs():
