@@ -240,10 +240,11 @@ def cmd_genmodel_scale(args):
     ]
 
 
-def _fit(args, spec, grids, kinds, statistic, undefined: str) -> tuple:
+def _fit(args, spec, grids, kinds, statistic, undefined: str, worst: float) -> tuple:
     """Best spec of the --model family over the product of the grid lists, and
     its JSD, fitted to statistic(*symbols of kinds) per melody (None skips it
-    as undefined). The grid and --n-per-setting are checked before any melody."""
+    as undefined). The grid and --n-per-setting are checked before any melody.
+    Warns when grid points tie at the best JSD or the best is the worst JSD."""
     grid = [spec(args.model[:-1], int(args.model[-1]), *point) for point in itertools.product(*grids)]
     genmodel.check_fit(grid, args.n_per_setting)
 
@@ -254,14 +255,20 @@ def _fit(args, spec, grids, kinds, statistic, undefined: str) -> tuple:
         return value
 
     empirical = _each_melody(args, one)
-    return genmodel.fit_generative_model(empirical, grid, n_per_setting=args.n_per_setting, seed=args.seed)
+    best, score, ties = genmodel.fit_generative_model(empirical, grid, n_per_setting=args.n_per_setting, seed=args.seed)
+    where = f"warning: genmodel {args.genmodel_command}:"
+    if ties > 1:
+        print(f"{where} {ties} of {len(grid)} grid points tie at the best JSD; the first is reported", file=sys.stderr)
+    if math.isclose(score, worst):
+        print(f"{where} the best JSD is the objective's maximum, {worst:g}: no grid point fits", file=sys.stderr)
+    return best, score
 
 
 def cmd_genmodel_pitch(args):
     grids = (args.grid_a, args.grid_l, args.grid_o, args.grid_exp)
     kinds = (ViewpointKind.PITCH,)
     why = "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined"
-    best, score = _fit(args, genmodel.PitchModelSpec, grids, kinds, genmodel.pitch_ratios, why)
+    best, score = _fit(args, genmodel.PitchModelSpec, grids, kinds, genmodel.pitch_ratios, why, genmodel.PITCH_JSD_MAX)
     return [{"model": best.name, "A": best.a, "L": best.length, "O": best.o, "exponent": best.exponent, "JSD": score}]
 
 
@@ -269,7 +276,7 @@ def cmd_genmodel_rhythm(args):
     grids = (args.grid_a, args.grid_l, args.grid_exp)
     kinds = (ViewpointKind.IOI, ViewpointKind.IOI_RATIO)
     why = "H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined"
-    best, score = _fit(args, genmodel.RhythmModelSpec, grids, kinds, genmodel.rhythm_pair, why)
+    best, score = _fit(args, genmodel.RhythmModelSpec, grids, kinds, genmodel.rhythm_pair, why, genmodel.RHYTHM_JSD_MAX)
     return [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}]
 
 

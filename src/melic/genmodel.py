@@ -197,6 +197,8 @@ def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Gene
 
 # --- JSD fitting -----------------------------------------------------------
 
+PITCH_JSD_MAX = 2.0  # the pitch objective's maximum: two JSDs in bits
+RHYTHM_JSD_MAX = 1.0  # the rhythm objective's maximum: an average of JSDs in bits
 _RATIO_BINS = np.arange(0.0, 4.0 + 0.02, 0.02)  # the fit objectives' entropy-ratio bins, 0.02 wide
 
 
@@ -229,7 +231,7 @@ def pitch_fit_objective(seq_sets, empirical) -> float:
     the model sequences' pitch_ratios against the empirical ones."""
     model = [r for pitches in seq_sets if (r := pitch_ratios(pitches)) is not None]
     if not model:
-        return 2.0
+        return PITCH_JSD_MAX
     (mint_m, sint_m), (mint_e, sint_e) = zip(*model), zip(*empirical)
     return jsd(_hist(mint_m), _hist(mint_e)) + jsd(_hist(sint_m), _hist(sint_e))
 
@@ -249,7 +251,7 @@ def rhythm_fit_objective(seq_sets, empirical) -> float:
     empirical ones, over H(IOI) bins of 0.5 bits."""
     model = _h_bins(p for ioi, ratio in seq_sets if (p := rhythm_pair(ioi, ratio)) is not None)
     if not model:
-        return 1.0
+        return RHYTHM_JSD_MAX
     total = 0.0
     for k, emp_in in sorted(_h_bins(empirical).items()):
         mod_in = model.get(k)
@@ -269,7 +271,8 @@ def check_fit(param_grid: list, n_per_setting: int) -> None:
 def fit_generative_model(empirical: list, param_grid: list, n_per_setting: int = 100, seed: int = 0):
     """Grid search over pitch or rhythm specs minimizing the JSD objective
     between model sequences and empirical, the per-melody pitch_ratios or
-    rhythm_pairs; deterministic tie-break to the earliest grid point."""
+    rhythm_pairs; deterministic tie-break to the earliest grid point.
+    Returns (best spec, its score, how many grid points score the same)."""
     if not empirical:
         raise MelicError("empty empirical targets")
     check_fit(param_grid, n_per_setting)
@@ -282,7 +285,7 @@ def fit_generative_model(empirical: list, param_grid: list, n_per_setting: int =
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         scores.append(objective(generate(spec, n_per_setting, rng), empirical))
     best = min(range(len(scores)), key=scores.__getitem__)  # the earliest of equal scores
-    return param_grid[best], scores[best]
+    return param_grid[best], scores[best], scores.count(scores[best])
 
 
 # --- scale-entropy pipeline ------------------------------------------------

@@ -61,15 +61,25 @@ def _level_dist(model: PPMModel, ctx: tuple) -> np.ndarray:
     symbol is seen, the escape mass blends the lower order over the whole
     alphabet so probabilities still sum to one.
     """
-    cached = model._dist_cache.get(ctx)
-    if cached is not None:
-        return cached
+    cache = model._dist_cache
+    out = cache.get(ctx)
+    if out is not None:
+        return out
     a = len(model.alphabet)
-    lower = _level_dist(model, ctx[1:]) if ctx else np.full(a, 1.0 / a)
-    row = model.context_counts.get(ctx)
-    if row is None:
-        out = lower
-    else:
+    # built order by order from order 0, in a loop; every suffix of a training
+    # context is one, so the first suffix without counts ends the walk, and it
+    # and every longer suffix predict as the suffix below it
+    for k in range(len(ctx) + 1):
+        suffix = ctx[len(ctx) - k :]
+        cached = cache.get(suffix)
+        if cached is not None:
+            out = cached
+            continue
+        lower = out if k else np.full(a, 1.0 / a)
+        row = model.context_counts.get(suffix)
+        if row is None:
+            out = lower
+            break
         n, e = int(row.sum()), np.count_nonzero(row)
         out = row / (n + e)
         esc = e / (n + e)
@@ -79,7 +89,8 @@ def _level_dist(model: PPMModel, ctx: tuple) -> np.ndarray:
             unseen = row == 0
             rest = lower[unseen]
             out[unseen] = esc * rest / rest.sum()
-    model._dist_cache[ctx] = out
+        cache[suffix] = out
+    cache[ctx] = out
     return out
 
 

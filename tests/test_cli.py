@@ -341,9 +341,12 @@ def test_genmodel_fits_report_melodies_with_zero_base_entropy(tmp_path, capsys, 
     corpus = write_corpus(tmp_path / "zero.json", mels)
     rc, data = run([*argv, "--n-per-setting", "5", "--seed", "1", str(corpus)], tmp_path / "o.csv")
     assert rc == 0 and len(rows_of(data)) == 1
+    # one melody is left, and no model sequence lands in its histogram bins
+    worst = {"pitch": 2, "rhythm": 1}[argv[1]]
     assert capsys.readouterr().err.splitlines() == [
         *(f"warning: corpus 'fixture' melody '{mid}' skipped: {why}" for mid, why in skipped),
         f"warning: corpus 'fixture': {len(skipped)} melodies skipped",
+        f"warning: genmodel {argv[1]}: the best JSD is the objective's maximum, {worst}: no grid point fits",
     ]
 
 
@@ -694,6 +697,42 @@ def test_ppm_repetition_finishes_at_any_max_order(tmp_path, corpus_file):
     assert run([*base, "--max-order", "1000000000"], tmp_path / "a.csv") == run(
         [*base, "--max-order", "24"], tmp_path / "b.csv"
     )
+
+
+def test_ppm_repetition_predicts_a_target_longer_than_the_recursion_limit(tmp_path, capsys):
+    # seed 0 trains the 1200-note target on one 6-note melody, and no short
+    # target on the long one: the target's contexts reach 1199 codes
+    rng = np.random.default_rng(0)
+    mels = [melody_from_pitches("long", list(60 + rng.integers(0, 24, 1200)))]
+    mels += [melody_from_pitches(f"short{i}", [60, 62, 64, 65, 67, 69 + i]) for i in range(3)]
+    corpus = write_corpus(tmp_path / "c.json", mels)
+    argv = ["ppm-repetition", "--seed", "0", "--n-train", "1", "--truncate", "2000", "--max-order", "2000",
+            "--shuffle-reps", "1", "--viewpoint", "pitch", str(corpus)]
+    rc, data = run(argv, tmp_path / "o.csv")
+    assert capsys.readouterr().err == ""
+    assert rc == 0
+    assert data.decode().splitlines() == ["corpus,mean_IC,mean_IC_r,repetition_bits", "fixture,2.93514,4.26979,1.33465"]
+
+
+def test_genmodel_rhythm_warns_when_the_fit_is_uninformative(tmp_path, capsys):
+    # CR IOIs are running products of primes and their reciprocals, so a model
+    # sequence's IOIs rarely repeat: its H(IOI) lies bits above the melodies'
+    # 1 bit, no sequence lands in their H(IOI) bin, and every grid point scores
+    # the maximum, 1
+    rng = np.random.default_rng(3)
+    corpus = _ioi_corpus(tmp_path / "c.json", lambda i: list(rng.permutation([1, 2] * 10)))
+    base = ["genmodel", "rhythm", "--grid-l", "20", "--grid-exp", "1", "--seed", "1", str(corpus)]
+    rc, data = run([*base, "--model", "CR2", "--grid-a", "3,5"], tmp_path / "o.csv")
+    assert rc == 0
+    assert data.decode().splitlines()[1:] == ["CR2,3,20,1.0,1.0"]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: genmodel rhythm: 2 of 2 grid points tie at the best JSD; the first is reported",
+        "warning: genmodel rhythm: the best JSD is the objective's maximum, 1: no grid point fits",
+    ]
+    # an informative fit of the same melodies warns of nothing
+    rc, data = run([*base, "--model", "SI1", "--grid-a", "3,2"], tmp_path / "o.csv")
+    assert rc == 0 and float(rows_of(data)[0]["JSD"]) < 0.5
+    assert capsys.readouterr().err == ""
 
 
 def test_genmodel_scale_window_wider_than_the_reach_is_the_reach(tmp_path, capsys):

@@ -245,9 +245,10 @@ def test_fit_generative_model_recovers_planted_setting():
     grid = [
         PitchModelSpec(family="S", dist=1, a=a, length=30) for a in (2, 5, 10)
     ]
-    best, score = fit_generative_model(_pitch_pairs(target), grid, n_per_setting=60, seed=7)
+    best, score, ties = fit_generative_model(_pitch_pairs(target), grid, n_per_setting=60, seed=7)
     assert best.a == 5
     assert score < 0.5
+    assert ties == 1
 
 
 def test_fit_generative_model_validation():

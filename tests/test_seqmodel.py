@@ -173,6 +173,17 @@ def test_orders_beyond_the_longest_sequence_add_no_context():
     }
 
 
+def test_contexts_deeper_than_the_recursion_limit_predict_as_their_counted_suffix():
+    # a 1200-symbol target under max_order 5000 reads contexts of up to 1199
+    # codes; none longer than 5 has counts, so every bit is that of max_order 5
+    rng = np.random.default_rng(8)
+    train = [tuple(rng.integers(0, 40, 6).tolist())]
+    target = rng.integers(0, 40, 1200).tolist()
+    deep, shallow = train_ppm(train, 5000, range(40)), train_ppm(train, 5, range(40))
+    assert information_content(deep, target) == information_content(shallow, target)
+    assert predict_distribution(deep, target) == predict_distribution(shallow, target)
+
+
 def test_symbol_outside_alphabet_rejected():
     with pytest.raises(MelicError, match="training symbol 'z' outside"):
         train_ppm([("a", "z")], max_order=1, alphabet="ab")

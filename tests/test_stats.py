@@ -1,6 +1,7 @@
 """KDE, JSD, Pearson, Benjamini-Hochberg, null models, similarity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,60 @@ def test_kde_errors():
         kde_silverman([1.0])
     with pytest.raises(MelicError, match="delta"):
         kde_silverman([2.0, 2.0, 2.0])
+
+
+def full_matrix_kde(samples, grid=None):
+    """Oracle: the whole grid x samples kernel matrix, summed row by row."""
+    samples = np.asarray(samples, dtype=float)
+    h = silverman_bandwidth(samples)
+    if grid is None:
+        grid = np.linspace(samples.min() - 4 * h, samples.max() + 4 * h, 512)
+    samples = np.clip(samples, grid[0], grid[-1])
+    z = (grid[:, None] - samples[None, :]) / h
+    dens = np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * np.sqrt(2 * np.pi))
+    return grid, dens / (dens.sum() * (grid[1] - grid[0]))
+
+
+_H_GRID = np.arange(0.0025, 5.0, 0.005)  # genmodel scale's 1000-point grid of 0.005-bit bins
+
+
+def _kde_cases():
+    rng = np.random.default_rng(4)
+    yield pytest.param(rng.normal(size=3000), None, 0, id="default-grid")
+    # entropies partly below and above the grid, moved to its ends
+    yield pytest.param(rng.normal(2.5, 1.6, size=5000), _H_GRID, 0, id="clipped")
+    # a tight cluster and a far one: the gap between them is many times 78h
+    # wide, so whole blocks of 16 grid points sum no sample at all
+    gap = np.concatenate([rng.normal(0.0, 0.1, 900), rng.normal(50.0, 0.1, 100)])
+    yield pytest.param(gap, None, 16, id="gap")
+
+
+@pytest.mark.parametrize("samples, grid, min_zeros", _kde_cases())
+def test_kde_matches_the_full_matrix(samples, grid, min_zeros):
+    res = kde_silverman(samples, grid=grid)
+    oracle_grid, oracle = full_matrix_kde(samples, grid)
+    assert (res.grid == oracle_grid).all()
+    # only the order of the sums differs, and the zeros are the same zeros
+    np.testing.assert_allclose(res.density, oracle, rtol=1e-12, atol=0)
+    assert (oracle == 0).sum() >= min_zeros
+
+
+def test_kde_memory_does_not_grow_with_the_grid():
+    # the full matrix would take 20,000 x 1000 x 8 bytes = 160 MB per temporary
+    samples = np.random.default_rng(5).normal(2.5, 1.0, size=20_000)
+    tracemalloc.start()
+    try:
+        kde_silverman(samples, grid=_H_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("grid", [[0.5], [], [1.0, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, np.nan, 1.0]])
+def test_kde_rejects_a_grid_that_is_not_strictly_increasing(grid):
+    with pytest.raises(MelicError, match="^KDE grid must hold at least 2 strictly increasing points$"):
+        kde_silverman([0.1, 0.4, 0.7], grid=np.array(grid))
 
 
 def test_kde_clamp_keeps_mass():
