@@ -240,16 +240,16 @@ def cmd_genmodel_scale(args):
     ]
 
 
-def _fit(args, spec, grids, kinds, statistic, undefined: str, worst: float) -> tuple:
+def _fit(args, spec, grids, kind, statistic, undefined: str, worst: float) -> tuple:
     """Best spec of the --model family over the product of the grid lists, and
-    its JSD, fitted to statistic(*symbols of kinds) per melody (None skips it
+    its JSD, fitted to statistic(symbols of kind) per melody (None skips it
     as undefined). The grid and --n-per-setting are checked before any melody.
     Warns when grid points tie at the best JSD or the best is the worst JSD."""
     grid = [spec(args.model[:-1], int(args.model[-1]), *point) for point in itertools.product(*grids)]
     genmodel.check_fit(grid, args.n_per_setting)
 
     def one(m):
-        value = statistic(*(extract_viewpoint(m, k).symbols for k in kinds))
+        value = statistic(extract_viewpoint(m, kind).symbols)
         if value is None:
             raise MelicError(undefined)
         return value
@@ -266,17 +266,15 @@ def _fit(args, spec, grids, kinds, statistic, undefined: str, worst: float) -> t
 
 def cmd_genmodel_pitch(args):
     grids = (args.grid_a, args.grid_l, args.grid_o, args.grid_exp)
-    kinds = (ViewpointKind.PITCH,)
     why = "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined"
-    best, score = _fit(args, genmodel.PitchModelSpec, grids, kinds, genmodel.pitch_ratios, why, genmodel.PITCH_JSD_MAX)
+    best, score = _fit(args, genmodel.PitchModelSpec, grids, ViewpointKind.PITCH, genmodel.pitch_ratios, why, genmodel.PITCH_JSD_MAX)
     return [{"model": best.name, "A": best.a, "L": best.length, "O": best.o, "exponent": best.exponent, "JSD": score}]
 
 
 def cmd_genmodel_rhythm(args):
     grids = (args.grid_a, args.grid_l, args.grid_exp)
-    kinds = (ViewpointKind.IOI, ViewpointKind.IOI_RATIO)
     why = "H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined"
-    best, score = _fit(args, genmodel.RhythmModelSpec, grids, kinds, genmodel.rhythm_pair, why, genmodel.RHYTHM_JSD_MAX)
+    best, score = _fit(args, genmodel.RhythmModelSpec, grids, ViewpointKind.IOI, genmodel.rhythm_pair, why, genmodel.RHYTHM_JSD_MAX)
     return [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}]
 
 

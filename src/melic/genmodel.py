@@ -14,7 +14,7 @@ from . import _kernels
 from .corpus import MelicError
 from .infotheory import Distribution, entropy_of
 from .stats import jsd, kde_silverman
-from .viewpoints import ViewpointKind, pitch_symbols
+from .viewpoints import ViewpointKind, pitch_symbols, ratios
 
 PITCH_FAMILIES = ("S", "I", "IS")
 RHYTHM_VALUE_SETS = ("SI", "CI", "SR", "CR")
@@ -160,38 +160,31 @@ def _metrical_base(onset: Fraction) -> int:
 
 
 def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Generator):
-    """Generate n sequences; each item is (ioi, ioi_ratio) tuples of rationals."""
+    """Generate n sequences, each a list of IOIs (Fractions): spec.length drawn
+    from an IOI set (SI, CI), or for a ratio set (SR, CR) 1 and then spec.length
+    IOIs, each the one before times a drawn ratio. Metrical models (dist 4)
+    weigh each value by the metrical base of the onset it lands on."""
     is_ratio_set = spec.value_set in ("SR", "CR")
     values = simple_value_set(spec.a) if spec.value_set in ("SI", "SR") else complex_value_set(spec.a)
     out = []
     for _ in range(n):
+        iois = [Fraction(1)] if is_ratio_set else []
         if spec.dist != 4:
             w = _weights(len(values), spec.dist, spec.exponent, rng)
-            draws = [values[i] for i in rng.choice(len(values), size=spec.length, p=w)]
+            for i in rng.choice(len(values), size=spec.length, p=w):
+                iois.append(iois[-1] * values[i] if is_ratio_set else values[i])
         else:
             # sequential choice weighted by metrical fit of the landing onset
-            draws = []
             onset = Fraction(0)
-            cur_ioi = Fraction(1)
             for _ in range(spec.length):
-                next_iois = [cur_ioi * v for v in values] if is_ratio_set else values
+                next_iois = [iois[-1] * v for v in values] if is_ratio_set else values
                 b = np.array([_metrical_base(onset + nv) for nv in next_iois], dtype=float)
                 w = b ** spec.exponent
                 w /= w.sum()
-                i = int(rng.choice(len(values), p=w))
-                draws.append(values[i])
-                onset += next_iois[i]
-                if is_ratio_set:
-                    cur_ioi = next_iois[i]
-        if is_ratio_set:
-            ratios = list(draws)
-            iois = [Fraction(1)]
-            for r in ratios:
-                iois.append(iois[-1] * r)
-        else:
-            iois = list(draws)
-            ratios = [b / a for a, b in zip(iois, iois[1:])]
-        out.append((tuple(iois), tuple(ratios)))
+                ioi = next_iois[int(rng.choice(len(values), p=w))]
+                iois.append(ioi)
+                onset += ioi
+        out.append(iois)
     return out
 
 
@@ -220,10 +213,13 @@ def pitch_ratios(pitches) -> tuple[float, float] | None:
     return entropy_of(mint) / hc, entropy_of(sint) / hc
 
 
-def rhythm_pair(ioi, ratio) -> tuple[float, float] | None:
-    """(H(IOI), H(IOI-ratio)/H(IOI)), or None where H(IOI) is 0."""
-    hi = entropy_of(ioi)
-    return None if hi == 0.0 else (hi, entropy_of(ratio) / hi)
+def rhythm_pair(iois) -> tuple[float, float] | None:
+    """(H(IOI), H(IOI-ratio)/H(IOI)) of an IOI sequence, or None where H(IOI)
+    is 0. The IOI ratios come from viewpoints.ratios, as a melody's do; they
+    are derived first, so a zero IOI before another is an error even there."""
+    iratio = ratios(iois)
+    hi = entropy_of(iois)
+    return None if hi == 0.0 else (hi, entropy_of(iratio) / hi)
 
 
 def pitch_fit_objective(seq_sets, empirical) -> float:
@@ -249,7 +245,7 @@ def rhythm_fit_objective(seq_sets, empirical) -> float:
     """Expected JSD of P(H(IOI-ratio)/H(IOI) | H(IOI)) under the empirical
     H(IOI) distribution, the model sequences' rhythm_pairs against the
     empirical ones, over H(IOI) bins of 0.5 bits."""
-    model = _h_bins(p for ioi, ratio in seq_sets if (p := rhythm_pair(ioi, ratio)) is not None)
+    model = _h_bins(p for iois in seq_sets if (p := rhythm_pair(iois)) is not None)
     if not model:
         return RHYTHM_JSD_MAX
     total = 0.0

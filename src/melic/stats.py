@@ -84,17 +84,20 @@ def _hist_entropy(p: np.ndarray) -> float:
 
 
 def jsd(p, q) -> float:
-    """Jensen-Shannon divergence in bits between two histograms on shared bins."""
+    """Jensen-Shannon divergence in bits between two histograms on shared bins:
+    exactly 1 where they share no bin, else clamped to [0, 1] against rounding."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise MelicError(f"binning mismatch: {p.shape} vs {q.shape}")
     if p.sum() <= 0 or q.sum() <= 0:
         raise MelicError("empty histogram")
+    if not ((p > 0) & (q > 0)).any():
+        return 1.0
     p = p / p.sum()
     q = q / q.sum()
     m = 0.5 * (p + q)
-    return _hist_entropy(m) - 0.5 * (_hist_entropy(p) + _hist_entropy(q))
+    return min(1.0, max(0.0, _hist_entropy(m) - 0.5 * (_hist_entropy(p) + _hist_entropy(q))))
 
 
 def pearson(x, y) -> tuple[float, float]:

@@ -71,13 +71,13 @@ def _iois(melody: Melody) -> list[Fraction]:
     return [b - a for a, b in zip(onsets, onsets[1:])]
 
 
-def _ratios(values: list[Fraction], what: str) -> list[Fraction]:
-    out = []
-    for a, b in zip(values, values[1:]):
-        if a == 0:
-            raise MelicError(f"degenerate input: zero {what} (simultaneous onsets)")
-        out.append(Fraction(b) / Fraction(a))
-    return out
+def ratios(values) -> list[Fraction]:
+    """Each value over the one before: the IOI ratios of IOIs, a melody's and a
+    model sequence's alike, or the duration ratios of durations (all > 0)."""
+    try:
+        return [b / a for a, b in zip(values, values[1:])]
+    except ZeroDivisionError:
+        raise MelicError("degenerate input: zero IOI (simultaneous onsets)") from None
 
 
 def pitch_symbols(pitches: list[int], kind: ViewpointKind) -> list:
@@ -108,9 +108,9 @@ def extract_viewpoint(melody: Melody, kind: ViewpointKind) -> ViewpointSequence:
     elif kind is ViewpointKind.IOI:
         syms = _iois(melody)
     elif kind is ViewpointKind.IOI_RATIO:
-        syms = _ratios(_iois(melody), "IOI")
+        syms = ratios(_iois(melody))
     elif kind is ViewpointKind.DURATION_RATIO:
-        syms = _ratios(_durations(melody), "duration")
+        syms = ratios(_durations(melody))
     elif kind is ViewpointKind.JOINT_CHROMA_DURATION:
         syms = zip(pitch_symbols(_pitches(melody), ViewpointKind.CHROMA), _durations(melody))
     elif kind is ViewpointKind.JOINT_MINT_DURATION:

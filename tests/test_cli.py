@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from melic import genmodel
 from melic.cli import build_parser, main
-from melic.corpus import serialize_canonical
+from melic.corpus import Melody, NoteEvent, serialize_canonical
 from melic.viewpoints import ViewpointKind
 
 from conftest import corpus_of, melody_from_pitches
@@ -322,26 +322,37 @@ def test_corpus_level_failures_are_errors(tmp_path, capsys, corpus_file):
     [
         (
             ["genmodel", "pitch", "--model", "S1", "--grid-a", "4", "--grid-l", "20", "--grid-o", "2", "--grid-exp", "1"],
-            [("flat", "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined"),
-             ("lone", "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined")],
+            [(mid, "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined")
+             for mid in ("flat", "zero", "chord", "two", "tail", "lone")],
         ),
         (
             ["genmodel", "rhythm", "--model", "SI1", "--grid-a", "3", "--grid-l", "20", "--grid-exp", "1"],
             [("even", "H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined"),
+             ("zero", "degenerate input: zero IOI (simultaneous onsets)"),
+             ("chord", "degenerate input: zero IOI (simultaneous onsets)"),
+             ("two", "H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined"),
              ("lone", "melody 'lone': IOI needs at least 2 note onsets")],
         ),
     ],
 )
 def test_genmodel_fits_report_melodies_with_zero_base_entropy(tmp_path, capsys, argv, skipped):
-    # 'flat' repeats one pitch (H(Chroma) = 0); 'even' has equal IOIs (H(IOI) = 0)
+    # 'flat' repeats one pitch (H(Chroma) = 0); 'even' has equal IOIs (H(IOI) = 0).
+    # 'zero' and 'chord' divide by a zero IOI, also where H(IOI) is 0; 'two' has
+    # one IOI and no IOI ratio; 'tail' ends on a zero IOI, which divides nothing
+    def flat_at(mid, onsets):
+        notes = (NoteEvent(pitch=60, onset=Fraction(o), duration=Fraction(1)) for o in onsets)
+        return Melody(id=mid, events=tuple(notes))
+
     mels = [melody_from_pitches("a", [60, 62, 64, 62, 67], [1, 2, 1, 1, 2]),
             melody_from_pitches("flat", [60, 60, 60, 60], [1, 2, 1, 2]),
             melody_from_pitches("even", [60, 62, 64, 65]),
+            flat_at("zero", [0, 0, 1, 3]), flat_at("chord", [0, 0, 0]),
+            flat_at("two", [0, 1]), flat_at("tail", [0, 1, 3, 3]),
             melody_from_pitches("lone", [67])]
     corpus = write_corpus(tmp_path / "zero.json", mels)
     rc, data = run([*argv, "--n-per-setting", "5", "--seed", "1", str(corpus)], tmp_path / "o.csv")
     assert rc == 0 and len(rows_of(data)) == 1
-    # one melody is left, and no model sequence lands in its histogram bins
+    # pitch keeps one melody and rhythm three; no model sequence lands in their histogram bins
     worst = {"pitch": 2, "rhythm": 1}[argv[1]]
     assert capsys.readouterr().err.splitlines() == [
         *(f"warning: corpus 'fixture' melody '{mid}' skipped: {why}" for mid, why in skipped),

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from melic import _kernels
 from melic.corpus import MelicError
 from melic.genmodel import (
+    PITCH_JSD_MAX,
+    RHYTHM_VALUE_SETS,
     PitchModelSpec,
     RhythmModelSpec,
     _chroma_entropy,
@@ -30,7 +32,9 @@ from melic.genmodel import (
     simulate_scale_entropy,
 )
 from melic.infotheory import Distribution, entropy_of
-from melic.viewpoints import ViewpointKind, pitch_symbols
+from melic.viewpoints import ViewpointKind, extract_viewpoint, pitch_symbols, ratios
+
+from conftest import melody_from_pitches
 
 
 def triangular_intervals():
@@ -91,8 +95,9 @@ def test_fit_statistics_are_none_where_the_base_entropy_is_0():
     assert pitch_ratios((60, 64, 60, 64)) == pytest.approx((0.9182958, 0.9182958))
     # H(Chroma) = 1 bit; one M-Int and one S-Int, so both are 0
     assert pitch_ratios((60, 64)) == pytest.approx((0.0, 0.0))
-    assert rhythm_pair((1, 1, 1), (1, 1)) is None
-    assert rhythm_pair((1, 2, 1, 2), (2, Fraction(1, 2), 2)) == pytest.approx((1.0, 0.9182958))
+    assert rhythm_pair([Fraction(1)] * 3) is None
+    # H(IOI) = 1 bit; the IOI ratios 2, 1/2, 2 have H = 0.918 bits
+    assert rhythm_pair([Fraction(x) for x in (1, 2, 1, 2)]) == pytest.approx((1.0, 0.9182958))
 
 
 @given(st.lists(st.integers(-30, 130), min_size=1, max_size=40))
@@ -103,6 +108,21 @@ def test_pitch_ratios_are_the_entropy_ratios_of_the_pitch_symbols(pitches):
     else:
         h_mint, h_sint = (entropy_of(pitch_symbols(pitches, k)) for k in (ViewpointKind.MINT, ViewpointKind.SINT))
         assert pitch_ratios(pitches) == (h_mint / hc, h_sint / hc)
+
+
+_ioi = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+
+
+@given(st.lists(_ioi, min_size=1, max_size=30))
+def test_rhythm_pair_is_the_entropy_ratio_of_the_melody_viewpoints(iois):
+    melody = melody_from_pitches("m", [60] * (len(iois) + 1), [*iois, 1])
+    ioi, iratio = (extract_viewpoint(melody, k).symbols for k in (ViewpointKind.IOI, ViewpointKind.IOI_RATIO))
+    assert list(ioi) == iois
+    hi = entropy_of(ioi)
+    if hi == 0.0:
+        assert rhythm_pair(iois) is None
+    else:
+        assert rhythm_pair(iois) == (hi, entropy_of(iratio) / hi)
 
 
 def test_metrical_base():
@@ -214,23 +234,78 @@ def test_interval_walk_without_a_legal_weighted_interval_is_an_error():
 def test_generate_rhythm_iid_and_ratio_families():
     rng = np.random.default_rng(4)
     spec = RhythmModelSpec(value_set="SI", dist=1, a=5, length=20)
-    for ioi, ratio in generate_rhythm_sequences(spec, 5, rng):
+    for ioi in generate_rhythm_sequences(spec, 5, rng):
+        ratio = ratios(ioi)
         assert len(ioi) == 20 and len(ratio) == 19
         assert set(ioi) <= set(simple_value_set(5))
         assert all(ratio[i] == ioi[i + 1] / ioi[i] for i in range(19))
     spec_r = RhythmModelSpec(value_set="SR", dist=1, a=5, length=20)
-    for ioi, ratio in generate_rhythm_sequences(spec_r, 5, rng):
-        assert len(ratio) == 20 and len(ioi) == 21
+    for ioi in generate_rhythm_sequences(spec_r, 5, rng):
+        ratio = ratios(ioi)
+        assert len(ratio) == 20 and len(ioi) == 21 and ioi[0] == 1
         assert set(ratio) <= set(simple_value_set(5))
 
 
 def test_generate_rhythm_metrical_prefers_strong_beats():
     rng = np.random.default_rng(5)
     spec = RhythmModelSpec(value_set="SI", dist=4, a=5, length=200, exponent=3.0)
-    (ioi, _), = generate_rhythm_sequences(spec, 1, rng)
+    ioi, = generate_rhythm_sequences(spec, 1, rng)
     onsets = np.cumsum([float(v) for v in ioi])
     on_grid = np.mean([o == int(o) for o in onsets])
     assert on_grid > 0.5  # heavily weighted toward integer beats
+
+
+def oracle_rhythm_pairs(spec, n, rng):
+    # Oracle: the generator that returned (ioi, ratio) pairs of tuples, with
+    # drawn ratios for SR/CR and the IOIs divided out for SI/CI.
+    is_ratio_set = spec.value_set in ("SR", "CR")
+    values = simple_value_set(spec.a) if spec.value_set in ("SI", "SR") else complex_value_set(spec.a)
+    out = []
+    for _ in range(n):
+        if spec.dist != 4:
+            w = _weights(len(values), spec.dist, spec.exponent, rng)
+            draws = [values[i] for i in rng.choice(len(values), size=spec.length, p=w)]
+        else:
+            draws = []
+            onset = Fraction(0)
+            cur_ioi = Fraction(1)
+            for _ in range(spec.length):
+                next_iois = [cur_ioi * v for v in values] if is_ratio_set else values
+                b = np.array([_metrical_base(onset + nv) for nv in next_iois], dtype=float)
+                w = b ** spec.exponent
+                w /= w.sum()
+                i = int(rng.choice(len(values), p=w))
+                draws.append(values[i])
+                onset += next_iois[i]
+                if is_ratio_set:
+                    cur_ioi = next_iois[i]
+        if is_ratio_set:
+            ratio = list(draws)
+            iois = [Fraction(1)]
+            for r in ratio:
+                iois.append(iois[-1] * r)
+        else:
+            iois = list(draws)
+            ratio = [b / a for a, b in zip(iois, iois[1:])]
+        out.append((tuple(iois), tuple(ratio)))
+    return out
+
+
+@pytest.mark.parametrize("value_set", RHYTHM_VALUE_SETS)
+@pytest.mark.parametrize("dist", [1, 2, 3, 4])
+def test_rhythm_models_match_the_pair_oracle(value_set, dist):
+    # The same IOIs, the oracle's ratios from viewpoints.ratios, and the same
+    # next draw, over 135 (a, L, exponent, seed) settings per model
+    for a in (1, 2, 3, 6, 15):
+        for length in (2, 3, 12):
+            for exponent in (0.5, 1.0, 2.5):
+                for seed in range(3):
+                    spec = RhythmModelSpec(value_set=value_set, dist=dist, a=a, length=length, exponent=exponent)
+                    rng, ref_rng = np.random.default_rng([seed, a]), np.random.default_rng([seed, a])
+                    got, ref = generate_rhythm_sequences(spec, 4, rng), oracle_rhythm_pairs(spec, 4, ref_rng)
+                    assert [tuple(iois) for iois in got] == [iois for iois, _ in ref], spec
+                    assert [tuple(ratios(iois)) for iois in got] == [ratio for _, ratio in ref], spec
+                    assert rng.random() == ref_rng.random(), spec
 
 
 def _pitch_pairs(seq_sets):
@@ -251,6 +326,13 @@ def test_fit_generative_model_recovers_planted_setting():
     assert ties == 1
 
 
+def test_uninformative_grid_points_tie_at_the_objective_maximum():
+    # every model sequence's ratios lie below the one empirical pair's bin, so
+    # each grid point compares histograms that share no bin, twice
+    grid = [PitchModelSpec(family="S", dist=1, a=a, length=30) for a in (3, 5, 7, 9)]
+    assert fit_generative_model([(3.99, 3.99)], grid, n_per_setting=20, seed=0) == (grid[0], PITCH_JSD_MAX, 4)
+
+
 def test_fit_generative_model_validation():
     with pytest.raises(MelicError, match="^empty empirical targets$"):
         fit_generative_model([], [None])
@@ -265,9 +347,8 @@ def test_pitch_objective_zero_for_identical():
 
 
 def _rhythm_seqs(ioi_lists):
-    """(ioi, ratio) sequences, as generate_rhythm_sequences returns them."""
-    iois = [tuple(Fraction(x) for x in xs) for xs in ioi_lists]
-    return [(ioi, tuple(b / a for a, b in zip(ioi, ioi[1:]))) for ioi in iois]
+    """IOI sequences of Fractions, as generate_rhythm_sequences returns them."""
+    return [[Fraction(x) for x in xs] for xs in ioi_lists]
 
 
 # H(IOI) values include multiples of 0.5 bit, where the bins meet

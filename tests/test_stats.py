@@ -138,7 +138,21 @@ def test_jsd_symmetric_and_bounded():
         p = rng.random(8)
         q = rng.random(8)
         assert jsd(p, q) == pytest.approx(jsd(q, p), abs=1e-12)
-        assert 0.0 <= jsd(p, q) <= 1.0 + 1e-12
+        assert 0.0 <= jsd(p, q) <= 1.0
+
+
+def test_jsd_of_histograms_that_share_no_bin_is_exactly_1():
+    # the entropy difference H(m) - (H(p) + H(q))/2 misses 1 by rounding on
+    # about half of such pairs
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        k = int(rng.integers(2, 201))
+        bins = rng.permutation(k)
+        cut = int(rng.integers(1, k))
+        p, q = np.zeros(k), np.zeros(k)
+        p[bins[:cut]] = rng.integers(1, 50, cut)
+        q[bins[cut:]] = rng.integers(1, 50, k - cut)
+        assert jsd(p, q) == 1.0
 
 
 def test_jsd_errors():
