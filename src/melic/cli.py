@@ -259,7 +259,7 @@ def _fit(args, spec, grids, kind, statistic, undefined: str, worst: float) -> tu
     where = f"warning: genmodel {args.genmodel_command}:"
     if ties > 1:
         print(f"{where} {ties} of {len(grid)} grid points tie at the best JSD; the first is reported", file=sys.stderr)
-    if math.isclose(score, worst):
+    if score == worst:
         print(f"{where} the best JSD is the objective's maximum, {worst:g}: no grid point fits", file=sys.stderr)
     return best, score
 

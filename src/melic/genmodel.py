@@ -252,8 +252,8 @@ def rhythm_fit_objective(seq_sets, empirical) -> float:
     for k, emp_in in sorted(_h_bins(empirical).items()):
         mod_in = model.get(k)
         divergence = jsd(_hist(mod_in), _hist(emp_in)) if mod_in else 1.0  # maximal where the model never lands
-        total += len(emp_in) / len(empirical) * divergence
-    return total
+        total += len(emp_in) * divergence
+    return total / len(empirical)  # one division, so maximal divergences give exactly 1
 
 
 def check_fit(param_grid: list, n_per_setting: int) -> None:

@@ -1,5 +1,6 @@
 """Variable-order Markov prediction (PPM, escape method C, no exclusion) and
-the controlled within-corpus repetition measure built on it."""
+the controlled within-corpus repetition measure built on it. A model keeps
+its training codes and counts a context when a prediction first reads it."""
 
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ from .viewpoints import ViewpointKind, extract_viewpoint, intern
 class PPMModel:
     max_order: int
     alphabet: tuple
-    context_counts: dict[tuple, np.ndarray]  # context codes -> count of each next code
-    _dist_cache: dict = field(default_factory=dict, repr=False)
+    codes: np.ndarray  # every training code, with -1 before each sequence
+    context_counts: dict[tuple, np.ndarray]  # context codes -> count of each next code, filled as read
+    _dist_cache: dict = field(default_factory=dict, repr=False)  # context -> (positions, distribution)
 
 
 @dataclass(frozen=True)
@@ -34,22 +36,16 @@ def _codes(seq, alphabet: tuple, what: str) -> tuple[int, ...]:
 
 
 def train_ppm(sequences, max_order: int, alphabet) -> PPMModel:
-    """Count all n-grams up to max_order over the training sequences."""
+    """Keep the training sequences as one array of codes; a context's counts
+    are taken when a prediction first reads it."""
     if max_order < 0:
         raise MelicError("max_order must be >= 0")
     alphabet = intern(alphabet)[1]
-    contexts, nexts = [], []  # every (context of 0 to max_order codes, next code)
+    codes = [-1]  # the -1 before each sequence keeps contexts inside it
     for seq in sequences:
-        codes = _codes(seq, alphabet, "training symbol")
-        # a context of k codes needs k + 1 of them: longer orders add nothing
-        for k in range(min(max_order, len(codes) - 1) + 1):
-            contexts += [codes[i - k : i] for i in range(k, len(codes))]
-            nexts += codes[k:]
-    ids = {ctx: j for j, ctx in enumerate(dict.fromkeys(contexts))}
-    rows = np.zeros((len(ids), len(alphabet)), dtype=np.int64)
-    np.add.at(rows, ([ids[ctx] for ctx in contexts], nexts), 1)
-    counts = dict(zip(ids, rows))
-    return PPMModel(max_order=max_order, alphabet=alphabet, context_counts=counts)
+        codes += _codes(seq, alphabet, "training symbol")
+        codes.append(-1)
+    return PPMModel(max_order, alphabet, np.array(codes, dtype=np.int64), context_counts={})
 
 
 def _level_dist(model: PPMModel, ctx: tuple) -> np.ndarray:
@@ -62,35 +58,35 @@ def _level_dist(model: PPMModel, ctx: tuple) -> np.ndarray:
     alphabet so probabilities still sum to one.
     """
     cache = model._dist_cache
-    out = cache.get(ctx)
-    if out is not None:
-        return out
-    a = len(model.alphabet)
-    # built order by order from order 0, in a loop; every suffix of a training
-    # context is one, so the first suffix without counts ends the walk, and it
-    # and every longer suffix predict as the suffix below it
+    hit = cache.get(ctx)
+    if hit is not None:
+        return hit[1]
+    codes, a = model.codes, len(model.alphabet)
+    out = np.full(a, 1.0 / a)
+    # built order by order from order 0: the training positions that follow a
+    # suffix are those of the suffix one code shorter that one more code
+    # matches; the first suffix with none ends the walk, and it and every
+    # longer suffix predict as the suffix below it
     for k in range(len(ctx) + 1):
         suffix = ctx[len(ctx) - k :]
-        cached = cache.get(suffix)
-        if cached is not None:
-            out = cached
-            continue
-        lower = out if k else np.full(a, 1.0 / a)
-        row = model.context_counts.get(suffix)
-        if row is None:
-            out = lower
-            break
-        n, e = int(row.sum()), np.count_nonzero(row)
-        out = row / (n + e)
-        esc = e / (n + e)
-        if e == a:
-            out += esc * lower
-        else:
-            unseen = row == 0
-            rest = lower[unseen]
-            out[unseen] = esc * rest / rest.sum()
-        cache[suffix] = out
-    cache[ctx] = out
+        hit = cache.get(suffix)
+        if hit is None:
+            pos = np.flatnonzero(codes >= 0) if k == 0 else pos[codes[pos - k] == suffix[0]]
+            if not pos.size:
+                break
+            row = model.context_counts[suffix] = np.bincount(codes[pos], minlength=a)
+            n, e = int(row.sum()), np.count_nonzero(row)
+            lower, out = out, row / (n + e)
+            esc = e / (n + e)
+            if e == a:
+                out += esc * lower
+            else:
+                unseen = row == 0
+                rest = lower[unseen]
+                out[unseen] = esc * rest / rest.sum()
+            hit = cache[suffix] = (pos, out)
+        pos, out = hit
+    cache[ctx] = (pos, out)
     return out
 
 

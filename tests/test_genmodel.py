@@ -12,6 +12,7 @@ from melic import _kernels
 from melic.corpus import MelicError
 from melic.genmodel import (
     PITCH_JSD_MAX,
+    RHYTHM_JSD_MAX,
     RHYTHM_VALUE_SETS,
     PitchModelSpec,
     RhythmModelSpec,
@@ -333,6 +334,12 @@ def test_uninformative_grid_points_tie_at_the_objective_maximum():
     assert fit_generative_model([(3.99, 3.99)], grid, n_per_setting=20, seed=0) == (grid[0], PITCH_JSD_MAX, 4)
 
 
+def test_rhythm_objective_is_exactly_its_maximum_where_no_model_sequence_lands():
+    # bins of 2, 2, 1 and 1 melodies: weights summed as 2/6 + 2/6 + 1/6 + 1/6 give 0.9999999999999999
+    empirical = [(0.2, 1.0), (0.3, 1.0), (0.7, 1.0), (0.8, 1.0), (1.2, 1.0), (1.7, 1.0)]
+    assert rhythm_fit_objective(_rhythm_seqs([list(range(1, 25))]), empirical) == RHYTHM_JSD_MAX
+
+
 def test_fit_generative_model_validation():
     with pytest.raises(MelicError, match="^empty empirical targets$"):
         fit_generative_model([], [None])
@@ -366,7 +373,7 @@ def test_rhythm_objective_weighs_every_melody_once_in_any_order(empirical, ioi_l
     # 24 equally used IOIs give H(IOI) = log2(24) > 4.5 bits, a bin no empirical
     # pair is in, so each bin scores 1 and the objective is the sum of the bin weights
     far = _rhythm_seqs([list(range(1, 25))])
-    assert rhythm_fit_objective(far, empirical) == pytest.approx(1.0, abs=1e-12)
+    assert rhythm_fit_objective(far, empirical) == RHYTHM_JSD_MAX
     model = _rhythm_seqs(ioi_lists)
     shuffled_model = data.draw(st.permutations(model))
     shuffled_empirical = data.draw(st.permutations(empirical))

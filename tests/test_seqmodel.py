@@ -1,6 +1,7 @@
 """PPM prediction (escape method C) and within-corpus repetition."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,11 +109,6 @@ def test_matches_oracle_on_random_sequences(pool):
         for max_order in range(6):
             model = train_ppm(train, max_order, alphabet)
             oracle = oracle_train(train, max_order, alphabet)
-            decoded = {
-                tuple(model.alphabet[c] for c in ctx): {model.alphabet[i]: n for i, n in enumerate(row) if n}
-                for ctx, row in model.context_counts.items()
-            }
-            assert decoded == oracle.counts
             for _ in range(3):
                 target = draw(alphabet, 1, 30)
                 ic = information_content(model, target)
@@ -121,6 +117,13 @@ def test_matches_oracle_on_random_sequences(pool):
                 context = draw(alphabet, 0, 8)
                 for k in range(len(context) + 1):
                     assert predict_distribution(model, context[:k]) == oracle_predict(oracle, context[:k])
+            # contexts are counted as the predictions read them
+            decoded = {
+                tuple(model.alphabet[c] for c in ctx): {model.alphabet[i]: n for i, n in enumerate(row) if n}
+                for ctx, row in model.context_counts.items()
+            }
+            assert all(counts == oracle.counts[ctx] for ctx, counts in decoded.items())
+            assert bool(decoded) == any(train)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -153,6 +156,8 @@ def test_training_counts():
     # rows are indexed by the code of the next symbol: a -> 0, b -> 1
     model = train_ppm([("a", "b", "a", "b")], max_order=2, alphabet="ab")
     assert model.alphabet == ("a", "b")
+    for context in [(), ("a",), ("b",), ("a", "b"), ("b", "a")]:
+        predict_distribution(model, context)
     assert {ctx: row.tolist() for ctx, row in model.context_counts.items()} == {
         (): [2, 2],
         (0,): [0, 2],
@@ -168,9 +173,8 @@ def test_orders_beyond_the_longest_sequence_add_no_context():
     longest = train_ppm(seqs, max_order=3, alphabet="ab")
     huge = train_ppm(seqs, max_order=10**9, alphabet="ab")
     assert huge.max_order == 10**9
-    assert {ctx: row.tolist() for ctx, row in huge.context_counts.items()} == {
-        ctx: row.tolist() for ctx, row in longest.context_counts.items()
-    }
+    target = ("a", "b", "a", "b", "b", "a", "b", "a")
+    assert information_content(huge, target) == information_content(longest, target)
 
 
 def test_contexts_deeper_than_the_recursion_limit_predict_as_their_counted_suffix():
@@ -182,6 +186,20 @@ def test_contexts_deeper_than_the_recursion_limit_predict_as_their_counted_suffi
     deep, shallow = train_ppm(train, 5000, range(40)), train_ppm(train, 5, range(40))
     assert information_content(deep, target) == information_content(shallow, target)
     assert predict_distribution(deep, target) == predict_distribution(shallow, target)
+
+
+def test_memory_does_not_grow_with_unread_contexts():
+    # building all 179,034 contexts of one 600-symbol sequence at max_order
+    # 599 takes 387 MiB; a target that shares no long context with it reads 189
+    rng = np.random.default_rng(3)
+    train, target = rng.integers(0, 40, 600).tolist(), rng.integers(0, 40, 600).tolist()
+    tracemalloc.start()
+    try:
+        information_content(train_ppm([train], 599, range(40)), target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_symbol_outside_alphabet_rejected():
@@ -311,3 +329,25 @@ def test_within_corpus_deterministic_and_order_independent():
     assert dict((t[0], t[1:]) for t in r1.per_target) == dict((t[0], t[1:]) for t in r2.per_target)
     r1b = within_corpus_repetition(c1, n_train=3, n_shuffle_reps=3, seed=9)
     assert r1 == r1b
+
+
+def _planted_corpus(share, rng):
+    # 20 melodies of 50 notes, each 8-step segment one of 4 fixed phrases with
+    # probability share, otherwise a fresh random walk of steps -3..3
+    phrases = rng.integers(-3, 4, (4, 8))
+    rows = []
+    for _ in range(20):
+        steps = [phrases[rng.integers(4)] if rng.random() < share else rng.integers(-3, 4, 8) for _ in range(7)]
+        rows.append(60 + np.cumsum(np.concatenate([[0], *steps])[:50]))
+    return make_corpus(rows)
+
+
+def test_within_corpus_repetition_rises_with_the_planted_phrase_share():
+    # the steps of fresh walks are independent, so shuffling them costs nothing:
+    # all the measured repetition comes from the planted phrases
+    bits = [
+        within_corpus_repetition(_planted_corpus(share, np.random.default_rng(0)), seed=0).repetition_bits
+        for share in (0, 0.5, 1)
+    ]
+    assert abs(bits[0]) < 0.1
+    assert bits[0] < bits[1] < bits[2]
