@@ -234,10 +234,12 @@ def cmd_genmodel_scale(args):
         print(f"warning: genmodel scale: {sim.n_failed} of {args.n} walks failed {why}", file=sys.stderr)
     probs = genmodel.prob_entropy_below(sim, args.threshold)
     logl = {} if emp is None else genmodel.scale_loglikelihood(sim, emp, alpha=args.alpha)
-    return [
-        {"A": a, "n_samples": int(sim.per_a[a].size), "P_below": probs[a], "logL": logl.get(a)}
-        for a in sorted(sim.per_a)
-    ]
+    rows = []
+    for a in sorted(sim.per_a):
+        n, p = int(sim.per_a[a].size), probs[a]
+        se = math.sqrt(p * (1 - p) / n) if n >= 2 else None  # binomial standard error of P_below
+        rows.append({"A": a, "n_samples": n, "P_below": p, "P_below_se": se, "logL": logl.get(a)})
+    return rows
 
 
 def _fit(args, spec, grids, kind, statistic, undefined: str, worst: float) -> tuple:

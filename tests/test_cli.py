@@ -233,6 +233,20 @@ def test_genmodel_scale_command(tmp_path):
     rows = rows_of(a)
     assert sum(int(r["n_samples"]) for r in rows) == 30000
     assert all(0.0 <= float(r["P_below"]) <= 1.0 for r in rows)
+    for r in rows:  # P_below and its standard error, each to 6 significant digits
+        n, p = int(r["n_samples"]), float(r["P_below"])
+        se = r["P_below_se"]
+        assert se == "" if n < 2 else float(se) ** 2 * n == pytest.approx(p * (1 - p), rel=1e-4, abs=1e-6)
+
+
+def test_genmodel_scale_standard_error_is_blank_below_two_samples(tmp_path):
+    # a length-1 walk always has A = 1 and H = 0
+    intervals = write_distribution(tmp_path / "intervals.csv", [(-1, 0.5), (1, 0.5)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(1, 1.0)])
+    args = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--seed", "0"]
+    for n, se in (("1", ""), ("2", "0.0")):
+        rows = rows_of(run([*args, "--n", n], tmp_path / "o.csv")[1])
+        assert rows == [{"A": "1", "n_samples": n, "P_below": "1.0", "P_below_se": se, "logL": ""}]
 
 
 def test_genmodel_pitch_command(tmp_path, corpus_file):

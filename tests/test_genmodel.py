@@ -1,6 +1,7 @@
 """Generative pitch/rhythm models, JSD fitting, and the scale-entropy pipeline."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -481,6 +482,113 @@ def test_walk_kernel_matches_per_walk_loop_where_walks_fail():
         assert np.array_equal(failed, a_ref == 0)
         assert np.array_equal(a, a_ref)
         assert np.allclose(h, h_ref, rtol=0, atol=1e-12, equal_nan=True)
+
+
+def oracle_walk_chunk(vals, probs, lengths, lo, hi, uniforms, allowed=None):
+    """Reference for walk_chunk: every running walk's CDF computed afresh at
+    every step, on the same uniforms."""
+    n = lengths.shape[0]
+    # longest first, so the walks still running at step j are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    steps = lengths[order] - 1
+    lo, hi = lo[order], hi[order]
+    probs = np.broadcast_to(probs, (n, len(vals)))[order]
+    if allowed is not None:
+        allowed = allowed[order]
+    pitches = np.zeros((n, np.max(lengths, initial=1)), dtype=np.int64)
+    pitch = np.zeros(n, dtype=np.int64)
+    failed = np.zeros(n, dtype=bool)
+    for j in range(pitches.shape[1] - 1):
+        k = int(np.count_nonzero(steps > j))  # the walks still running
+        p = pitch[:k]  # a view: updating it advances the walks
+        cand = p[:, None] + vals[None, :]
+        legal = (cand >= lo[:k, None]) & (cand <= hi[:k, None])
+        if allowed is not None:
+            legal &= np.take_along_axis(allowed[:k], cand % 12, axis=1)
+        w = np.where(legal, probs[:k], 0.0)
+        tot = w.sum(axis=1)
+        failed[:k] |= ~(tot > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = np.cumsum(w / tot[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        pick = (cdf <= uniforms[order[:k], j][:, None]).sum(axis=1)
+        p[:] = np.where(failed[:k], p, p + vals[pick])
+        pitches[order[:k], j + 1] = p
+    return pitches, failed[np.argsort(order)]
+
+
+def _cdf_values(vals, probs, lo, hi, allowed):
+    """The CDF values below 1 that the oracle computes for each walk at each
+    pitch from -12 to 12, the uniforms at which a draw ties."""
+    out = []
+    pitch = np.arange(-12, 13)
+    cand = pitch[:, None] + vals[None, :]
+    for i in range(len(lo)):
+        legal = (cand >= lo[i]) & (cand <= hi[i])
+        if allowed is not None:
+            legal &= allowed[i][cand % 12]
+        w = np.where(legal, np.broadcast_to(probs, (len(lo), len(vals)))[i], 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = np.cumsum(w / w.sum(axis=1)[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        out.append(cdf[cdf < 1.0])
+    return np.concatenate(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vals=st.sets(st.integers(-6, 6), min_size=1, max_size=9),
+    n=st.integers(1, 40),
+    per_walk=st.booleans(),
+    masked=st.booleans(),
+    same_window=st.booleans(),
+    cells=st.sampled_from([1, 300, _kernels._CELLS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_walk_kernel_matches_the_oracle(vals, n, per_walk, masked, same_window, cells, seed):
+    # Uniforms are salted with 0.0, the bucket edges k/256 of every guide
+    # size, and exact CDF values, where `cdf <= u` ties. Walks that are their
+    # own classes go in blocks of at most `cells` table cells: one walk per
+    # block at 1, a few at 300.
+    rng = np.random.default_rng(seed)
+    vals = np.array(sorted(vals), dtype=np.int64)
+    probs = rng.random((n, vals.size) if per_walk else vals.size) * (rng.random(vals.size) < 0.8)
+    probs /= np.maximum(probs.sum(axis=-1, keepdims=True), 1e-300)  # an all-zero row stays zero
+    lengths = rng.integers(1, 41, n).astype(np.int64)
+    lo = -rng.integers(0, 13, 1 if same_window else n).repeat(n if same_window else 1)
+    hi = rng.integers(0, 13, 1 if same_window else n).repeat(n if same_window else 1)
+    allowed = rng.random((n, 12)) < 0.6 if masked else None
+    uniforms = rng.random((n, 39))
+    salt = np.concatenate(([0.0], np.arange(256) / 256, _cdf_values(vals, probs, lo, hi, allowed)))
+    where = rng.random(uniforms.shape) < 0.5
+    uniforms[where] = rng.choice(salt, int(where.sum()))
+    default, _kernels._CELLS = _kernels._CELLS, cells
+    try:
+        got = _kernels.walk_chunk(vals, probs, lengths, lo, hi, uniforms, allowed)
+    finally:
+        _kernels._CELLS = default
+    want = oracle_walk_chunk(vals, probs, lengths, lo, hi, uniforms, allowed)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_walk_kernel_memory_stays_near_its_output():
+    # A scale chunk: the kernel allocates its (walks, max length) output and
+    # per-walk vectors, not a second (walks, steps) array.
+    rng = np.random.default_rng(0)
+    vals = np.arange(-5, 6, dtype=np.int64)
+    probs = (6.0 - np.abs(vals)) / 36.0
+    n = 16384
+    lengths = rng.integers(20, 81, n).astype(np.int64)
+    half = rng.choice([3, 6, 9, 12], n).astype(np.int64)
+    uniforms = rng.random((n, 79))
+    tracemalloc.start()
+    try:
+        pitches, _ = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pitches.nbytes + 3 * 2**20
 
 
 def test_simulate_tight_window_caps_alphabet():
