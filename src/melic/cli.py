@@ -99,6 +99,9 @@ def _load_means(path: str) -> list[stats.CorpusMeans]:
 def _load_distribution(path: str) -> Distribution:
     rows = _read_csv(path, ("symbol", "probability"))
     symbols = [_cell(path, r, "symbol", int) for r in rows]
+    for r, s in zip(rows, symbols):
+        if not -(2**63) <= s < 2**63:
+            raise MelicError(f"{path}: symbol must be a 64-bit integer, got {r['symbol']!r}")
     # a probability that is not finite fails the sum check below
     probs = np.array([_cell(path, r, "probability", finite=False) for r in rows])
     total = probs.sum()

@@ -119,6 +119,8 @@ def parse_canonical(data: bytes | str) -> Corpus:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MelicError(f"malformed corpus file at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise MelicError("malformed corpus file: JSON nested too deeply") from None
     try:
         meta = CorpusMeta(
             corpus_id=_json(obj, dict, "a corpus file")["corpus_id"],

@@ -121,7 +121,7 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
         probs[i] = _weights(len(vals), spec.dist, spec.exponent, rng)
         uniforms[i] = rng.random(spec.length - 1)
     # a window as wide as the walks' reach gives the same walks as any wider one
-    half = np.full(n, min(max(1, round(2 * spec.o)), spec.a * (spec.length - 1)))
+    half = np.full(n, max(1, round(min(2 * spec.o, spec.a * (spec.length - 1)))))
     pitches, failed = _kernels.walk_chunk(vals, probs, np.full(n, spec.length), -half, half, uniforms, allowed)
     if failed.any():
         raise MelicError(f"{spec.name}: a walk found no legal interval with a weight above 0 (exponent {spec.exponent})")
@@ -349,7 +349,7 @@ def simulate_scale_entropy(
         raise MelicError("melody lengths must be >= 1")
     # a window as wide as the walks' reach gives the same walks as any wider one
     reach = int(np.abs(vals).max()) * (int(lvals.max()) - 1)
-    half_widths = np.array([min(round(6.0 * o), reach) for o in o_values], dtype=np.int64)
+    half_widths = np.array([round(min(6.0 * o, reach)) for o in o_values], dtype=np.int64)
     n_chunks = (n_sequences + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
 

@@ -5,7 +5,7 @@ its training codes and counts a context when a prediction first reads it."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,10 @@ class PPMModel:
     max_order: int
     alphabet: tuple
     codes: np.ndarray  # every training code, with -1 before each sequence
-    context_counts: dict[tuple, np.ndarray]  # context codes -> count of each next code, filled as read
-    _dist_cache: dict = field(default_factory=dict, repr=False)  # context -> (positions, distribution)
+    # suffix trie, filled as read: (id of the context one code shorter, the
+    # code before it) -> (id, training positions, distribution); a context
+    # with no positions holds its suffix's distribution
+    context_counts: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,9 @@ def train_ppm(sequences, max_order: int, alphabet) -> PPMModel:
     return PPMModel(max_order, alphabet, np.array(codes, dtype=np.int64), context_counts={})
 
 
-def _level_dist(model: PPMModel, ctx: tuple) -> np.ndarray:
-    """Predictive distribution over the alphabet for one context of codes.
+def _level_dist(model: PPMModel, codes, end: int) -> np.ndarray:
+    """Predictive distribution over the alphabet after codes[:end], from its
+    last max_order codes.
 
     Escape method C: a symbol seen in this context gets c/(n+e); the escape
     mass e/(n+e) goes to the lower-order distribution restricted to the
@@ -57,43 +60,39 @@ def _level_dist(model: PPMModel, ctx: tuple) -> np.ndarray:
     symbol is seen, the escape mass blends the lower order over the whole
     alphabet so probabilities still sum to one.
     """
-    cache = model._dist_cache
-    hit = cache.get(ctx)
-    if hit is not None:
-        return hit[1]
-    codes, a = model.codes, len(model.alphabet)
-    out = np.full(a, 1.0 / a)
-    # built order by order from order 0: the training positions that follow a
-    # suffix are those of the suffix one code shorter that one more code
-    # matches; the first suffix with none ends the walk, and it and every
-    # longer suffix predict as the suffix below it
-    for k in range(len(ctx) + 1):
-        suffix = ctx[len(ctx) - k :]
-        hit = cache.get(suffix)
+    trie, train, a = model.context_counts, model.codes, len(model.alphabet)
+    entry, out = -1, np.full(a, 1.0 / a)
+    # walked from order 0 (keyed (-1, -1)): the training positions that follow
+    # a context are those of its suffix one code shorter where one more code
+    # matches; a context with none keeps its suffix's distribution and ends
+    # the walk, since every longer context has none either
+    for k in range(min(end, model.max_order) + 1):
+        code = codes[end - k] if k else -1
+        hit = trie.get((entry, code))
         if hit is None:
-            pos = np.flatnonzero(codes >= 0) if k == 0 else pos[codes[pos - k] == suffix[0]]
-            if not pos.size:
-                break
-            row = model.context_counts[suffix] = np.bincount(codes[pos], minlength=a)
-            n, e = int(row.sum()), np.count_nonzero(row)
-            lower, out = out, row / (n + e)
-            esc = e / (n + e)
-            if e == a:
-                out += esc * lower
-            else:
-                unseen = row == 0
-                rest = lower[unseen]
-                out[unseen] = esc * rest / rest.sum()
-            hit = cache[suffix] = (pos, out)
-        pos, out = hit
-    cache[ctx] = (pos, out)
+            pos = np.flatnonzero(train >= 0) if k == 0 else pos[train[pos - k] == code]
+            if pos.size:
+                row = np.bincount(train[pos], minlength=a)
+                n, e = int(row.sum()), np.count_nonzero(row)
+                lower, out = out, row / (n + e)
+                esc = e / (n + e)
+                if e == a:
+                    out += esc * lower
+                else:
+                    unseen = row == 0
+                    rest = lower[unseen]
+                    out[unseen] = esc * rest / rest.sum()
+            hit = trie[entry, code] = (len(trie), pos, out)
+        entry, pos, out = hit
+        if not pos.size:
+            break
     return out
 
 
 def predict_distribution(model: PPMModel, context) -> dict:
     """P(next symbol | context) over the whole alphabet; sums to 1."""
     codes = _codes(context, model.alphabet, "context symbol")
-    probs = _level_dist(model, codes[max(0, len(codes) - model.max_order) :])
+    probs = _level_dist(model, codes, len(codes))
     return {a: float(p) for a, p in zip(model.alphabet, probs)}
 
 
@@ -102,10 +101,7 @@ def information_content(model: PPMModel, seq) -> ICResult:
     codes = _codes(seq, model.alphabet, "symbol")
     if not codes:
         raise MelicError("empty sequence")
-    bits = [
-        float(-np.log2(_level_dist(model, codes[max(0, i - model.max_order) : i])[code]))
-        for i, code in enumerate(codes)
-    ]
+    bits = [float(-np.log2(_level_dist(model, codes, i)[code])) for i, code in enumerate(codes)]
     return ICResult(per_symbol_bits=tuple(bits), mean_bits=float(np.mean(bits)))
 
 

@@ -162,6 +162,12 @@ def test_malformed_corpus_exit_code(tmp_path):
     assert main(["entropy", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
 
 
+def test_corpus_nested_too_deeply_is_an_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    expect_error(capsys, ["entropy", str(deep), "--out", str(tmp_path / "o.csv")], "nested too deeply")
+
+
 def make_means_csv(path, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -491,6 +497,19 @@ def test_distribution_csv_cells_that_are_not_numbers_name_the_file_and_column(tm
     assert capsys.readouterr().err.splitlines() == [f"error: {intervals}: {message}"]
 
 
+@pytest.mark.parametrize("symbol", ["99999999999999999999", "-9223372036854775809", "9223372036854775808"])
+@pytest.mark.parametrize("option", ["--intervals", "--lengths"])
+def test_distribution_csv_symbol_outside_int64_names_the_file_and_column(tmp_path, capsys, option, symbol):
+    csvs = {
+        "--intervals": write_distribution(tmp_path / "intervals.csv", [(-1, 0.5), (1, 0.5)]),
+        "--lengths": write_distribution(tmp_path / "lengths.csv", [(10, 1.0)]),
+    }
+    bad = csvs[option] = write_distribution(tmp_path / "bad.csv", [(symbol, 0.5), (2, 0.5)])
+    argv = ["genmodel", "scale", *(a for o, path in csvs.items() for a in (o, str(path))), "--n", "100", "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: symbol must be a 64-bit integer, got {symbol!r}"]
+
+
 @pytest.mark.parametrize("probabilities", [("0", "0"), ("0.5", "-0.1"), ("0.5", "nan"), ("0.5", "inf")])
 def test_distribution_csv_needs_nonnegative_probabilities_with_positive_sum(tmp_path, capsys, probabilities):
     intervals = tmp_path / "intervals.csv"
@@ -768,8 +787,22 @@ def test_genmodel_scale_window_wider_than_the_reach_is_the_reach(tmp_path, capsy
     argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "500", "--seed", "2"]
     rc, ref = run([*argv, "--o-values", "0.5"], tmp_path / "ref.csv")
     assert rc == 0
-    for o_values in ("1e300", "4,1e300", "1e300,4"):
+    for o_values in ("1e300", "4,1e300", "1e300,4", "1e308"):
         assert run([*argv, "--o-values", o_values], tmp_path / "o.csv") == (0, ref)
+    assert capsys.readouterr().err == ""
+
+
+def test_genmodel_pitch_window_wider_than_the_reach_is_the_reach(tmp_path, capsys, corpus_file):
+    # steps of at most 3 over 19 steps reach 57 semitones: o = 28.5 is a
+    # window of exactly +-57, and every wider one gives the same fit
+    base = ["genmodel", "pitch", "--model", "I2", "--grid-a", "3", "--grid-l", "20", "--grid-exp", "1",
+            "--n-per-setting", "20", "--seed", "1", str(corpus_file)]
+    jsd = []
+    for o in ("28.5", "1e300", "1e308"):
+        rc, data = run([*base, "--grid-o", o], tmp_path / "o.csv")
+        assert rc == 0
+        jsd.append(rows_of(data)[0]["JSD"])
+    assert jsd[1:] == jsd[:1] * 2
     assert capsys.readouterr().err == ""
 
 

@@ -69,6 +69,12 @@ def test_malformed_json_reports_position():
         parse_canonical('{"corpus_id": "x",')
 
 
+def test_json_nested_too_deeply_is_an_error():
+    # the json module decodes nested arrays by recursion
+    with pytest.raises(MelicError, match="^malformed corpus file: JSON nested too deeply$"):
+        parse_canonical("[" * 200000)
+
+
 def test_missing_field():
     bad = dict(CANONICAL)
     del bad["melodies"]

@@ -85,6 +85,19 @@ def oracle_bits(model, seq):
     )
 
 
+def counted_contexts(model):
+    """The model's suffix trie as {context codes: count of each next code},
+    for the contexts with training positions."""
+    contexts = {}
+    for (parent, code), (entry, _, _) in model.context_counts.items():
+        contexts[entry] = (code, *contexts[parent]) if parent >= 0 else ()
+    return {
+        contexts[entry]: np.bincount(model.codes[pos], minlength=len(model.alphabet))
+        for entry, pos, _ in model.context_counts.values()
+        if pos.size
+    }
+
+
 SYMBOL_POOLS = {
     "int": [-7, -2, -1, 0, 1, 3, 4, 12],
     "Fraction": [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)],
@@ -120,7 +133,7 @@ def test_matches_oracle_on_random_sequences(pool):
             # contexts are counted as the predictions read them
             decoded = {
                 tuple(model.alphabet[c] for c in ctx): {model.alphabet[i]: n for i, n in enumerate(row) if n}
-                for ctx, row in model.context_counts.items()
+                for ctx, row in counted_contexts(model).items()
             }
             assert all(counts == oracle.counts[ctx] for ctx, counts in decoded.items())
             assert bool(decoded) == any(train)
@@ -158,7 +171,7 @@ def test_training_counts():
     assert model.alphabet == ("a", "b")
     for context in [(), ("a",), ("b",), ("a", "b"), ("b", "a")]:
         predict_distribution(model, context)
-    assert {ctx: row.tolist() for ctx, row in model.context_counts.items()} == {
+    assert {ctx: row.tolist() for ctx, row in counted_contexts(model).items()} == {
         (): [2, 2],
         (0,): [0, 2],
         (1,): [1, 0],
@@ -200,6 +213,20 @@ def test_memory_does_not_grow_with_unread_contexts():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_memory_stays_linear_in_the_contexts_a_target_reads():
+    # a target that is its own training sequence reads every suffix of every
+    # context, 19,727 contexts of up to 199 codes; one trie entry each takes
+    # 13.7 MiB, and keying each on its whole tuple of codes took 31.6 MiB
+    seq = np.random.default_rng(3).integers(0, 40, 200).tolist()
+    tracemalloc.start()
+    try:
+        information_content(train_ppm([seq], 199, range(40)), seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_symbol_outside_alphabet_rejected():
