@@ -4,6 +4,7 @@ JSD-based grid fitting, and the scale-degree likelihood pipeline."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,18 +82,28 @@ class RhythmModelSpec:
         return f"{self.value_set}{self.dist}"
 
 
-def _weights(k: int, dist: int, exponent: float, rng: np.random.Generator) -> np.ndarray:
-    if dist == 1:
-        w = np.ones(k)
-    elif dist == 2:
-        w = np.arange(1, k + 1, dtype=float) ** (-exponent)
-        w = w[rng.permutation(k)]
-    elif dist == 3:
-        center = (k - 1) / 2.0
-        w = (1.0 + np.abs(np.arange(k) - center)) ** (-exponent)
-    else:  # pragma: no cover
-        raise MelicError(f"bad dist {dist}")
-    return w / w.sum()
+def _normalized(w: np.ndarray, spec) -> np.ndarray:
+    """w / w.sum(), or a MelicError where the sum is not finite and positive:
+    a weight overflowed, or every weight underflowed to 0."""
+    total = w.sum()
+    if not 0.0 < total < math.inf:
+        raise MelicError(f"{spec.name}: the weights have no finite, positive sum (exponent {spec.exponent})")
+    return w / total
+
+
+def _weights(k: int, spec, rng: np.random.Generator) -> np.ndarray:
+    with np.errstate(over="ignore"):  # an overflow is reported by _normalized
+        if spec.dist == 1:
+            w = np.ones(k)
+        elif spec.dist == 2:
+            w = np.arange(1, k + 1, dtype=float) ** (-spec.exponent)
+            w = w[rng.permutation(k)]
+        elif spec.dist == 3:
+            center = (k - 1) / 2.0
+            w = (1.0 + np.abs(np.arange(k) - center)) ** (-spec.exponent)
+        else:  # pragma: no cover
+            raise MelicError(f"bad dist {spec.dist}")
+    return _normalized(w, spec)
 
 
 def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Generator):
@@ -106,7 +117,7 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
         for _ in range(n):
             scale = np.sort(rng.choice(12, size=spec.a, replace=False))
             k = spec.a * max(1, round(spec.o))
-            w = _weights(k, spec.dist, spec.exponent, rng)
+            w = _weights(k, spec, rng)
             # index i is pitch scale[i % a] + 12 * (i // a): the sorted alphabet, octave by octave
             i = rng.choice(k, size=spec.length, p=w)
             out.append((scale[i % spec.a] + 12 * (i // spec.a)).tolist())
@@ -118,7 +129,7 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
     for i in range(n):
         if allowed is not None:
             allowed[i, [0, *rng.choice(np.arange(1, 12), size=spec.a - 1, replace=False)]] = True
-        probs[i] = _weights(len(vals), spec.dist, spec.exponent, rng)
+        probs[i] = _weights(len(vals), spec, rng)
         uniforms[i] = rng.random(spec.length - 1)
     # a window as wide as the walks' reach gives the same walks as any wider one
     half = np.full(n, max(1, round(min(2 * spec.o, spec.a * (spec.length - 1)))))
@@ -147,16 +158,57 @@ def complex_value_set(a: int) -> list[Fraction]:
     return sorted(vals)
 
 
-def _metrical_base(onset: Fraction) -> int:
-    # 4/4 grid in quarter-note units, beats counted from 1 at onset 0
-    if onset.denominator != 1:
-        return 1
-    m = int(onset) % 4
-    if m == 0:
-        return 4
-    if m == 2:
-        return 3
-    return 2
+_BEAT_BASES = (4, 2, 3, 2)  # 4/4 in quarter-note units: the metrical base of beats 1-4
+
+
+def _metrical_base(num: int, den: int) -> int:
+    """The metrical base of onset num/den (den > 0, not necessarily reduced),
+    beats counted from 1 at onset 0; 1 off the beat."""
+    return 1 if num % den else _BEAT_BASES[num // den % 4]
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _cdf_row(bases: tuple, spec: RhythmModelSpec) -> list[float]:
+    """Generator.choice's CDF for weights bases ** exponent, with its float
+    operations: a draw u picks bisect_right(row, u)."""
+    with np.errstate(over="ignore"):  # an overflow is reported by _normalized
+        w = np.array(bases, dtype=float) ** spec.exponent
+    cdf = _normalized(w, spec).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _metrical_sequences(spec: RhythmModelSpec, values: list[Fraction], n: int, rng: np.random.Generator):
+    """The dist 4 sequences of generate_rhythm_sequences. Each step weighs
+    each candidate IOI by the metrical base of the onset it lands on and draws
+    one as Generator.choice(p=w) does, on one uniform: the same draws as one
+    rng.choice per step. Onsets and IOIs are reduced (num, den) pairs; as
+    the pairs are reduced, onset N/D plus IOI a/b is an integer only where
+    b == D and D divides N + a."""
+    is_ratio_set = spec.value_set in ("SR", "CR")
+    pairs = [(v.numerator, v.denominator) for v in values]
+    rows: dict[tuple, list[float]] = {}  # landing bases -> CDF row
+    out = []
+    for _ in range(n):
+        iois = [Fraction(1)] if is_ratio_set else []
+        p, q = 1, 1  # the last IOI, for a ratio set
+        num, den = 0, 1  # the onset; a ratio set's first IOI of 1 does not move it
+        for u in rng.random(spec.length).tolist():
+            cands = [_reduced(p * a, q * b) for a, b in pairs] if is_ratio_set else pairs
+            bases = tuple([_metrical_base(num + a, den) if b == den else 1 for a, b in cands])
+            row = rows.get(bases)
+            if row is None:
+                row = rows[bases] = _cdf_row(bases, spec)
+            i = bisect_right(row, u)
+            p, q = cands[i]
+            iois.append(Fraction(p, q) if is_ratio_set else values[i])
+            num, den = _reduced(num * q + p * den, den * q)
+        out.append(iois)
+    return out
 
 
 def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Generator):
@@ -164,26 +216,16 @@ def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Gene
     from an IOI set (SI, CI), or for a ratio set (SR, CR) 1 and then spec.length
     IOIs, each the one before times a drawn ratio. Metrical models (dist 4)
     weigh each value by the metrical base of the onset it lands on."""
-    is_ratio_set = spec.value_set in ("SR", "CR")
     values = simple_value_set(spec.a) if spec.value_set in ("SI", "SR") else complex_value_set(spec.a)
+    if spec.dist == 4:
+        return _metrical_sequences(spec, values, n, rng)
+    is_ratio_set = spec.value_set in ("SR", "CR")
     out = []
     for _ in range(n):
         iois = [Fraction(1)] if is_ratio_set else []
-        if spec.dist != 4:
-            w = _weights(len(values), spec.dist, spec.exponent, rng)
-            for i in rng.choice(len(values), size=spec.length, p=w):
-                iois.append(iois[-1] * values[i] if is_ratio_set else values[i])
-        else:
-            # sequential choice weighted by metrical fit of the landing onset
-            onset = Fraction(0)
-            for _ in range(spec.length):
-                next_iois = [iois[-1] * v for v in values] if is_ratio_set else values
-                b = np.array([_metrical_base(onset + nv) for nv in next_iois], dtype=float)
-                w = b ** spec.exponent
-                w /= w.sum()
-                ioi = next_iois[int(rng.choice(len(values), p=w))]
-                iois.append(ioi)
-                onset += ioi
+        w = _weights(len(values), spec, rng)
+        for i in rng.choice(len(values), size=spec.length, p=w):
+            iois.append(iois[-1] * values[i] if is_ratio_set else values[i])
         out.append(iois)
     return out
 
@@ -348,8 +390,15 @@ def simulate_scale_entropy(
     if lvals.min() < 1:
         raise MelicError("melody lengths must be >= 1")
     # a window as wide as the walks' reach gives the same walks as any wider one
-    reach = int(np.abs(vals).max()) * (int(lvals.max()) - 1)
-    half_widths = np.array([round(min(6.0 * o, reach)) for o in o_values], dtype=np.int64)
+    step = int(np.abs(vals).max())
+    reach = step * (int(lvals.max()) - 1)
+    half_widths = [round(min(6.0 * o, reach)) for o in o_values]
+    if max(half_widths) + step >= 2**63:  # a walk's candidate pitches must fit in int64
+        raise MelicError(
+            f"a pitch window of half-width {max(half_widths)} (--o-values) plus an interval of {step} "
+            "(--intervals) does not fit in a 64-bit integer"
+        )
+    half_widths = np.array(half_widths, dtype=np.int64)
     n_chunks = (n_sequences + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
 

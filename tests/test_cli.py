@@ -806,6 +806,32 @@ def test_genmodel_pitch_window_wider_than_the_reach_is_the_reach(tmp_path, capsy
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "command, model, exponent",
+    [("rhythm", "SI4", "1e308"), ("rhythm", "SR4", "1e308"), ("rhythm", "SI2", "-1e308"), ("rhythm", "SI3", "-1e308"),
+     ("pitch", "S2", "-1e308")],
+)
+def test_genmodel_weights_without_a_finite_positive_sum_are_an_error(capsys, corpus_file, command, model, exponent):
+    # b ** 1e308 overflows for a metrical base b of 2 or more, and so does a
+    # rank or distance of 2 or more ** 1e308 for dists 2 and 3
+    argv = ["genmodel", command, "--model", model, f"--grid-exp={exponent}", "--grid-a", "3", "--grid-l", "10",
+            "--n-per-setting", "2", "--seed", "1", str(corpus_file)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {model}: the weights have no finite, positive sum (exponent {float(exponent)})"
+    ]
+
+
+@pytest.mark.parametrize("length", [10, 2])
+def test_genmodel_scale_window_beyond_int64_is_an_error(tmp_path, capsys, length):
+    # at o = 1e300 the window is the reach: 9 steps of 2**62 are beyond int64;
+    # 1 step is not, but a step of 2**62 from its edge is
+    intervals = write_distribution(tmp_path / "intervals.csv", [(4611686018427387904, 0.5), (-1, 0.5)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(length, 1.0)])
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "100", "--seed", "1"]
+    expect_error(capsys, [*argv, "--o-values", "1e300"], "(--o-values)", "(--intervals)", "64-bit integer")
+
+
 def _leaf_parsers(parser, command=()):
     subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subparsers:

@@ -1,5 +1,6 @@
 """Generative pitch/rhythm models, JSD fitting, and the scale-entropy pipeline."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -63,11 +64,11 @@ def test_spec_validation():
 
 def test_weights():
     rng = np.random.default_rng(0)
-    assert np.allclose(_weights(4, 1, 1.0, rng), 0.25)
-    w2 = _weights(6, 2, 1.5, rng)
+    assert np.allclose(_weights(4, RhythmModelSpec("SI", 1, a=4, length=2), rng), 0.25)
+    w2 = _weights(6, RhythmModelSpec("SI", 2, a=6, length=2, exponent=1.5), rng)
     assert w2.sum() == pytest.approx(1.0)
     assert sorted(w2, reverse=True)[0] == pytest.approx(max(w2))
-    w3 = _weights(5, 3, 1.0, rng)
+    w3 = _weights(5, RhythmModelSpec("SI", 3, a=5, length=2), rng)
     assert np.argmax(w3) == 2  # center-peaked
     assert np.allclose(w3, w3[::-1])
 
@@ -128,12 +129,14 @@ def test_rhythm_pair_is_the_entropy_ratio_of_the_melody_viewpoints(iois):
 
 
 def test_metrical_base():
-    assert _metrical_base(Fraction(0)) == 4
-    assert _metrical_base(Fraction(4)) == 4
-    assert _metrical_base(Fraction(2)) == 3
-    assert _metrical_base(Fraction(1)) == 2
-    assert _metrical_base(Fraction(3)) == 2
-    assert _metrical_base(Fraction(1, 2)) == 1
+    # onset num/den, reduced or not
+    assert _metrical_base(0, 1) == 4
+    assert _metrical_base(4, 1) == 4
+    assert _metrical_base(2, 1) == 3
+    assert _metrical_base(1, 1) == 2
+    assert _metrical_base(3, 1) == 2
+    assert _metrical_base(1, 2) == 1
+    assert _metrical_base(12, 3) == 4 and _metrical_base(14, 7) == 3 and _metrical_base(9, 6) == 1
 
 
 def test_generate_pitch_scale_family():
@@ -198,7 +201,7 @@ def oracle_interval_sequences(spec, n, rng):
         if spec.family == "IS":
             scale = {0} | set(int(c) for c in rng.choice(np.arange(1, 12), size=spec.a - 1, replace=False))
         vals = np.arange(-spec.a, spec.a + 1)
-        w = _weights(len(vals), spec.dist, spec.exponent, rng)
+        w = _weights(len(vals), spec, rng)
         half = max(1, round(2 * spec.o))
         out.append(_constrained_walk(vals, w, spec.length, -half, half, scale, rng))
     return out
@@ -257,15 +260,28 @@ def test_generate_rhythm_metrical_prefers_strong_beats():
     assert on_grid > 0.5  # heavily weighted toward integer beats
 
 
+def oracle_metrical_base(onset: Fraction) -> int:
+    # 4/4 grid in quarter-note units, beats counted from 1 at onset 0
+    if onset.denominator != 1:
+        return 1
+    m = int(onset) % 4
+    if m == 0:
+        return 4
+    if m == 2:
+        return 3
+    return 2
+
+
 def oracle_rhythm_pairs(spec, n, rng):
     # Oracle: the generator that returned (ioi, ratio) pairs of tuples, with
-    # drawn ratios for SR/CR and the IOIs divided out for SI/CI.
+    # drawn ratios for SR/CR and the IOIs divided out for SI/CI, and one
+    # rng.choice per metrical step on Fraction onsets.
     is_ratio_set = spec.value_set in ("SR", "CR")
     values = simple_value_set(spec.a) if spec.value_set in ("SI", "SR") else complex_value_set(spec.a)
     out = []
     for _ in range(n):
         if spec.dist != 4:
-            w = _weights(len(values), spec.dist, spec.exponent, rng)
+            w = _weights(len(values), spec, rng)
             draws = [values[i] for i in rng.choice(len(values), size=spec.length, p=w)]
         else:
             draws = []
@@ -273,7 +289,7 @@ def oracle_rhythm_pairs(spec, n, rng):
             cur_ioi = Fraction(1)
             for _ in range(spec.length):
                 next_iois = [cur_ioi * v for v in values] if is_ratio_set else values
-                b = np.array([_metrical_base(onset + nv) for nv in next_iois], dtype=float)
+                b = np.array([oracle_metrical_base(onset + nv) for nv in next_iois], dtype=float)
                 w = b ** spec.exponent
                 w /= w.sum()
                 i = int(rng.choice(len(values), p=w))
@@ -297,17 +313,18 @@ def oracle_rhythm_pairs(spec, n, rng):
 @pytest.mark.parametrize("dist", [1, 2, 3, 4])
 def test_rhythm_models_match_the_pair_oracle(value_set, dist):
     # The same IOIs, the oracle's ratios from viewpoints.ratios, and the same
-    # next draw, over 135 (a, L, exponent, seed) settings per model
-    for a in (1, 2, 3, 6, 15):
-        for length in (2, 3, 12):
-            for exponent in (0.5, 1.0, 2.5):
-                for seed in range(3):
-                    spec = RhythmModelSpec(value_set=value_set, dist=dist, a=a, length=length, exponent=exponent)
-                    rng, ref_rng = np.random.default_rng([seed, a]), np.random.default_rng([seed, a])
-                    got, ref = generate_rhythm_sequences(spec, 4, rng), oracle_rhythm_pairs(spec, 4, ref_rng)
-                    assert [tuple(iois) for iois in got] == [iois for iois, _ in ref], spec
-                    assert [tuple(ratios(iois)) for iois in got] == [ratio for _, ratio in ref], spec
-                    assert rng.random() == ref_rng.random(), spec
+    # next draw, over 135 (a, L, exponent, seed) settings per model, and 12
+    # more with long sequences, flat and inverted weights and, for CI/CR,
+    # a = 15, where the denominators grow largest
+    settings = list(itertools.product((1, 2, 3, 6, 15), (2, 3, 12), (0.5, 1.0, 2.5), range(3)))
+    settings += itertools.product((3, 15 if value_set[0] == "C" else 9), (80,), (0.0, -1.5), range(3))
+    for a, length, exponent, seed in settings:
+        spec = RhythmModelSpec(value_set=value_set, dist=dist, a=a, length=length, exponent=exponent)
+        rng, ref_rng = np.random.default_rng([seed, a]), np.random.default_rng([seed, a])
+        got, ref = generate_rhythm_sequences(spec, 4, rng), oracle_rhythm_pairs(spec, 4, ref_rng)
+        assert [tuple(iois) for iois in got] == [iois for iois, _ in ref], spec
+        assert [tuple(ratios(iois)) for iois in got] == [ratio for _, ratio in ref], spec
+        assert rng.random() == ref_rng.random(), spec
 
 
 def _pitch_pairs(seq_sets):
