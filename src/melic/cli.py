@@ -7,6 +7,7 @@ import csv
 import itertools
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from . import genmodel, stats
 from .corpus import Corpus, MelicError, parse_canonical, write_table
 from .infotheory import Distribution, distribution_of, entropy, entropy_of, gini, mutual_information_excess
-from .repetition import joint_information, remove_repetition
+from .repetition import remove_repetition
 from .seqmodel import within_corpus_repetition
 from .viewpoints import ViewpointKind, extract_viewpoint
 
@@ -120,77 +121,93 @@ def _sym_str(s) -> str:
     return str(s)
 
 
-def _each_melody(args, fn) -> list:
-    """_per_melody over every corpus argument, rows in corpus order."""
-    return [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, fn)]
+def _each_melody(args, measures) -> list:
+    """One row per melody of every corpus argument, in corpus order: the
+    melody's id, then the rest of args.schema's columns, taken from the dict
+    measures(melody). Melodies are skipped as _per_melody skips them."""
+    columns = args.schema[1:]
+
+    def row(m):
+        values = measures(m)
+        return {"id": m.id, **{c: values[c] for c in columns}}
+
+    return [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, row)]
+
+
+# --- per-melody measures: a command's schema picks its columns from these ---
+
+def _entropy_measures(m, kind) -> dict:
+    """Alphabet size A, entropy H and Gini coefficient G of a viewpoint."""
+    d = distribution_of(extract_viewpoint(m, kind))
+    return {"A": d.alphabet_size, "H": entropy(d), "G": gini(d)}
+
+
+def _repetition_measures(m, kind, l_min) -> dict:
+    """Length L, non-repeated length L_NR and the fraction 1 - L_NR/L of a
+    viewpoint, with repeats of at least l_min symbols removed."""
+    seq = extract_viewpoint(m, kind)
+    l_nr = remove_repetition(seq, l_min).l_nr
+    return {"L": len(seq), "L_NR": l_nr, "fraction": 1.0 - l_nr / len(seq)}
+
+
+def _joint_measures(m) -> dict:
+    """Entropy H_joint, length, non-repeated length L_NR and total information
+    T = H_joint * L_NR of the joint chroma-duration sequence."""
+    joint = extract_viewpoint(m, ViewpointKind.JOINT_CHROMA_DURATION)
+    h = entropy_of(joint)
+    l_nr = remove_repetition(joint).l_nr
+    return {"H_joint": h, "length": len(joint), "L_NR": l_nr, "T": h * l_nr}
+
+
+def _mi_measures(m, pitch_kind, rhythm_kind, n_shuffles, rng) -> dict:
+    """Pitch-rhythm mutual information I, its shuffle-null mean I_ran and
+    I_star = I - I_ran, over the shorter viewpoint's length."""
+    seq_p = extract_viewpoint(m, pitch_kind)
+    seq_r = extract_viewpoint(m, rhythm_kind)
+    n = min(len(seq_p), len(seq_r))
+    i_obs, i_ran, i_star = mutual_information_excess(
+        seq_p.symbols[:n], seq_r.symbols[:n], n_shuffles=n_shuffles, rng=rng
+    )
+    return {"I": i_obs, "I_ran": i_ran, "I_star": i_star}
+
+
+def _summary_values(m) -> tuple:
+    """summary's per-melody values, in the order of its columns after corpus."""
+    return (
+        _entropy_measures(m, ViewpointKind.CHROMA)["H"],
+        _entropy_measures(m, ViewpointKind.DURATION)["H"],
+        *itemgetter("H_joint", "length", "L_NR", "T")(_joint_measures(m)),
+    )
 
 
 # --- subcommands: each returns its rows, which main writes ------------------
 
 def cmd_viewpoints(args):
-    def one(m):
-        seq = extract_viewpoint(m, args.kind)
-        return {"id": m.id, "symbols": " ".join(_sym_str(s) for s in seq.symbols)}
-
-    return _each_melody(args, one)
+    return _each_melody(
+        args, lambda m: {"symbols": " ".join(_sym_str(s) for s in extract_viewpoint(m, args.kind).symbols)}
+    )
 
 
-def cmd_entropy(args, with_gini=False):
-    def one(m):
-        d = distribution_of(extract_viewpoint(m, args.viewpoint))
-        row = {"id": m.id, "A": d.alphabet_size, "H": entropy(d)}
-        if with_gini:
-            row["G"] = gini(d)
-        return row
-
-    return _each_melody(args, one)
-
-
-def cmd_gini(args):
-    return cmd_entropy(args, with_gini=True)
+def cmd_entropy(args):  # entropy and gini, whose schemas differ
+    return _each_melody(args, lambda m: _entropy_measures(m, args.viewpoint))
 
 
 def cmd_mi(args):
     if args.shuffles < 0:
         raise MelicError(f"--shuffles must be >= 0, got {args.shuffles}")
     rng = np.random.default_rng(args.seed)
-
-    def one(m):
-        seq_p = extract_viewpoint(m, args.viewpoint)
-        seq_r = extract_viewpoint(m, args.rhythm_kind)
-        n = min(len(seq_p), len(seq_r))
-        i_obs, i_ran, i_star = mutual_information_excess(
-            seq_p.symbols[:n], seq_r.symbols[:n], n_shuffles=args.shuffles, rng=rng
-        )
-        return {"id": m.id, "I": i_obs, "I_ran": i_ran, "I_star": i_star}
-
     # every melody draws its shuffles from the one rng stream, in corpus order
-    return _each_melody(args, one)
+    return _each_melody(args, lambda m: _mi_measures(m, args.viewpoint, args.rhythm_kind, args.shuffles, rng))
 
 
 def cmd_repetition(args):
     if args.lmin < 2:
         raise MelicError(f"--lmin must be >= 2, got {args.lmin}")
-
-    def one(m):
-        seq = extract_viewpoint(m, args.viewpoint)
-        res = remove_repetition(seq, args.lmin)
-        return {
-            "id": m.id,
-            "L": len(seq.symbols),
-            "L_NR": res.l_nr,
-            "fraction": 1.0 - res.l_nr / len(seq.symbols),
-        }
-
-    return _each_melody(args, one)
+    return _each_melody(args, lambda m: _repetition_measures(m, args.viewpoint, args.lmin))
 
 
 def cmd_totalinfo(args):
-    def one(m):
-        h, l_nr, _ = joint_information(m)
-        return {"id": m.id, "H_joint": h, "L_NR": l_nr, "T": h * l_nr}
-
-    return _each_melody(args, one)
+    return _each_melody(args, _joint_measures)
 
 
 def cmd_ppm_repetition(args):
@@ -259,7 +276,7 @@ def _fit(args, spec, grids, kind, statistic, undefined: str, worst: float) -> tu
             raise MelicError(undefined)
         return value
 
-    empirical = _each_melody(args, one)
+    empirical = [v for corpus in _load_corpora(args.corpus) for v in _per_melody(corpus, one)]
     best, score, ties = genmodel.fit_generative_model(empirical, grid, n_per_setting=args.n_per_setting, seed=args.seed)
     where = f"warning: genmodel {args.genmodel_command}:"
     if ties > 1:
@@ -327,35 +344,11 @@ def cmd_subsample_corr(args):
 
 
 def cmd_summary(args):
-    def one(m):
-        h_chroma = entropy_of(extract_viewpoint(m, ViewpointKind.CHROMA))
-        h_dur = entropy_of(extract_viewpoint(m, ViewpointKind.DURATION))
-        h_joint, l_nr, length = joint_information(m)
-        return {
-            "H_chroma": h_chroma,
-            "H_dur": h_dur,
-            "H_chroma_dur": h_joint,
-            "length": length,
-            "L_NR": l_nr,
-            "T": h_joint * l_nr,
-        }
-
     records = []
     for corpus in sorted(_load_corpora(args.corpus), key=lambda c: c.meta.corpus_id):
-        rows = _per_melody(corpus, one)
-        if not rows:
-            continue
-        records.append(
-            {
-                "corpus": corpus.meta.corpus_id,
-                "H_chroma": float(np.mean([r["H_chroma"] for r in rows])),
-                "H_dur": float(np.mean([r["H_dur"] for r in rows])),
-                "H_chroma_dur": float(np.mean([r["H_chroma_dur"] for r in rows])),
-                "mean_length": float(np.mean([r["length"] for r in rows])),
-                "mean_L_NR": float(np.mean([r["L_NR"] for r in rows])),
-                "mean_T": float(np.mean([r["T"] for r in rows])),
-            }
-        )
+        if rows := _per_melody(corpus, _summary_values):
+            means = (float(np.mean(column)) for column in zip(*rows))
+            records.append({"corpus": corpus.meta.corpus_id, **dict(zip(args.schema[1:], means))})
     return records
 
 
@@ -405,29 +398,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="per-melody alphabet size and entropy")
     p.add_argument("--viewpoint", type=ViewpointKind, default="chroma")
     _add_common(p)
-    p.set_defaults(func=cmd_entropy)
+    p.set_defaults(func=cmd_entropy, schema=["id", "A", "H"])
 
     p = sub.add_parser("gini", help="per-melody entropy and Gini coefficient")
     p.add_argument("--viewpoint", type=ViewpointKind, default="chroma")
     _add_common(p)
-    p.set_defaults(func=cmd_gini)
+    p.set_defaults(func=cmd_entropy, schema=["id", "A", "H", "G"])
 
     p = sub.add_parser("mi", help="pitch-rhythm mutual information with shuffle null")
     p.add_argument("--viewpoint", type=ViewpointKind, default="chroma", help="pitch viewpoint")
     p.add_argument("--rhythm-kind", type=ViewpointKind, default="duration")
     p.add_argument("--shuffles", type=int, default=10)
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_mi)
+    p.set_defaults(func=cmd_mi, schema=["id", "I", "I_ran", "I_star"])
 
     p = sub.add_parser("repetition", help="recursive repeated-substring removal")
     p.add_argument("--viewpoint", type=ViewpointKind, default="chroma")
     p.add_argument("--lmin", type=int, default=2)
     _add_common(p)
-    p.set_defaults(func=cmd_repetition)
+    p.set_defaults(func=cmd_repetition, schema=["id", "L", "L_NR", "fraction"])
 
     p = sub.add_parser("totalinfo", help="joint entropy times non-repeated length")
     _add_common(p)
-    p.set_defaults(func=cmd_totalinfo)
+    p.set_defaults(func=cmd_totalinfo, schema=["id", "H_joint", "L_NR", "T"])
 
     p = sub.add_parser("ppm-repetition", help="PPM within-corpus repetition")
     p.add_argument("--viewpoint", type=ViewpointKind, default="mint")
@@ -493,7 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summary", help="per-corpus information summary table")
     _add_common(p)
-    p.set_defaults(func=cmd_summary)
+    p.set_defaults(
+        func=cmd_summary,
+        schema=["corpus", "H_chroma", "H_dur", "H_chroma_dur", "mean_length", "mean_L_NR", "mean_T"],
+    )
 
     return parser
 

@@ -49,8 +49,8 @@ class PitchModelSpec:
             raise MelicError(f"unknown pitch family {self.family!r}")
         if self.dist not in (1, 2, 3):
             raise MelicError(f"unknown distribution code {self.dist}")
-        # S and IS draw a distinct chromas
-        _check_spec(self, 12 if self.family in ("S", "IS") else math.inf)
+        # S and IS draw a distinct chromas; I's intervals span at most MIDI's 127 semitones
+        _check_spec(self, 12 if self.family in ("S", "IS") else 127)
         if not 0 < self.o < math.inf:
             raise MelicError(f"{self.name}: o must be finite and > 0, got {self.o}")
         # S draws from round(o) octaves of its scale: 10 octaves are 120 pitches, within MIDI's 128

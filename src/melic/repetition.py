@@ -90,16 +90,8 @@ def repetition_fraction(seq, l_min: int = 2) -> float:
     return 1.0 - res.l_nr / len(symbols)
 
 
-def joint_information(melody: Melody, l_min: int = 2) -> tuple[float, int, int]:
-    """(H, L_NR, L) of the joint chroma-duration sequence: its unigram entropy
-    in bits, its non-repeated length and its length."""
-    joint = extract_viewpoint(melody, ViewpointKind.JOINT_CHROMA_DURATION)
-    h = entropy_of(joint)
-    return h, remove_repetition(joint, l_min).l_nr, len(joint.symbols)
-
-
 def total_information(melody: Melody, l_min: int = 2) -> float:
     """Joint chroma-duration unigram entropy times the non-repeated length of
     that same joint sequence, in bits."""
-    h, l_nr, _ = joint_information(melody, l_min)
-    return h * l_nr
+    joint = extract_viewpoint(melody, ViewpointKind.JOINT_CHROMA_DURATION)
+    return entropy_of(joint) * remove_repetition(joint, l_min).l_nr

@@ -146,6 +146,68 @@ def test_summary_handles_single_note_melodies(tmp_path):
     assert len(rows_of(data)) == 1
 
 
+def test_summary_is_the_mean_of_the_per_melody_commands_rows(tmp_path, corpus_file):
+    from melic.corpus import Corpus, CorpusMeta
+
+    rng = np.random.default_rng(1)
+    mels = [
+        melody_from_pitches(f"a{i}", list(rng.integers(55, 70, 12)), [[1, "3/2", "1/4"][d] for d in rng.integers(0, 3, 12)])
+        for i in range(11)
+    ]
+    art_file = tmp_path / "aaa.json"
+    art_file.write_text(serialize_canonical(Corpus(meta=CorpusMeta(corpus_id="aaa", type="Art"), melodies=tuple(mels))))
+    parser = build_parser()
+
+    def rows(*argv):
+        args = parser.parse_args(list(argv))
+        return args.func(args)
+
+    summary = rows("summary", str(corpus_file), str(art_file))
+    assert [r["corpus"] for r in summary] == ["aaa", "fixture"]
+    for row, path in zip(summary, (str(art_file), str(corpus_file))):
+        def mean(column, *argv):
+            return float(np.mean([r[column] for r in rows(*argv, path)]))
+
+        assert row["H_chroma"] == mean("H", "entropy", "--viewpoint", "chroma")
+        assert row["H_dur"] == mean("H", "entropy", "--viewpoint", "duration")
+        assert row["H_chroma_dur"] == mean("H_joint", "totalinfo")
+        assert row["mean_L_NR"] == mean("L_NR", "totalinfo")
+        assert row["mean_T"] == mean("T", "totalinfo")
+        assert row["mean_length"] == mean("L", "repetition", "--viewpoint", "chroma")
+
+
+HEADERS = {
+    "viewpoints": "id,symbols",
+    "entropy": "id,A,H",
+    "gini": "id,A,H,G",
+    "mi": "id,I,I_ran,I_star",
+    "repetition": "id,L,L_NR,fraction",
+    "totalinfo": "id,H_joint,L_NR,T",
+    "summary": "corpus,H_chroma,H_dur,H_chroma_dur,mean_length,mean_L_NR,mean_T",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, n_rows",
+    [
+        (["viewpoints", "--kind", "ioi"], 0),
+        (["entropy", "--viewpoint", "ioi"], 0),
+        (["gini", "--viewpoint", "ioi"], 0),
+        (["mi", "--seed", "1", "--rhythm-kind", "ioi"], 0),
+        (["repetition", "--viewpoint", "mint"], 0),
+        (["totalinfo"], 1),
+        (["summary"], 1),
+    ],
+)
+def test_a_run_that_skips_every_melody_writes_the_header(tmp_path, capsys, argv, n_rows):
+    lone = write_corpus(tmp_path / "lone.json", [melody_from_pitches("lone", [67])])
+    rc, data = run([*argv, str(lone)], tmp_path / "o.csv")
+    assert rc == 0
+    lines = data.decode().splitlines()
+    assert lines[0] == HEADERS[argv[0]] and len(lines) == 1 + n_rows
+    assert len(capsys.readouterr().err.splitlines()) == (0 if n_rows else 2)
+
+
 def test_directory_input(tmp_path, corpus_file):
     rc, data = run(["entropy", str(corpus_file.parent)], tmp_path / "o.csv")
     assert rc == 0
@@ -404,6 +466,11 @@ def test_genmodel_fits_report_melodies_with_zero_base_entropy(tmp_path, capsys, 
         (["rhythm", "--model", "CR3", "--grid-exp", "2,-inf"], "CR3: exponent must be finite, got -inf"),
         (["pitch", "--model", "S1", "--grid-o", "11"], "S1: o must round to at most 10 octaves, got 11.0"),
         (["pitch", "--model", "S3", "--grid-o", "2,1e300"], "S3: o must round to at most 10 octaves, got 1e+300"),
+        (["pitch", "--model", "I1", "--grid-a", "128"], "I1: alphabet size must be <= 127, got 128"),
+        *((["pitch", "--model", "I1", "--grid-a", a, "--grid-l", "3", "--grid-o", "1", "--grid-exp", "1",
+            "--n-per-setting", "1"], f"I1: alphabet size must be <= 127, got {a}")
+          # interval ranges -a..a that no array can hold
+          for a in ("100000000000", "9223372036854775808", "4611686018427387904")),
     ],
 )
 def test_genmodel_rejects_grid_points_the_generators_cannot_use(capsys, corpus_file, argv, message):
@@ -920,7 +987,9 @@ _note = st.tuples(
 )
 _melody = st.lists(_note, min_size=1, max_size=5).filter(lambda ns: any(p is not None for p, _, _ in ns))
 
-PER_MELODY = [["entropy", "--viewpoint", k.value] for k in ViewpointKind] + [
+PER_MELODY = [[command, "--viewpoint", k.value] for command in ("entropy", "gini") for k in ViewpointKind] + [
+    ["viewpoints", "--kind", k.value] for k in ViewpointKind
+] + [
     ["mi", "--seed", "0", "--shuffles", "2"],
     ["repetition"],
     ["totalinfo"],
@@ -954,6 +1023,7 @@ def test_every_melody_is_a_row_or_a_reported_skip(melodies):
             assert rc in (0, 1), argv
             if rc == 1:
                 continue
+            assert out.read_text().split("\n", 1)[0] == HEADERS[argv[0]], argv
             rows = rows_of(out.read_bytes())
             skips = [line for line in err.getvalue().splitlines() if " melody 'm" in line and "skipped: " in line]
             if argv == ["summary"]:
