@@ -52,7 +52,16 @@ def _load_corpora(paths: list[str]) -> list[Corpus]:
             files.append(path)
     if not files:
         raise MelicError("no corpus files given")
-    return [parse_canonical(f.read_bytes()) for f in files]
+    return [_read_corpus(f) for f in files]
+
+
+def _read_corpus(path: Path) -> Corpus:
+    """The corpus in a canonical JSON file; an error in it names the file."""
+    data = path.read_bytes()
+    try:
+        return parse_canonical(data)
+    except MelicError as exc:
+        raise MelicError(f"{path}: {exc}") from None
 
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> list[dict]:
@@ -301,7 +310,7 @@ def cmd_genmodel_rhythm(args):
 
 
 def cmd_similarity(args):
-    query_corpus = parse_canonical(Path(args.query).read_bytes())
+    query_corpus = _read_corpus(Path(args.query))
     query = extract_viewpoint(query_corpus.melodies[0], args.viewpoint)
     stats.ngram_query(query, args.n)  # checked before any corpus is read
     records = []

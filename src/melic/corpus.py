@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,16 @@ class SchemaError(Exception):
 def _is_int(value) -> bool:
     """An integer, but not a bool (an int subclass): JSON true is not 1."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_text(value, field: str) -> None:
+    """Reject a string UTF-8 cannot encode: a JSON escape such as "\\ud800"
+    decodes to a lone surrogate, which a CSV table cannot write."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MelicError(f"{field} must be UTF-8 text, got {value!r:.40}") from None
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,8 @@ class CorpusMeta:
     def __post_init__(self):
         if not isinstance(self.corpus_id, str):
             raise MelicError(f"corpus_id must be a string, got {self.corpus_id!r:.40}")
+        _check_text(self.corpus_id, "corpus_id")
+        _check_text(self.region, "region")
         if self.composer_birth_year is not None and not _is_int(self.composer_birth_year):
             raise MelicError(f"composer_birth_year must be an integer or null, got {self.composer_birth_year!r:.40}")
         if self.type not in CORPUS_TYPES:
@@ -68,6 +81,7 @@ class Melody:
     key_annotation: int | None = None
 
     def __post_init__(self):
+        _check_text(self.id, "melody id")
         if not any(not e.is_rest for e in self.events):
             raise MelicError(f"melody {self.id!r}: needs at least one non-rest event")
         prev = None
@@ -113,14 +127,16 @@ def _json(value, kind: type, what: str):
 
 def parse_canonical(data: bytes | str) -> Corpus:
     """Parse the canonical utf-8 JSON corpus format."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        obj = json.loads(data)
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise MelicError(f"corpus file is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MelicError(f"malformed corpus file at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise MelicError("malformed corpus file: JSON nested too deeply") from None
+    except ValueError:  # json.loads' one other ValueError: int() of an over-long literal
+        raise MelicError(f"malformed corpus file: an integer has over {sys.get_int_max_str_digits()} digits") from None
     try:
         meta = CorpusMeta(
             corpus_id=_json(obj, dict, "a corpus file")["corpus_id"],

@@ -172,60 +172,52 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _cdf_row(bases: tuple, spec: RhythmModelSpec) -> list[float]:
-    """Generator.choice's CDF for weights bases ** exponent, with its float
+def _cdf_row(w: np.ndarray) -> list[float]:
+    """Generator.choice's CDF for normalized weights w, with its float
     operations: a draw u picks bisect_right(row, u)."""
-    with np.errstate(over="ignore"):  # an overflow is reported by _normalized
-        w = np.array(bases, dtype=float) ** spec.exponent
-    cdf = _normalized(w, spec).cumsum()
+    cdf = w.cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()
-
-
-def _metrical_sequences(spec: RhythmModelSpec, values: list[Fraction], n: int, rng: np.random.Generator):
-    """The dist 4 sequences of generate_rhythm_sequences. Each step weighs
-    each candidate IOI by the metrical base of the onset it lands on and draws
-    one as Generator.choice(p=w) does, on one uniform: the same draws as one
-    rng.choice per step. Onsets and IOIs are reduced (num, den) pairs; as
-    the pairs are reduced, onset N/D plus IOI a/b is an integer only where
-    b == D and D divides N + a."""
-    is_ratio_set = spec.value_set in ("SR", "CR")
-    pairs = [(v.numerator, v.denominator) for v in values]
-    rows: dict[tuple, list[float]] = {}  # landing bases -> CDF row
-    out = []
-    for _ in range(n):
-        iois = [Fraction(1)] if is_ratio_set else []
-        p, q = 1, 1  # the last IOI, for a ratio set
-        num, den = 0, 1  # the onset; a ratio set's first IOI of 1 does not move it
-        for u in rng.random(spec.length).tolist():
-            cands = [_reduced(p * a, q * b) for a, b in pairs] if is_ratio_set else pairs
-            bases = tuple([_metrical_base(num + a, den) if b == den else 1 for a, b in cands])
-            row = rows.get(bases)
-            if row is None:
-                row = rows[bases] = _cdf_row(bases, spec)
-            i = bisect_right(row, u)
-            p, q = cands[i]
-            iois.append(Fraction(p, q) if is_ratio_set else values[i])
-            num, den = _reduced(num * q + p * den, den * q)
-        out.append(iois)
-    return out
 
 
 def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Generator):
     """Generate n sequences, each a list of IOIs (Fractions): spec.length drawn
     from an IOI set (SI, CI), or for a ratio set (SR, CR) 1 and then spec.length
     IOIs, each the one before times a drawn ratio. Metrical models (dist 4)
-    weigh each value by the metrical base of the onset it lands on."""
+    weigh each value by the metrical base of the onset it lands on.
+
+    A sequence draws its weights (dists 1-3), then spec.length uniforms; a step
+    picks bisect_right(row, u) on Generator.choice's CDF row: the draws of one
+    rng.choice per sequence, or per step for dist 4, whose rows are cached per
+    tuple of landing bases. IOIs and onsets are reduced (num, den) pairs, so
+    onset N/D plus IOI a/b is an integer only where b == D and D divides N + a."""
     values = simple_value_set(spec.a) if spec.value_set in ("SI", "SR") else complex_value_set(spec.a)
-    if spec.dist == 4:
-        return _metrical_sequences(spec, values, n, rng)
     is_ratio_set = spec.value_set in ("SR", "CR")
+    metrical = spec.dist == 4
+    pairs = [(v.numerator, v.denominator) for v in values]
+    rows: dict[tuple, list[float]] = {}  # landing bases -> CDF row
+    cands = pairs  # a step's candidate IOIs; dist 4 recomputes a ratio set's
     out = []
     for _ in range(n):
+        if not metrical:
+            row = _cdf_row(_weights(len(values), spec, rng))
         iois = [Fraction(1)] if is_ratio_set else []
-        w = _weights(len(values), spec, rng)
-        for i in rng.choice(len(values), size=spec.length, p=w):
-            iois.append(iois[-1] * values[i] if is_ratio_set else values[i])
+        p, q = 1, 1  # the last IOI
+        num, den = 0, 1  # the onset, for dist 4; a ratio set's first IOI of 1 does not move it
+        for u in rng.random(spec.length).tolist():
+            if metrical:
+                cands = [_reduced(p * a, q * b) for a, b in pairs] if is_ratio_set else pairs
+                bases = tuple([_metrical_base(num + a, den) if b == den else 1 for a, b in cands])
+                row = rows.get(bases)
+                if row is None:
+                    with np.errstate(over="ignore"):  # an overflow is reported by _normalized
+                        row = rows[bases] = _cdf_row(_normalized(np.array(bases, dtype=float) ** spec.exponent, spec))
+            i = bisect_right(row, u)
+            # a ratio set's IOI is the last one times the drawn ratio, which dist 4 has computed
+            p, q = _reduced(p * pairs[i][0], q * pairs[i][1]) if is_ratio_set and not metrical else cands[i]
+            iois.append(Fraction(p, q) if is_ratio_set else values[i])
+            if metrical:
+                num, den = _reduced(num * q + p * den, den * q)
         out.append(iois)
     return out
 
@@ -336,6 +328,7 @@ class ScaleSimResult:
 
 
 _CHUNK = 1 << 15  # walks per kernel call, each chunk with its own derived seed, so the output depends on it
+_MAX_TABLE_CELLS = 1 << 22  # the walk table's cells at most: a run at the limit peaks near 240 MiB
 
 
 def _dist_arrays(d: Distribution):
@@ -397,6 +390,12 @@ def simulate_scale_entropy(
         raise MelicError(
             f"a pitch window of half-width {max(half_widths)} (--o-values) plus an interval of {step} "
             "(--intervals) does not fit in a 64-bit integer"
+        )
+    rows = sum(2 * h + 1 for h in set(half_widths))  # the walk table's states: each window's pitches
+    if rows * len(vals) > _MAX_TABLE_CELLS:
+        raise MelicError(
+            f"a walk table of {rows} window pitches (--o-values) times {len(vals)} intervals "
+            f"(--intervals) exceeds its limit of {_MAX_TABLE_CELLS} cells"
         )
     half_widths = np.array(half_widths, dtype=np.int64)
     n_chunks = (n_sequences + _CHUNK - 1) // _CHUNK

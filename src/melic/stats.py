@@ -162,13 +162,17 @@ class JointNullResult:
     degenerate: bool = False
 
 
+_MAX_NULL_SAMPLES = 10**7  # joint-entropy null draws at most: a run at the limit peaks near 270 MiB
+
+
 def joint_entropy_null(means: list[CorpusMeans], n_samples: int = 10000, rng=None) -> JointNullResult:
     """Null joint-entropy distribution assuming independent pitch entropy,
     rhythm entropy and mutual information pools; H(C,D) = H(C) + H(D) - I."""
     if len(means) < 2:
         raise MelicError("need at least 2 corpora")
-    if n_samples < 1:
-        raise MelicError(f"n_samples must be >= 1, got {n_samples}")
+    if not 1 <= n_samples <= _MAX_NULL_SAMPLES:
+        bound = ">= 1" if n_samples < 1 else f"<= {_MAX_NULL_SAMPLES}"
+        raise MelicError(f"n_samples must be {bound}, got {n_samples}")
     if rng is None:
         raise MelicError("the joint-entropy null requires an explicit rng")
     hc = np.array([m.h_chroma for m in means])

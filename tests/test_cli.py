@@ -230,11 +230,50 @@ def test_corpus_nested_too_deeply_is_an_error(tmp_path, capsys):
     expect_error(capsys, ["entropy", str(deep), "--out", str(tmp_path / "o.csv")], "nested too deeply")
 
 
+def _edited_corpus(path, old: str, new: str, encoding: str = "utf-8"):
+    """A one-melody corpus file whose JSON text has old replaced by new."""
+    text = serialize_canonical(corpus_of([melody_from_pitches("m0", [60, 62, 64])]))
+    assert old in text
+    path.write_bytes(text.replace(old, new).encode(encoding))
+    return path
+
+
+@pytest.mark.parametrize(
+    "old, new, encoding, fragment",
+    [
+        ('"m0"', '"caf\u00e9"', "latin-1", "not UTF-8"),
+        ('"pitch": 60', '"pitch": ' + "1" * 5000, "utf-8", f"an integer has over {sys.get_int_max_str_digits()} digits"),
+        ('"type": "Folk"', '"type": "Jazz"', "utf-8", "type must be one of"),
+    ],
+    ids=["latin-1 id", "5000-digit pitch", "unknown type"],
+)
+def test_corpus_file_errors_name_the_file(tmp_path, capsys, corpus_file, old, new, encoding, fragment):
+    bad = _edited_corpus(tmp_path / "bad-corpus.json", old, new, encoding)
+    expect_error(capsys, ["entropy", str(corpus_file), str(bad)], f"error: {bad}: ", fragment)
+    expect_error(capsys, ["similarity", "--query", str(bad), str(corpus_file)], f"error: {bad}: ", fragment)
+
+
+@pytest.mark.parametrize("field, old", [("corpus_id", '"corpus_id": "'), ("region", '"region": "'), ("melody id", '"id": "')])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_lone_surrogate_is_an_error_naming_the_field(tmp_path, capsys, field, old, fmt):
+    # "\ud800" is valid JSON but decodes to a string UTF-8 cannot encode
+    bad = _edited_corpus(tmp_path / "surrogate.json", old, old + "\\ud800")
+    expect_error(capsys, ["entropy", "--format", fmt, str(bad)], str(bad), f"{field} must be UTF-8 text")
+
+
 def make_means_csv(path, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["corpus_id", "region", "type", "H_chroma", "H_duration", "I_chroma_duration"])
         w.writerows(rows)
+
+
+@pytest.mark.parametrize("samples", ["10000001", "1000000000000000", "99999999999999999999"])
+def test_null_joint_samples_above_the_limit_is_an_error(tmp_path, capsys, samples):
+    means = tmp_path / "means.csv"
+    make_means_csv(means, [[f"c{i}", "r", "Folk", 2 + 0.1 * i, 1 + 0.01 * i * i, 0.1] for i in range(4)])
+    argv = ["null-joint", "--seed", "1", "--samples", samples, str(means)]
+    expect_error(capsys, argv, f"n_samples must be <= 10000000, got {samples}")
 
 
 def test_null_joint_command(tmp_path):
@@ -897,6 +936,17 @@ def test_genmodel_scale_window_beyond_int64_is_an_error(tmp_path, capsys, length
     lengths = write_distribution(tmp_path / "lengths.csv", [(length, 1.0)])
     argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "100", "--seed", "1"]
     expect_error(capsys, [*argv, "--o-values", "1e300"], "(--o-values)", "(--intervals)", "64-bit integer")
+
+
+@pytest.mark.parametrize("step", [1000000000, 2305843009213693952])
+def test_genmodel_scale_walk_table_beyond_its_limit_is_an_error(tmp_path, capsys, step):
+    # at o = 1e300 the window is the reach, 2 steps: 4e9 + 1 pitches, or
+    # 2**63 + 1, whose table size overflows int64, each times 2 intervals
+    intervals = write_distribution(tmp_path / "intervals.csv", [(step, 0.5), (-1, 0.5)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(3, 1.0)])
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "100", "--seed", "1"]
+    expect_error(capsys, [*argv, "--o-values", "1e300"], f"{4 * step + 1} window pitches (--o-values)",
+                 "2 intervals (--intervals)", f"limit of {genmodel._MAX_TABLE_CELLS} cells")
 
 
 def _leaf_parsers(parser, command=()):

@@ -313,11 +313,11 @@ def oracle_rhythm_pairs(spec, n, rng):
 @pytest.mark.parametrize("dist", [1, 2, 3, 4])
 def test_rhythm_models_match_the_pair_oracle(value_set, dist):
     # The same IOIs, the oracle's ratios from viewpoints.ratios, and the same
-    # next draw, over 135 (a, L, exponent, seed) settings per model, and 12
-    # more with long sequences, flat and inverted weights and, for CI/CR,
-    # a = 15, where the denominators grow largest
+    # next draw, over 135 (a, L, exponent, seed) settings per model, and 24
+    # more with long sequences, flat, inverted and near one-hot weights and,
+    # for CI/CR, a = 15, where the denominators grow largest
     settings = list(itertools.product((1, 2, 3, 6, 15), (2, 3, 12), (0.5, 1.0, 2.5), range(3)))
-    settings += itertools.product((3, 15 if value_set[0] == "C" else 9), (80,), (0.0, -1.5), range(3))
+    settings += itertools.product((3, 15 if value_set[0] == "C" else 9), (80,), (0.0, -1.5, 40.0, -40.0), range(3))
     for a, length, exponent, seed in settings:
         spec = RhythmModelSpec(value_set=value_set, dist=dist, a=a, length=length, exponent=exponent)
         rng, ref_rng = np.random.default_rng([seed, a]), np.random.default_rng([seed, a])
@@ -325,6 +325,32 @@ def test_rhythm_models_match_the_pair_oracle(value_set, dist):
         assert [tuple(iois) for iois in got] == [iois for iois, _ in ref], spec
         assert [tuple(ratios(iois)) for iois in got] == [ratio for _, ratio in ref], spec
         assert rng.random() == ref_rng.random(), spec
+
+
+class _Uniforms:
+    """A stand-in rng whose random(size) returns the next size given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size):
+        drawn, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+        return np.array(drawn)
+
+
+@pytest.mark.parametrize("value_set, dist", [("SI", 1), ("SR", 3), ("CI", 4), ("CR", 4)])
+def test_a_uniform_on_a_cdf_step_picks_the_next_value(value_set, dist):
+    # Generator.choice picks searchsorted(cdf, u, side="right"), so a uniform
+    # equal to a CDF value picks the value after it. Flat weights on a = 4 put
+    # the CDF at exactly 0.25, 0.5, 0.75 and 1, which random uniforms all but
+    # never hit
+    u = [0.0, 0.25, 0.5, 0.75, 0.5]
+    picks = [0, 1, 2, 3, 2]
+    spec = RhythmModelSpec(value_set=value_set, dist=dist, a=4, length=len(u), exponent=0.0)
+    values = simple_value_set(4) if value_set[0] == "S" else complex_value_set(4)
+    drawn = [values[i] for i in picks]
+    expected = list(itertools.accumulate(drawn, lambda ioi, r: ioi * r, initial=Fraction(1))) if value_set[1] == "R" else drawn
+    assert generate_rhythm_sequences(spec, 1, _Uniforms(u)) == [expected]
 
 
 def _pitch_pairs(seq_sets):
