@@ -84,13 +84,17 @@ class Melody:
         _check_text(self.id, "melody id")
         if not any(not e.is_rest for e in self.events):
             raise MelicError(f"melody {self.id!r}: needs at least one non-rest event")
-        prev = None
+        # exact comparisons on the numerator and the positive denominator, which
+        # ints have too; an onset that is the previous one's own object (one
+        # parsed time string) needs none
+        prev = self.events[0].onset
         for e in self.events:
-            if e.duration <= 0:
+            if e.duration.numerator <= 0:
                 raise MelicError(f"melody {self.id!r}: duration must be positive")
-            if prev is not None and e.onset < prev:
+            onset = e.onset
+            if onset is not prev and onset.numerator * prev.denominator < prev.numerator * onset.denominator:
                 raise MelicError(f"melody {self.id!r}: onsets must be nondecreasing")
-            prev = e.onset
+            prev = onset
         key = self.key_annotation
         if key is not None and not (_is_int(key) and 0 <= key < 12):
             raise MelicError(f"melody {self.id!r}: key annotation must be a chroma class 0-11")
@@ -109,24 +113,32 @@ class Corpus:
             raise MelicError(f"corpus {self.meta.corpus_id!r}: melody ids must be unique")
 
 
-def _parse_rational(s, where: str) -> Fraction:
+def _parse_time(s, times: dict, mid, field: str) -> Fraction:
+    """The Fraction that time string s spells, stored in times under s: a
+    note's onset or duration (field) in melody mid, where times has no s."""
     if not isinstance(s, str):
-        raise MelicError(f"{where}: rational must be a 'p/q' string, got {s!r}")
+        raise MelicError(f"melody {mid!r} {field}: rational must be a 'p/q' string, got {s!r}")
     try:
-        return Fraction(s)
+        t = times[s] = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise MelicError(f"{where}: bad rational {s!r} ({exc})") from exc
+        raise MelicError(f"melody {mid!r} {field}: bad rational {s!r} ({exc})") from exc
+    return t
 
 
-def _json(value, kind: type, what: str):
-    """value, checked to be a JSON object (kind dict) or array (kind list)."""
+def _json(value, kind: type, what: str, *args):
+    """value, checked to be a JSON object (kind dict) or array (kind list);
+    what.format(*args) names it in the error."""
     if not isinstance(value, kind):
+        what = what.format(*args)
         raise MelicError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {value!r:.40}")
     return value
 
 
 def parse_canonical(data: bytes | str) -> Corpus:
-    """Parse the canonical utf-8 JSON corpus format."""
+    """Parse the canonical utf-8 JSON corpus format.
+
+    Each distinct onset or duration string of the file is parsed once, and
+    every note that spells it shares that one Fraction."""
     try:
         obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
@@ -137,6 +149,7 @@ def parse_canonical(data: bytes | str) -> Corpus:
         raise MelicError("malformed corpus file: JSON nested too deeply") from None
     except ValueError:  # json.loads' one other ValueError: int() of an over-long literal
         raise MelicError(f"malformed corpus file: an integer has over {sys.get_int_max_str_digits()} digits") from None
+    times: dict[str, Fraction] = {}
     try:
         meta = CorpusMeta(
             corpus_id=_json(obj, dict, "a corpus file")["corpus_id"],
@@ -150,17 +163,20 @@ def parse_canonical(data: bytes | str) -> Corpus:
             if not (isinstance(mid, str) or _is_int(mid)):
                 raise MelicError(f"melody id must be a string or an integer, got {mid!r:.40}")
             events = []
-            for note in _json(mel["notes"], list, f"melody {mid!r} notes"):
-                pitch = _json(note, dict, f"melody {mid!r} note")["pitch"]
+            for note in _json(mel["notes"], list, "melody {!r} notes", mid):
+                pitch = _json(note, dict, "melody {!r} note", mid)["pitch"]
                 if pitch is not None and not _is_int(pitch):
                     raise MelicError(f"melody {mid!r}: pitch must be an integer or null")
-                events.append(
-                    NoteEvent(
-                        pitch=pitch,
-                        onset=_parse_rational(note["onset"], f"melody {mid!r} onset"),
-                        duration=_parse_rational(note["duration"], f"melody {mid!r} duration"),
-                    )
-                )
+                # only a str is looked up (a list cannot be a key); _parse_time rejects the rest
+                s = note["onset"]
+                onset = times.get(s) if type(s) is str else None
+                if onset is None:
+                    onset = _parse_time(s, times, mid, "onset")
+                s = note["duration"]
+                duration = times.get(s) if type(s) is str else None
+                if duration is None:
+                    duration = _parse_time(s, times, mid, "duration")
+                events.append(NoteEvent(pitch, onset, duration))
             melodies.append(Melody(id=mid, events=tuple(events), key_annotation=mel.get("key")))
     except KeyError as exc:
         raise MelicError(f"missing required field {exc.args[0]!r}") from exc

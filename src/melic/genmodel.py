@@ -23,7 +23,7 @@ RHYTHM_VALUE_SETS = ("SI", "CI", "SR", "CR")
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _check_spec(spec, a_max: float) -> None:
+def _check_spec(spec, a_max: int) -> None:
     """Reject an alphabet size, sequence length or exponent the generators
     cannot use."""
     if not 1 <= spec.a <= a_max:
@@ -75,7 +75,9 @@ class RhythmModelSpec:
             raise MelicError(f"unknown rhythm value set {self.value_set!r}")
         if self.dist not in (1, 2, 3, 4):
             raise MelicError(f"unknown distribution code {self.dist}")
-        _check_spec(self, len(_PRIMES) if self.value_set in ("CI", "CR") else math.inf)
+        # CI/CR take one prime per value; SI/SR's values 2^-(a//2)..2^(a-1-a//2)
+        # and their exact products grow with a, so every set has at most 15 values
+        _check_spec(self, len(_PRIMES))
 
     @property
     def name(self) -> str:
@@ -106,6 +108,12 @@ def _weights(k: int, spec, rng: np.random.Generator) -> np.ndarray:
     return _normalized(w, spec)
 
 
+def _walk_half_width(spec: PitchModelSpec) -> int:
+    """An I/IS walk's pitch window, +-2*o semitones, cut to the walk's reach:
+    a window as wide as the reach gives the same walks as any wider one."""
+    return max(1, round(min(2 * spec.o, spec.a * (spec.length - 1))))
+
+
 def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Generator):
     """Generate n pitch sequences, each a list of spec.length pitches.
 
@@ -131,8 +139,7 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
             allowed[i, [0, *rng.choice(np.arange(1, 12), size=spec.a - 1, replace=False)]] = True
         probs[i] = _weights(len(vals), spec, rng)
         uniforms[i] = rng.random(spec.length - 1)
-    # a window as wide as the walks' reach gives the same walks as any wider one
-    half = np.full(n, max(1, round(min(2 * spec.o, spec.a * (spec.length - 1)))))
+    half = np.full(n, _walk_half_width(spec))
     pitches, failed = _kernels.walk_chunk(vals, probs, np.full(n, spec.length), -half, half, uniforms, allowed)
     if failed.any():
         raise MelicError(f"{spec.name}: a walk found no legal interval with a weight above 0 (exponent {spec.exponent})")
@@ -290,12 +297,32 @@ def rhythm_fit_objective(seq_sets, empirical) -> float:
     return total / len(empirical)  # one division, so maximal divergences give exactly 1
 
 
+_MAX_FIT_STEPS = 10**6  # sequences times length at one grid point: a run at the limit peaks near 330 MiB
+_MAX_CR_WORK = 10**8  # sequences times length squared at a CR grid point: a run at the limit peaks near 75 MiB
+
+
 def check_fit(param_grid: list, n_per_setting: int) -> None:
-    """Reject an empty grid or fewer than 1 sequence per grid point."""
+    """Reject an empty grid, fewer than 1 sequence per grid point, or a grid
+    point whose generated sequences or walk table could outgrow memory."""
     if not param_grid:
         raise MelicError("empty parameter grid")
     if n_per_setting < 1:
         raise MelicError(f"n_per_setting must be >= 1, got {n_per_setting}")
+    for spec in param_grid:
+        work = f"{spec.name}: --n-per-setting {n_per_setting} times --grid-l {spec.length}"
+        steps = n_per_setting * spec.length
+        if steps > _MAX_FIT_STEPS:
+            raise MelicError(f"{work} is {steps} steps, above the limit of {_MAX_FIT_STEPS} per grid point")
+        # a CR step multiplies in a new prime, so an IOI's size grows with its position
+        if isinstance(spec, RhythmModelSpec) and spec.value_set == "CR" and steps * spec.length > _MAX_CR_WORK:
+            raise MelicError(f"{work} squared is {steps * spec.length}, above the CR limit of {_MAX_CR_WORK}")
+        if isinstance(spec, PitchModelSpec) and spec.family != "S":  # an I/IS walk's table is never split
+            rows = 2 * _walk_half_width(spec) + 1
+            if rows * (2 * spec.a + 1) > _MAX_TABLE_CELLS:
+                raise MelicError(
+                    f"{spec.name}: a walk table of {rows} window pitches (--grid-o, --grid-a, --grid-l) "
+                    f"times {2 * spec.a + 1} intervals (--grid-a) exceeds its limit of {_MAX_TABLE_CELLS} cells"
+                )
 
 
 def fit_generative_model(empirical: list, param_grid: list, n_per_setting: int = 100, seed: int = 0):

@@ -12,6 +12,8 @@ call through the harness's own wrappers.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +36,25 @@ def load_spans():
 @pytest.mark.parametrize("module, function", [t[:2] for t in load_spans().TARGETS])
 def test_span_target_exists(module, function):
     assert callable(getattr(importlib.import_module(module), function, None))
+
+
+def test_the_worker_imports_load_every_span_target_module():
+    """perfbench/worker.py imports only melic.cli and melic._kernels, and then
+    spans.install looks each TARGETS module up in sys.modules. A melic module
+    that cli.py imported lazily (inside a command) would be missing there, and
+    every --trace 1 run would fail with a KeyError, so the imports are checked
+    in a fresh interpreter, as the worker makes them."""
+    modules = sorted({t[0] for t in load_spans().TARGETS})
+    code = (
+        "import sys\n"
+        "from melic import cli\n"
+        "from melic import _kernels\n"
+        f"print([m for m in {modules!r} if m not in sys.modules])"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_kernel_backend_is_named():

@@ -510,6 +510,23 @@ def test_genmodel_fits_report_melodies_with_zero_base_entropy(tmp_path, capsys, 
             "--n-per-setting", "1"], f"I1: alphabet size must be <= 127, got {a}")
           # interval ranges -a..a that no array can hold
           for a in ("100000000000", "9223372036854775808", "4611686018427387904")),
+        # every rhythm value set has at most 15 values: SI/SR's 2^-(a//2)..2^(a-1-a//2) grow with a
+        (["rhythm", "--model", "SI1", "--grid-a", "16"], "SI1: alphabet size must be <= 15, got 16"),
+        (["rhythm", "--model", "SR4", "--grid-a", "3,100000000"], "SR4: alphabet size must be <= 15, got 100000000"),
+        # one grid point's generated work, each of which ran out of memory before it was bounded:
+        # a 253,999,747-pitch walk window, 74.5 GiB of uniforms, and 7.45 GiB of uniforms
+        (["pitch", "--model", "I1", "--grid-a", "127", "--grid-l", "1000000", "--grid-o", "1e300", "--grid-exp", "1",
+          "--n-per-setting", "1"], "I1: a walk table of 253999747 window pitches (--grid-o, --grid-a, --grid-l) "
+         "times 255 intervals (--grid-a) exceeds its limit of 4194304 cells"),
+        (["pitch", "--model", "IS1", "--grid-a", "12", "--grid-l", "100000000", "--grid-o", "2", "--grid-exp", "1",
+          "--n-per-setting", "100"],
+         "IS1: --n-per-setting 100 times --grid-l 100000000 is 10000000000 steps, above the limit of 1000000 per grid point"),
+        *(([command, "--model", model, "--grid-a", "3", "--grid-l", "1000000000", "--grid-exp", "1",
+            "--n-per-setting", "1"],
+           f"{model}: --n-per-setting 1 times --grid-l 1000000000 is 1000000000 steps, above the limit of 1000000 per grid point")
+          for command, model in (("rhythm", "SI1"), ("pitch", "S1"))),
+        (["rhythm", "--model", "CR2", "--grid-a", "3", "--grid-l", "10001", "--n-per-setting", "1"],
+         "CR2: --n-per-setting 1 times --grid-l 10001 squared is 100020001, above the CR limit of 100000000"),
     ],
 )
 def test_genmodel_rejects_grid_points_the_generators_cannot_use(capsys, corpus_file, argv, message):
@@ -779,6 +796,8 @@ def test_means_that_are_not_finite_are_errors(tmp_path, capsys, command, column,
         (["rhythm", "--model", "SI1", "--grid-l", "1"], "SI1: sequence length must be >= 2, got 1"),
         (["pitch", "--model", "S1", "--n-per-setting", "0"], "n_per_setting must be >= 1, got 0"),
         (["rhythm", "--model", "CR4", "--n-per-setting", "-2"], "n_per_setting must be >= 1, got -2"),
+        (["rhythm", "--model", "SI1", "--grid-l", "20,100000", "--n-per-setting", "11"],
+         "SI1: --n-per-setting 11 times --grid-l 100000 is 1100000 steps, above the limit of 1000000 per grid point"),
     ],
 )
 def test_genmodel_fit_grid_is_checked_before_any_melody(capsys, with_one_note, argv, message):

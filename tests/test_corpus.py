@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import melic
 from melic.corpus import (
@@ -19,6 +21,9 @@ from melic.corpus import (
     Melody,
     NoteEvent,
     SchemaError,
+    _check_text,
+    _is_int,
+    _json,
     parse_canonical,
     serialize_canonical,
     write_table,
@@ -134,6 +139,118 @@ def _with(path, value):
 def test_valid_json_of_the_wrong_shape_is_a_corpus_error(path, value, message):
     with pytest.raises(MelicError, match=f"^{re.escape(message)}$"):
         parse_canonical(_with(path, value))
+
+
+# --- oracle: the per-note parser, with Melody's checks as Fraction comparisons --
+
+def _oracle_rational(s, where):
+    if not isinstance(s, str):
+        raise MelicError(f"{where}: rational must be a 'p/q' string, got {s!r}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MelicError(f"{where}: bad rational {s!r} ({exc})") from exc
+
+
+def _oracle_melody(mid, events, key):
+    """Melody's checks, in its order, on Fraction comparisons; an
+    (id, events, key) tuple, so no check of Melody's own runs."""
+    _check_text(mid, "melody id")
+    if not any(not e.is_rest for e in events):
+        raise MelicError(f"melody {mid!r}: needs at least one non-rest event")
+    prev = None
+    for e in events:
+        if e.duration <= 0:
+            raise MelicError(f"melody {mid!r}: duration must be positive")
+        if prev is not None and e.onset < prev:
+            raise MelicError(f"melody {mid!r}: onsets must be nondecreasing")
+        prev = e.onset
+    if key is not None and not (_is_int(key) and 0 <= key < 12):
+        raise MelicError(f"melody {mid!r}: key annotation must be a chroma class 0-11")
+    return mid, events, key
+
+
+def oracle_parse(text: str):
+    """parse_canonical on valid JSON, one Fraction per note field: the corpus
+    as (meta, melodies), each melody an (id, events, key) tuple."""
+    obj = json.loads(text)
+    try:
+        meta = CorpusMeta(
+            corpus_id=_json(obj, dict, "a corpus file")["corpus_id"],
+            type=obj["type"],
+            region=obj.get("region", ""),
+            composer_birth_year=obj.get("composer_birth_year"),
+        )
+        melodies = []
+        for mel in _json(obj["melodies"], list, "melodies"):
+            mid = _json(mel, dict, "a melody")["id"]
+            if not (isinstance(mid, str) or _is_int(mid)):
+                raise MelicError(f"melody id must be a string or an integer, got {mid!r:.40}")
+            events = []
+            for note in _json(mel["notes"], list, f"melody {mid!r} notes"):
+                pitch = _json(note, dict, f"melody {mid!r} note")["pitch"]
+                if pitch is not None and not _is_int(pitch):
+                    raise MelicError(f"melody {mid!r}: pitch must be an integer or null")
+                events.append(
+                    NoteEvent(
+                        pitch=pitch,
+                        onset=_oracle_rational(note["onset"], f"melody {mid!r} onset"),
+                        duration=_oracle_rational(note["duration"], f"melody {mid!r} duration"),
+                    )
+                )
+            melodies.append(_oracle_melody(mid, tuple(events), mel.get("key")))
+    except KeyError as exc:
+        raise MelicError(f"missing required field {exc.args[0]!r}") from exc
+    if not melodies:
+        raise MelicError(f"corpus {meta.corpus_id!r}: empty")
+    if len({m[0] for m in melodies}) != len(melodies):
+        raise MelicError(f"corpus {meta.corpus_id!r}: melody ids must be unique")
+    return meta, tuple(melodies)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except MelicError as exc:
+        return f"error: {exc}"
+
+
+# equal values spelled apart, unreduced and signed strings, and zero
+_TIMES = ["0", "0/1", "-0", "0/3", "1/2", "2/4", " 1/2", "+1/2", "-1/2", "1", "3/2", "6/4", "1.5", "7/3"]
+_POSITIVE = [t for t in _TIMES if Fraction(t) > 0]
+_NOT_TIMES = ["1/0", "x", "", 1, [1], None]
+
+
+@st.composite
+def _time_corpora(draw):
+    melodies = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 5))
+        onsets = draw(st.lists(st.sampled_from(_TIMES), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            onsets.sort(key=Fraction)  # nondecreasing, with equal onsets spelled alike or apart
+        durations = draw(st.lists(st.sampled_from(_POSITIVE if draw(st.booleans()) else _TIMES), min_size=n, max_size=n))
+        pitches = draw(st.lists(st.sampled_from([60, 62, None]), min_size=n, max_size=n))
+        notes = [{"pitch": p, "onset": o, "duration": d} for p, o, d in zip(pitches, onsets, durations)]
+        if draw(st.integers(0, 3)) == 0:
+            notes[draw(st.integers(0, n - 1))][draw(st.sampled_from(["onset", "duration"]))] = draw(st.sampled_from(_NOT_TIMES))
+        melodies.append({"id": f"m{draw(st.integers(0, i))}", "notes": notes})
+    return json.dumps({"corpus_id": "c", "type": "Folk", "melodies": melodies})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_time_corpora())
+def test_parse_canonical_matches_the_per_note_oracle(text):
+    got = _outcome(parse_canonical, text)
+    if isinstance(got, Corpus):
+        got = got.meta, tuple((m.id, m.events, m.key_annotation) for m in got.melodies)
+    assert got == _outcome(oracle_parse, text)
+
+
+def test_notes_that_spell_one_time_string_share_one_fraction():
+    corpus = parse_canonical(json.dumps(CANONICAL))
+    first, rest, _ = corpus.melodies[0].events
+    assert first.duration is rest.onset  # both spell "1/2"
 
 
 def test_unknown_corpus_type():

@@ -1,7 +1,9 @@
 """Generative pitch/rhythm models, JSD fitting, and the scale-entropy pipeline."""
 
+import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from melic.genmodel import (
     _chroma_entropy,
     _metrical_base,
     _weights,
+    check_fit,
     complex_value_set,
     fit_generative_model,
     generate_pitch_sequences,
@@ -389,6 +392,39 @@ def test_fit_generative_model_validation():
         fit_generative_model([], [None])
     with pytest.raises(MelicError, match="^empty parameter grid$"):
         fit_generative_model([(1.0, 1.0)], [])
+
+
+_STEPS = "above the limit of 1000000 per grid point"
+_CR = "above the CR limit of 100000000"
+_CELLS = "(--grid-o, --grid-a, --grid-l) times {} intervals (--grid-a) exceeds its limit of 4194304 cells"
+
+
+@pytest.mark.parametrize(
+    "spec, n, beyond, n_beyond, message",
+    [
+        # sequences times length: 10**6 steps
+        (PitchModelSpec("S", 1, a=12, length=10**6, o=10), 1, {"length": 10**6 + 1}, 1,
+         f"S1: --n-per-setting 1 times --grid-l 1000001 is 1000001 steps, {_STEPS}"),
+        (RhythmModelSpec("SR", 1, a=15, length=1000), 1000, {}, 1001,
+         f"SR1: --n-per-setting 1001 times --grid-l 1000 is 1001000 steps, {_STEPS}"),
+        # a CR grid point's sequences times length squared: 10**8
+        (RhythmModelSpec("CR", 4, a=15, length=10**4), 1, {"length": 10**4 + 1}, 1,
+         f"CR4: --n-per-setting 1 times --grid-l 10001 squared is 100020001, {_CR}"),
+        (RhythmModelSpec("CR", 1, a=15, length=1000), 100, {}, 101,
+         f"CR1: --n-per-setting 101 times --grid-l 1000 squared is 101000000, {_CR}"),
+        # an I/IS walk table of 2**22 cells: 2 * 8223 + 1 window pitches times
+        # 255 intervals is 4,193,985 cells, and 2 * 83884 + 1 times 25 is 4,194,225
+        (PitchModelSpec("I", 1, a=127, length=10**6, o=4111.5), 1, {"o": 4112}, 1,
+         "I1: a walk table of 16449 window pitches " + _CELLS.format(255)),
+        (PitchModelSpec("IS", 1, a=12, length=10**6, o=41942), 1, {"o": 41943}, 1,
+         "IS1: a walk table of 167773 window pitches " + _CELLS.format(25)),
+    ],
+)
+def test_check_fit_bounds_each_grid_points_work(spec, n, beyond, n_beyond, message):
+    # a grid point at each limit passes; one step, one length or one window pitch more fails
+    check_fit([spec], n)
+    with pytest.raises(MelicError, match=f"^{re.escape(message)}$"):
+        check_fit([dataclasses.replace(spec, **beyond)], n_beyond)
 
 
 def test_pitch_objective_zero_for_identical():
