@@ -262,7 +262,7 @@ def cmd_genmodel_scale(args):
     if sim.n_failed:
         print(f"warning: genmodel scale: {sim.n_failed} of {args.n} walks failed {why}", file=sys.stderr)
     probs = genmodel.prob_entropy_below(sim, args.threshold)
-    logl = {} if emp is None else genmodel.scale_loglikelihood(sim, emp, alpha=args.alpha)
+    logl = {} if emp is None else genmodel.scale_loglikelihood(sim, emp, alpha=args.alpha, threads=args.threads)
     rows = []
     for a in sorted(sim.per_a):
         n, p = int(sim.per_a[a].size), probs[a]

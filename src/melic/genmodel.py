@@ -131,13 +131,17 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
             out.append((scale[i % spec.a] + 12 * (i // spec.a)).tolist())
         return out
     vals = np.arange(-spec.a, spec.a + 1)
-    probs = np.empty((n, len(vals)))
+    # dists 1 and 3 draw no weights and I has no chroma mask, so I1/I3 walks
+    # share one weight row, and the kernel builds one state table for them all
+    shared = spec.family == "I" and spec.dist != 2
+    probs = _weights(len(vals), spec, rng) if shared else np.empty((n, len(vals)))
     uniforms = np.empty((n, spec.length - 1))
     allowed = np.zeros((n, 12), dtype=bool) if spec.family == "IS" else None
     for i in range(n):
         if allowed is not None:
             allowed[i, [0, *rng.choice(np.arange(1, 12), size=spec.a - 1, replace=False)]] = True
-        probs[i] = _weights(len(vals), spec, rng)
+        if not shared:
+            probs[i] = _weights(len(vals), spec, rng)
         uniforms[i] = rng.random(spec.length - 1)
     half = np.full(n, _walk_half_width(spec))
     pitches, failed = _kernels.walk_chunk(vals, probs, np.full(n, spec.length), -half, half, uniforms, allowed)
@@ -354,8 +358,15 @@ class ScaleSimResult:
     n_failed: int = 0
 
 
-_CHUNK = 1 << 15  # walks per kernel call, each chunk with its own derived seed, so the output depends on it
+_CHUNK = 1 << 15  # walks per derived seed: a chunk draws its lengths and uniforms from its own seed
+_BLOCK = 1 << 12  # walks per pool task, a constant, so the blocks do not depend on --threads
+_MAX_THREADS = 8  # pool threads at most, whatever --threads asks for
+_MAX_WALKS = 10**7  # walks at most: a run at the limit peaks near 2.1 GiB, most of it the largest samples' KDEs
 _MAX_TABLE_CELLS = 1 << 22  # the walk table's cells at most: a run at the limit peaks near 240 MiB
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=min(threads, _MAX_THREADS))
 
 
 def _dist_arrays(d: Distribution):
@@ -368,13 +379,9 @@ def _chroma_entropy(pitches, lengths, failed):
     """(A, H) of each walk's chroma counts over its lengths[i] pitches; a
     failed walk gets A = 0 and H = nan."""
     n, width = pitches.shape
-    counts = np.zeros(n * 13, dtype=np.int64)  # chroma 12 counts the padding
-    rows = np.arange(n)[:, None] * 13
-    for j in range(0, width, 16):  # 16 columns at a time keep temporaries small
-        c = pitches[:, j : j + 16] % 12
-        c[np.arange(j, j + c.shape[1]) >= lengths[:, None]] = 12
-        counts += np.bincount((rows + c).ravel(), minlength=n * 13)
-    p = counts.reshape(n, 13)[:, :12] / lengths.astype(np.float64)[:, None]
+    cells = np.arange(n)[:, None] * 12 + pitches % 12
+    counts = np.bincount(cells[np.arange(width) < lengths[:, None]], minlength=n * 12)
+    p = counts.reshape(n, 12) / lengths.astype(np.float64)[:, None]
     h = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
     a = (p > 0).sum(axis=1)
     a[failed] = 0
@@ -394,11 +401,16 @@ def simulate_scale_entropy(
     distributions, pitch confined to a 12*O-semitone window), fold to chroma,
     and record (A, H) per sequence grouped by A.
 
-    Chunks get independent derived seeds, so the output is identical for any
-    thread count.
+    Chunks of _CHUNK walks get independent derived seeds. The main thread
+    draws a chunk while the pool walks the one before, in fixed blocks of
+    _BLOCK walks. A walk's draws depend only on its own uniforms and window,
+    so the output is identical for any thread count.
     """
-    if n_sequences < 1:
-        raise MelicError(f"need at least one walk, got {n_sequences}")
+    if not 1 <= n_sequences <= _MAX_WALKS:
+        raise MelicError(
+            f"need at least one walk, got {n_sequences}" if n_sequences < 1
+            else f"need at most {_MAX_WALKS} walks (--n), got {n_sequences}"
+        )
     o_values = tuple(float(o) for o in o_values)
     if not o_values:
         raise MelicError("need at least one pitch-range value")
@@ -425,22 +437,29 @@ def simulate_scale_entropy(
             f"(--intervals) exceeds its limit of {_MAX_TABLE_CELLS} cells"
         )
     half_widths = np.array(half_widths, dtype=np.int64)
-    n_chunks = (n_sequences + _CHUNK - 1) // _CHUNK
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    seeds = np.random.SeedSequence(seed).spawn((n_sequences + _CHUNK - 1) // _CHUNK)
 
-    def run_chunk(ci: int):
+    def draw(ci: int):
         start = ci * _CHUNK
         size = min(_CHUNK, n_sequences - start)
         rng = np.random.default_rng(seeds[ci])
         lengths = rng.choice(lvals, size=size, p=lprobs).astype(np.int64)
         half = half_widths[(start + np.arange(size)) % len(o_values)]
-        l_max = int(lengths.max())
-        uniforms = rng.random((size, max(1, l_max - 1)))
-        pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
-        return _chroma_entropy(pitches, lengths, failed)
+        return lengths, half, rng.random((size, max(1, int(lengths.max()) - 1)))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_chunk, range(n_chunks)))
+    def walk_block(lengths, half, uniforms, i: int):
+        b = slice(i, i + _BLOCK)
+        pitches, failed = _kernels.walk_chunk(vals, probs, lengths[b], -half[b], half[b], uniforms[b])
+        return _chroma_entropy(pitches, lengths[b], failed)
+
+    results, walking = [], []
+    with _pool(threads) as pool:
+        for ci in range(len(seeds)):
+            chunk = draw(ci)  # while the pool walks the chunk before: at most two chunks are held
+            submitted = [pool.submit(walk_block, *chunk, i) for i in range(0, len(chunk[0]), _BLOCK)]
+            results += [f.result() for f in walking]
+            walking = submitted
+        results += [f.result() for f in walking]
 
     a, h = (np.concatenate(x) for x in zip(*results))
     # sorted samples keep downstream statistics independent of merge order
@@ -458,9 +477,10 @@ def check_alpha(alpha: float) -> None:
         raise MelicError(f"alpha must be in (0, 1], got {alpha}")
 
 
-def scale_loglikelihood(sim: ScaleSimResult, empirical_h, alpha: float = 0.999) -> dict[int, float]:
+def scale_loglikelihood(sim: ScaleSimResult, empirical_h, alpha: float = 0.999, threads: int = 1) -> dict[int, float]:
     """log-likelihood per melody that scales of each alphabet size generated
-    the empirical chroma-entropy distribution.
+    the empirical chroma-entropy distribution. The per-A KDEs run in a pool
+    of `threads` threads.
 
     P'(H) = alpha * KDE(empirical) + (1 - alpha)/5 on [0, 5] bits;
     logL(A) = sum over bins of Q_A(H) * log2 P'(H) * _H_BIN.
@@ -469,19 +489,20 @@ def scale_loglikelihood(sim: ScaleSimResult, empirical_h, alpha: float = 0.999) 
     check_alpha(alpha)
     grid = np.arange(_H_BIN / 2, 5.0, _H_BIN)
     p = kde_silverman(empirical_h, grid=grid).density
-    p_prime = alpha * p + (1.0 - alpha) / 5.0
-    out: dict[int, float] = {}
-    for a, samples in sorted(sim.per_a.items()):
-        if samples.size < _MIN_SAMPLES:
-            continue  # flagged unreliable
-        if np.ptp(samples) == 0:
-            # degenerate sample (e.g. A=1 always gives H=0): delta mass in its bin
-            q = np.zeros_like(grid)
-            q[int(np.clip(samples[0] // _H_BIN, 0, grid.size - 1))] = 1.0 / _H_BIN
-        else:
-            q = kde_silverman(samples, grid=grid).density
-        out[a] = float(np.sum(q * np.log2(p_prime)) * _H_BIN)
-    return out
+    log_p = np.log2(alpha * p + (1.0 - alpha) / 5.0)
+
+    def density(samples):
+        if np.ptp(samples) != 0:
+            return kde_silverman(samples, grid=grid).density
+        # degenerate sample (e.g. A=1 always gives H=0): delta mass in its bin
+        q = np.zeros_like(grid)
+        q[int(np.clip(samples[0] // _H_BIN, 0, grid.size - 1))] = 1.0 / _H_BIN
+        return q
+
+    # an alphabet size with fewer than _MIN_SAMPLES walks is flagged unreliable and gets no logL
+    kept = {a: s for a, s in sorted(sim.per_a.items()) if s.size >= _MIN_SAMPLES}
+    with _pool(threads) as pool:
+        return {a: float(np.sum(q * log_p) * _H_BIN) for a, q in zip(kept, pool.map(density, kept.values()))}
 
 
 def prob_entropy_below(sim: ScaleSimResult, threshold: float = 2.8) -> dict[int, float]:

@@ -706,6 +706,14 @@ def test_genmodel_scale_without_a_successful_walk_is_an_error(tmp_path, capsys, 
         expect_error(capsys, [*scale_csvs, "--n", n, "--seed", "1"], "at least one walk", n)
 
 
+def test_genmodel_scale_n_above_the_limit_is_an_error_before_any_walk(capsys, monkeypatch, scale_csvs):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks ran before --n was checked")
+
+    monkeypatch.setattr(genmodel._kernels, "walk_chunk", no_walks)
+    expect_error(capsys, [*scale_csvs, "--n", "10000001", "--seed", "1"], "need at most 10000000 walks (--n), got 10000001")
+
+
 @pytest.mark.parametrize("alpha", ["0", "-0.5", "1.5", "5", "nan"])
 @pytest.mark.parametrize("empirical", [False, True])
 def test_genmodel_scale_rejects_alpha_outside_the_unit_interval(tmp_path, capsys, monkeypatch, scale_csvs, alpha, empirical):

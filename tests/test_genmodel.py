@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melic import _kernels
+from melic import _kernels, genmodel
 from melic.corpus import MelicError
 from melic.genmodel import (
     PITCH_JSD_MAX,
@@ -22,6 +22,7 @@ from melic.genmodel import (
     RhythmModelSpec,
     _chroma_entropy,
     _metrical_base,
+    _walk_half_width,
     _weights,
     check_fit,
     complex_value_set,
@@ -229,6 +230,30 @@ def test_interval_families_match_the_per_step_oracle(family, dist):
         rng, ref_rng = np.random.default_rng(length), np.random.default_rng(length)
         assert generate_pitch_sequences(spec, 30, rng) == oracle_interval_sequences(spec, 30, ref_rng), spec
         assert rng.bit_generator.state == ref_rng.bit_generator.state, spec
+
+
+def per_walk_row_sequences(spec, n, rng):
+    # I walks as the kernel gets them with one weight row per walk, so that
+    # every walk is its own class and builds its own state table
+    vals = np.arange(-spec.a, spec.a + 1)
+    probs, uniforms = np.empty((n, len(vals))), np.empty((n, spec.length - 1))
+    for i in range(n):
+        probs[i] = _weights(len(vals), spec, rng)
+        uniforms[i] = rng.random(spec.length - 1)
+    half = np.full(n, _walk_half_width(spec))
+    return _kernels.walk_chunk(vals, probs, np.full(n, spec.length), -half, half, uniforms)[0].tolist()
+
+
+@pytest.mark.parametrize("dist", [1, 3])
+def test_i1_and_i3_walks_share_one_weight_row_and_draw_as_with_one_row_each(dist):
+    # Dists 1 and 3 draw no weights, so one shared row gives the same
+    # pitches and leaves the generator where one row per walk does.
+    for a in (3, 7, 12, 127):
+        for o, length in ((0.5, 40), (3.0, 2), (200.0, 40)):
+            spec = PitchModelSpec(family="I", dist=dist, a=a, length=length, o=o, exponent=1.5)
+            rng, ref_rng = np.random.default_rng(a), np.random.default_rng(a)
+            assert generate_pitch_sequences(spec, 20, rng) == per_walk_row_sequences(spec, 20, ref_rng), spec
+            assert rng.random() == ref_rng.random(), spec
 
 
 def test_interval_walk_without_a_legal_weighted_interval_is_an_error():
@@ -470,6 +495,92 @@ def test_simulate_deterministic_across_threads():
     assert s1.per_a.keys() == s4.per_a.keys()
     for a in s1.per_a:
         assert np.array_equal(s1.per_a[a], s4.per_a[a])
+
+
+def oracle_chroma_entropy(pitches, lengths, failed):
+    # _chroma_entropy as it was before blocks bounded its input: 16 columns
+    # at a time, chroma 12 counting the padding
+    n, width = pitches.shape
+    counts = np.zeros(n * 13, dtype=np.int64)
+    rows = np.arange(n)[:, None] * 13
+    for j in range(0, width, 16):
+        c = pitches[:, j : j + 16] % 12
+        c[np.arange(j, j + c.shape[1]) >= lengths[:, None]] = 12
+        counts += np.bincount((rows + c).ravel(), minlength=n * 13)
+    p = counts.reshape(n, 13)[:, :12] / lengths.astype(np.float64)[:, None]
+    h = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
+    a = (p > 0).sum(axis=1)
+    a[failed] = 0
+    h[failed] = np.nan
+    return a, h
+
+
+def oracle_simulate_scale_entropy(interval_dist, length_dist, o_values, n_sequences, seed):
+    # The simulation with each seeded chunk walked at once: one kernel call
+    # and one chroma count per chunk, chunk after chunk.
+    vals = np.array(interval_dist.alphabet, dtype=np.int64)
+    probs = np.asarray(interval_dist.probs, dtype=float)
+    lvals = np.array(length_dist.alphabet, dtype=np.int64)
+    lprobs = np.asarray(length_dist.probs, dtype=float)
+    reach = int(np.abs(vals).max()) * (int(lvals.max()) - 1)
+    half_widths = np.array([round(min(6.0 * o, reach)) for o in o_values], dtype=np.int64)
+    chunk = genmodel._CHUNK
+    seeds = np.random.SeedSequence(seed).spawn((n_sequences + chunk - 1) // chunk)
+    results = []
+    for ci, chunk_seed in enumerate(seeds):
+        start, size = ci * chunk, min(chunk, n_sequences - ci * chunk)
+        rng = np.random.default_rng(chunk_seed)
+        lengths = rng.choice(lvals, size=size, p=lprobs).astype(np.int64)
+        half = half_widths[(start + np.arange(size)) % len(o_values)]
+        uniforms = rng.random((size, max(1, int(lengths.max()) - 1)))
+        pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
+        results.append(oracle_chroma_entropy(pitches, lengths, failed))
+    a, h = (np.concatenate(x) for x in zip(*results))
+    return {int(k): np.sort(h[a == k]) for k in np.unique(a[a > 0])}, int((a == 0).sum())
+
+
+def _two_lengths(short, long):
+    return Distribution(alphabet=(short, long), probs=(0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "intervals, o_values, n, some_fail",
+    [
+        # two chunks, the second ending in a partial block
+        (triangular_intervals(), (0.5, 1.0, 1.5, 2.0), genmodel._CHUNK + 3 * genmodel._BLOCK + 77, False),
+        # from 0 in +-3, +2 is legal once and +7 never: the long walks fail
+        (Distribution(alphabet=(2, 7), probs=(0.5, 0.5)), (0.5, 2.0), genmodel._CHUNK + 123, True),
+    ],
+)
+def test_simulation_in_blocks_matches_the_chunk_at_once_oracle(intervals, o_values, n, some_fail):
+    want, want_failed = oracle_simulate_scale_entropy(intervals, _two_lengths(2, 80), o_values, n, seed=11)
+    assert (want_failed > 0) == some_fail and want_failed < n
+    for threads in (1, 3):
+        sim = simulate_scale_entropy(intervals, _two_lengths(2, 80), o_values, n, seed=11, threads=threads)
+        assert sim.n_failed == want_failed
+        assert sim.per_a.keys() == want.keys()
+        assert all(np.array_equal(sim.per_a[a], want[a]) for a in want), threads
+
+
+def test_scale_loglikelihood_is_the_same_for_any_thread_count():
+    # lengths 2 and 80: A = 1 and A = 2 samples are degenerate, the rest KDEs
+    sim = simulate_scale_entropy(triangular_intervals(), _two_lengths(2, 80), [0.5, 1.0, 1.5, 2.0], 20000, seed=12)
+    emp = sim.per_a[7][::10]
+    assert scale_loglikelihood(sim, emp, threads=3) == scale_loglikelihood(sim, emp, threads=1)
+
+
+def test_the_pool_starts_at_most_eight_threads(monkeypatch):
+    asked = []
+
+    class Pool(genmodel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(genmodel, "ThreadPoolExecutor", Pool)
+    sim = simulate_scale_entropy(triangular_intervals(), fixed_length(30), [1.0, 2.0], 3 * genmodel._BLOCK, seed=1, threads=64)
+    scale_loglikelihood(sim, sim.per_a[7][::10], threads=3)
+    assert asked == [8, 3]
 
 
 def _walk_chunk_loop(vals, probs, lengths, lo, hi, uniforms, out_a, out_h):
