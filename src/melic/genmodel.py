@@ -377,11 +377,12 @@ def _dist_arrays(d: Distribution):
 
 def _chroma_entropy(pitches, lengths, failed):
     """(A, H) of each walk's chroma counts over its lengths[i] pitches; a
-    failed walk gets A = 0 and H = nan."""
+    failed walk gets A = 0 and H = nan. H sums over the counts in ascending
+    order, so walks with equal count multisets get bit-equal H."""
     n, width = pitches.shape
     cells = np.arange(n)[:, None] * 12 + pitches % 12
     counts = np.bincount(cells[np.arange(width) < lengths[:, None]], minlength=n * 12)
-    p = counts.reshape(n, 12) / lengths.astype(np.float64)[:, None]
+    p = np.sort(counts.reshape(n, 12), axis=1) / lengths.astype(np.float64)[:, None]
     h = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
     a = (p > 0).sum(axis=1)
     a[failed] = 0

@@ -1,6 +1,7 @@
 """Variable-order Markov prediction (PPM, escape method C, no exclusion) and
 the controlled within-corpus repetition measure built on it. A model keeps
-its training codes and counts a context when a prediction first reads it."""
+its training codes; a prediction counts the contexts it reads, one order at
+a time."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, MelicError
-from .viewpoints import ViewpointKind, extract_viewpoint, intern
+from .viewpoints import ViewpointKind, extract_viewpoint, intern, symbols_of
 
 
 @dataclass
@@ -18,10 +19,9 @@ class PPMModel:
     max_order: int
     alphabet: tuple
     codes: np.ndarray  # every training code, with -1 before each sequence
-    # suffix trie, filled as read: (id of the context one code shorter, the
-    # code before it) -> (id, training positions, distribution); a context
-    # with no positions holds its suffix's distribution
-    context_counts: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray]]
+    # always empty: a prediction counts its contexts and keeps none; kept
+    # because the benchmark's span counter reads its length
+    context_counts: dict
 
 
 @dataclass(frozen=True)
@@ -30,79 +30,104 @@ class ICResult:
     mean_bits: float
 
 
-def _codes(seq, alphabet: tuple, what: str) -> tuple[int, ...]:
+def _codes(seq, rank: dict, what: str) -> list[int]:
     try:
-        return intern(seq, alphabet)[0]
+        return [rank[s] for s in symbols_of(seq)]
     except KeyError as exc:
         raise MelicError(f"{what} {exc.args[0]!r} outside model alphabet") from None
 
 
 def train_ppm(sequences, max_order: int, alphabet) -> PPMModel:
     """Keep the training sequences as one array of codes; a context's counts
-    are taken when a prediction first reads it."""
+    are taken when a prediction reads it."""
     if max_order < 0:
         raise MelicError("max_order must be >= 0")
     alphabet = intern(alphabet)[1]
+    rank = {s: i for i, s in enumerate(alphabet)}
     codes = [-1]  # the -1 before each sequence keeps contexts inside it
     for seq in sequences:
-        codes += _codes(seq, alphabet, "training symbol")
+        codes += _codes(seq, rank, "training symbol")
         codes.append(-1)
     return PPMModel(max_order, alphabet, np.array(codes, dtype=np.int64), context_counts={})
 
 
-def _level_dist(model: PPMModel, codes, end: int) -> np.ndarray:
-    """Predictive distribution over the alphabet after codes[:end], from its
-    last max_order codes.
+def _escape_c(counts: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Escape method C, row by row: a symbol seen c times in a context of n
+    counts and e distinct symbols gets c/(n+e); the escape mass e/(n+e) goes
+    to the row's lower-order distribution restricted to the unseen symbols,
+    or, when every symbol is seen, blends it over the whole alphabet so the
+    row still sums to one. The unseen mass is summed left to right in code
+    order, a sum whose bits do not depend on numpy's pairwise summation."""
+    e = np.count_nonzero(counts, axis=1)[:, None]
+    total = counts.sum(axis=1, keepdims=True) + e
+    unseen = counts == 0
+    full = e == counts.shape[1]
+    z = np.where(full, 1.0, np.where(unseen, lower, 0.0).cumsum(axis=1)[:, -1:])
+    return counts / total + np.where(unseen | full, e / total * lower / z, 0.0)
 
-    Escape method C: a symbol seen in this context gets c/(n+e); the escape
-    mass e/(n+e) goes to the lower-order distribution restricted to the
-    unseen symbols, bottoming out at uniform below order 0. When every
-    symbol is seen, the escape mass blends the lower order over the whole
-    alphabet so probabilities still sum to one.
+
+def _dists(model: PPMModel, codes: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Predictive distribution after codes[:end], from its last max_order
+    codes, for each end: one row over the alphabet each.
+
+    All rows walk the context orders 0, 1, 2, ... together. The contexts at
+    order k are the distinct (context at order k - 1, code k back) pairs of
+    the rows still live, and their training positions are those of the
+    parent where the code k back matches. A row whose context has no
+    positions keeps its parent's distribution, as does every longer context,
+    so it retires there; a row at its last order retires with its context's.
     """
-    trie, train, a = model.context_counts, model.codes, len(model.alphabet)
-    entry, out = -1, np.full(a, 1.0 / a)
-    # walked from order 0 (keyed (-1, -1)): the training positions that follow
-    # a context are those of its suffix one code shorter where one more code
-    # matches; a context with none keeps its suffix's distribution and ends
-    # the walk, since every longer context has none either
-    for k in range(min(end, model.max_order) + 1):
-        code = codes[end - k] if k else -1
-        hit = trie.get((entry, code))
-        if hit is None:
-            pos = np.flatnonzero(train >= 0) if k == 0 else pos[train[pos - k] == code]
-            if pos.size:
-                row = np.bincount(train[pos], minlength=a)
-                n, e = int(row.sum()), np.count_nonzero(row)
-                lower, out = out, row / (n + e)
-                esc = e / (n + e)
-                if e == a:
-                    out += esc * lower
-                else:
-                    unseen = row == 0
-                    rest = lower[unseen]
-                    out[unseen] = esc * rest / rest.sum()
-            hit = trie[entry, code] = (len(trie), pos, out)
-        entry, pos, out = hit
-        if not pos.size:
-            break
+    train, a = model.codes, len(model.alphabet)
+    out = np.empty((len(ends), a))
+    rows = np.arange(len(ends))  # the rows still live, and each one's context
+    ctx = np.zeros(len(ends), dtype=np.int64)
+    dist = np.full((1, a), 1.0 / a)  # each context's distribution; uniform below order 0
+    parent = np.zeros(1, dtype=np.int64)  # each context's index in the order before
+    pos = np.flatnonzero(train >= 0)  # training positions, as (context, position) pairs
+    pos_ctx = np.zeros(len(pos), dtype=np.int64)
+    k = 0
+    while rows.size:
+        if k:
+            # a training -1 keys as slot a of the context before, which no row has
+            keys, ctx = np.unique(ctx * (a + 1) + codes[ends[rows] - k], return_inverse=True)
+            pos_keys = pos_ctx * (a + 1) + train[pos - k]
+            pos_ctx = np.minimum(np.searchsorted(keys, pos_keys), len(keys) - 1)
+            hit = keys[pos_ctx] == pos_keys
+            pos, pos_ctx, parent = pos[hit], pos_ctx[hit], keys // (a + 1)
+        counts = np.bincount(pos_ctx * a + train[pos], minlength=len(parent) * a).reshape(-1, a)
+        seen = counts.any(axis=1)
+        unread = ~seen[ctx]
+        out[rows[unread]] = dist[parent[ctx[unread]]]
+        dist = _escape_c(counts[seen], dist[parent[seen]])
+        renumber = np.cumsum(seen) - 1
+        pos_ctx, ctx = renumber[pos_ctx], renumber[ctx]
+        done = ~unread & ((ends[rows] == k) | (k == model.max_order))
+        out[rows[done]] = dist[ctx[done]]
+        live = ~(unread | done)
+        rows, ctx = rows[live], ctx[live]
+        k += 1
     return out
+
+
+def _target_codes(model: PPMModel, seq, what: str) -> np.ndarray:
+    return np.array(_codes(seq, {s: i for i, s in enumerate(model.alphabet)}, what), dtype=np.int64)
 
 
 def predict_distribution(model: PPMModel, context) -> dict:
     """P(next symbol | context) over the whole alphabet; sums to 1."""
-    codes = _codes(context, model.alphabet, "context symbol")
-    probs = _level_dist(model, codes, len(codes))
+    codes = _target_codes(model, context, "context symbol")
+    probs = _dists(model, codes, np.array([len(codes)]))[0]
     return {a: float(p) for a, p in zip(model.alphabet, probs)}
 
 
 def information_content(model: PPMModel, seq) -> ICResult:
     """Per-symbol surprisal -log2 P under the PPM mixture, and its mean."""
-    codes = _codes(seq, model.alphabet, "symbol")
-    if not codes:
+    codes = _target_codes(model, seq, "symbol")
+    if not codes.size:
         raise MelicError("empty sequence")
-    bits = [float(-np.log2(_level_dist(model, codes, i)[code])) for i, code in enumerate(codes)]
-    return ICResult(per_symbol_bits=tuple(bits), mean_bits=float(np.mean(bits)))
+    ends = np.arange(len(codes))
+    bits = -np.log2(_dists(model, codes, ends)[ends, codes])
+    return ICResult(per_symbol_bits=tuple(bits.tolist()), mean_bits=float(np.mean(bits)))
 
 
 # --- within-corpus repetition ----------------------------------------------
@@ -168,9 +193,11 @@ def within_corpus_repetition(
         train = [others[i] for i in idx]
         model = train_ppm(train, max_order, alphabet)
         ic = information_content(model, target).mean_bits
+        train = [np.array(t, dtype=np.int64) for t in train]
         acc = 0.0
         for _ in range(n_shuffle_reps):
-            shuffled = [tuple(t[j] for j in rng.permutation(len(t))) for t in train]
+            # one permutation per sequence, drawn in order, empty ones included
+            shuffled = [t[rng.permutation(len(t))].tolist() for t in train]
             acc += information_content(train_ppm(shuffled, max_order, alphabet), target).mean_bits
         ic_r = acc / n_shuffle_reps
         per_target.append((m.id, ic, ic_r))

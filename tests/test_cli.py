@@ -784,6 +784,22 @@ def test_genmodel_scale_rejects_an_empirical_h_the_kde_cannot_use_before_any_wal
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def test_genmodel_scale_scores_an_alphabet_size_whose_walks_share_one_count_multiset(tmp_path, capsys):
+    # a length-10 walk over 9 chromas counts one chroma twice and 8 once,
+    # wherever they lie, so all 131 A = 9 walks have one H: a delta that
+    # still gets a logL, not a KDE too narrow to reach the grid
+    intervals = write_distribution(tmp_path / "intervals.csv", [(d, 6 - abs(d)) for d in range(-5, 6)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(10, 1.0)])
+    h = tmp_path / "H.csv"
+    h.write_text("H\n2.5\n3.0\n2.8\n")
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--o-values", "1"]
+    rc, data = run([*argv, "--n", "12288", "--seed", "1", "--empirical-h", str(h)], tmp_path / "o.csv")
+    assert rc == 0
+    row = {r["A"]: r for r in rows_of(data)}["9"]
+    assert row["n_samples"] == "131" and row["logL"] != ""
+    assert capsys.readouterr().err == ""
+
+
 MEANS_COLUMNS = ["H_chroma", "H_duration", "I_chroma_duration"]
 
 

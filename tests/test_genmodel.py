@@ -499,7 +499,8 @@ def test_simulate_deterministic_across_threads():
 
 def oracle_chroma_entropy(pitches, lengths, failed):
     # _chroma_entropy as it was before blocks bounded its input: 16 columns
-    # at a time, chroma 12 counting the padding
+    # at a time, chroma 12 counting the padding; H sums the counts in
+    # ascending order
     n, width = pitches.shape
     counts = np.zeros(n * 13, dtype=np.int64)
     rows = np.arange(n)[:, None] * 13
@@ -507,7 +508,7 @@ def oracle_chroma_entropy(pitches, lengths, failed):
         c = pitches[:, j : j + 16] % 12
         c[np.arange(j, j + c.shape[1]) >= lengths[:, None]] = 12
         counts += np.bincount((rows + c).ravel(), minlength=n * 13)
-    p = counts.reshape(n, 13)[:, :12] / lengths.astype(np.float64)[:, None]
+    p = np.sort(counts.reshape(n, 13)[:, :12], axis=1) / lengths.astype(np.float64)[:, None]
     h = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
     a = (p > 0).sum(axis=1)
     a[failed] = 0
