@@ -17,7 +17,7 @@ from .corpus import Corpus, MelicError, parse_canonical, write_table
 from .infotheory import Distribution, distribution_of, entropy, entropy_of, gini, mutual_information_excess
 from .repetition import remove_repetition
 from .seqmodel import within_corpus_repetition
-from .viewpoints import ViewpointKind, extract_viewpoint
+from .viewpoints import ViewpointKind, extract_viewpoint, pairs_of
 
 
 def _per_melody(corpus: Corpus, fn) -> list:
@@ -305,7 +305,10 @@ def cmd_genmodel_pitch(args):
 def cmd_genmodel_rhythm(args):
     grids = (args.grid_a, args.grid_l, args.grid_exp)
     why = "H(IOI) is 0, so H(IOI-ratio)/H(IOI) is undefined"
-    best, score = _fit(args, genmodel.RhythmModelSpec, grids, ViewpointKind.IOI, genmodel.rhythm_pair, why, genmodel.RHYTHM_JSD_MAX)
+    def rhythm_pair(iois):  # a melody's IOIs as the reduced pairs a model draws
+        return genmodel.rhythm_pair(pairs_of(iois))
+
+    best, score = _fit(args, genmodel.RhythmModelSpec, grids, ViewpointKind.IOI, rhythm_pair, why, genmodel.RHYTHM_JSD_MAX)
     return [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}]
 
 
@@ -505,8 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and write its rows; a missing or unknown option is
-    argparse's usage error (SystemExit 2), every other failure one `error:`
-    line and exit 1."""
+    argparse's usage error (SystemExit 2), and a bad input (a MelicError,
+    an OSError or an argparse error) one `error:` line and exit 1. Any other
+    exception is a melic bug, so it is not dressed as an `error:` line."""
     try:
         args = build_parser().parse_args(argv)
         if args.threads < 1:  # every command accepts --threads; only genmodel scale runs threads
@@ -518,7 +522,7 @@ def main(argv=None) -> int:
             Path(args.out).write_bytes(data)
         else:
             sys.stdout.buffer.write(data)
-    except (argparse.ArgumentError, MelicError, OSError, ValueError) as exc:
+    except (argparse.ArgumentError, MelicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

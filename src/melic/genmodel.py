@@ -15,7 +15,7 @@ from . import _kernels
 from .corpus import MelicError
 from .infotheory import Distribution, entropy_of
 from .stats import jsd, kde_silverman
-from .viewpoints import ViewpointKind, pitch_symbols, ratios
+from .viewpoints import ViewpointKind, by_value, pairs_of, pitch_symbols, ratios
 
 PITCH_FAMILIES = ("S", "I", "IS")
 RHYTHM_VALUE_SETS = ("SI", "CI", "SR", "CR")
@@ -192,27 +192,27 @@ def _cdf_row(w: np.ndarray) -> list[float]:
 
 
 def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Generator):
-    """Generate n sequences, each a list of IOIs (Fractions): spec.length drawn
-    from an IOI set (SI, CI), or for a ratio set (SR, CR) 1 and then spec.length
-    IOIs, each the one before times a drawn ratio. Metrical models (dist 4)
-    weigh each value by the metrical base of the onset it lands on.
+    """Generate n sequences, each a list of IOIs as reduced (num, den) integer
+    pairs: spec.length drawn from an IOI set (SI, CI), or for a ratio set (SR,
+    CR) 1 and then spec.length IOIs, each the one before times a drawn ratio.
+    Metrical models (dist 4) weigh each value by the metrical base of the
+    onset it lands on.
 
     A sequence draws its weights (dists 1-3), then spec.length uniforms; a step
     picks bisect_right(row, u) on Generator.choice's CDF row: the draws of one
     rng.choice per sequence, or per step for dist 4, whose rows are cached per
-    tuple of landing bases. IOIs and onsets are reduced (num, den) pairs, so
-    onset N/D plus IOI a/b is an integer only where b == D and D divides N + a."""
-    values = simple_value_set(spec.a) if spec.value_set in ("SI", "SR") else complex_value_set(spec.a)
+    tuple of landing bases. Onsets are reduced pairs too, so onset N/D plus
+    IOI a/b is an integer only where b == D and D divides N + a."""
+    pairs = pairs_of(simple_value_set(spec.a) if spec.value_set in ("SI", "SR") else complex_value_set(spec.a))
     is_ratio_set = spec.value_set in ("SR", "CR")
     metrical = spec.dist == 4
-    pairs = [(v.numerator, v.denominator) for v in values]
     rows: dict[tuple, list[float]] = {}  # landing bases -> CDF row
     cands = pairs  # a step's candidate IOIs; dist 4 recomputes a ratio set's
     out = []
     for _ in range(n):
         if not metrical:
-            row = _cdf_row(_weights(len(values), spec, rng))
-        iois = [Fraction(1)] if is_ratio_set else []
+            row = _cdf_row(_weights(len(pairs), spec, rng))
+        iois = [(1, 1)] if is_ratio_set else []
         p, q = 1, 1  # the last IOI
         num, den = 0, 1  # the onset, for dist 4; a ratio set's first IOI of 1 does not move it
         for u in rng.random(spec.length).tolist():
@@ -225,8 +225,9 @@ def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Gene
                         row = rows[bases] = _cdf_row(_normalized(np.array(bases, dtype=float) ** spec.exponent, spec))
             i = bisect_right(row, u)
             # a ratio set's IOI is the last one times the drawn ratio, which dist 4 has computed
-            p, q = _reduced(p * pairs[i][0], q * pairs[i][1]) if is_ratio_set and not metrical else cands[i]
-            iois.append(Fraction(p, q) if is_ratio_set else values[i])
+            ioi = _reduced(p * pairs[i][0], q * pairs[i][1]) if is_ratio_set and not metrical else cands[i]
+            iois.append(ioi)
+            p, q = ioi
             if metrical:
                 num, den = _reduced(num * q + p * den, den * q)
         out.append(iois)
@@ -259,12 +260,14 @@ def pitch_ratios(pitches) -> tuple[float, float] | None:
 
 
 def rhythm_pair(iois) -> tuple[float, float] | None:
-    """(H(IOI), H(IOI-ratio)/H(IOI)) of an IOI sequence, or None where H(IOI)
-    is 0. The IOI ratios come from viewpoints.ratios, as a melody's do; they
-    are derived first, so a zero IOI before another is an error even there."""
+    """(H(IOI), H(IOI-ratio)/H(IOI)) of a sequence of IOIs, reduced (num, den)
+    pairs, or None where H(IOI) is 0. The IOI ratios come from
+    viewpoints.ratios, as a melody's do; they are derived first, so a zero IOI
+    before another is an error even there. Both entropies sum over the
+    symbols in value order, as entropy_of does over Fractions."""
     iratio = ratios(iois)
-    hi = entropy_of(iois)
-    return None if hi == 0.0 else (hi, entropy_of(iratio) / hi)
+    hi = entropy_of(iois, key=by_value)
+    return None if hi == 0.0 else (hi, entropy_of(iratio, key=by_value) / hi)
 
 
 def pitch_fit_objective(seq_sets, empirical) -> float:

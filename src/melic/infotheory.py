@@ -4,12 +4,13 @@ with a shuffle null, and the entropy lower bound."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import MelicError
-from .viewpoints import intern
+from .viewpoints import intern, symbols_of
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,14 @@ def distribution_of(seq) -> Distribution:
 
 
 def _plugin_entropy(probs) -> float:
-    """-sum p log2 p in bits, summed in the given (ascending-symbol) order."""
-    return float(-sum(p * math.log2(p) for p in probs if p > 0.0)) + 0.0
+    """-sum p log2 p in bits, summed left to right in the given
+    (ascending-symbol) order: an explicit loop, so no Python version's
+    builtin sum can move the last bits."""
+    acc = 0.0
+    for p in probs:
+        if p > 0.0:
+            acc += p * math.log2(p)
+    return -acc + 0.0
 
 
 def entropy(d: Distribution) -> float:
@@ -51,8 +58,15 @@ def entropy(d: Distribution) -> float:
     return _plugin_entropy(d.probs)
 
 
-def entropy_of(seq) -> float:
-    return entropy(distribution_of(seq))
+def entropy_of(seq, key=None) -> float:
+    """entropy(distribution_of(seq)) from the symbols' counts, which it
+    sums in ascending symbol order, or in the order of a sort key: give
+    viewpoints.by_value for (num, den) pairs."""
+    symbols = symbols_of(seq)
+    if not symbols:
+        raise MelicError("cannot build a distribution from an empty sequence")
+    counts, n = Counter(symbols), len(symbols)
+    return _plugin_entropy(counts[s] / n for s in sorted(counts, key=key))
 
 
 def gini(d: Distribution) -> float:

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 
 from .corpus import MelicError, Melody
 
@@ -71,13 +73,32 @@ def _iois(melody: Melody) -> list[Fraction]:
     return [b - a for a, b in zip(onsets, onsets[1:])]
 
 
-def ratios(values) -> list[Fraction]:
-    """Each value over the one before: the IOI ratios of IOIs, a melody's and a
-    model sequence's alike, or the duration ratios of durations (all > 0)."""
-    try:
-        return [b / a for a, b in zip(values, values[1:])]
-    except ZeroDivisionError:
-        raise MelicError("degenerate input: zero IOI (simultaneous onsets)") from None
+def pairs_of(values) -> list[tuple[int, int]]:
+    """The reduced (num, den) pair of each Fraction, den > 0."""
+    return [(v.numerator, v.denominator) for v in values]
+
+
+# sorts reduced (num, den) pairs, den > 0, by value, comparing them exactly by cross-multiplication
+by_value = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+
+def ratios(pairs) -> list[tuple[int, int]]:
+    """Each value over the one before, of reduced (num, den) pairs >= 0, as a
+    reduced pair: the IOI ratios of IOIs, a melody's and a model sequence's
+    alike, or the duration ratios of durations. A zero value before another
+    value is an error."""
+    out = []
+    for (a, b), (c, d) in zip(pairs, pairs[1:]):
+        if not a:
+            raise MelicError("degenerate input: zero IOI (simultaneous onsets)")
+        num, den = b * c, a * d
+        g = gcd(num, den)
+        out.append((num // g, den // g))
+    return out
+
+
+def _fraction_ratios(values) -> list[Fraction]:
+    return [Fraction(num, den) for num, den in ratios(pairs_of(values))]
 
 
 def pitch_symbols(pitches: list[int], kind: ViewpointKind) -> list:
@@ -108,9 +129,9 @@ def extract_viewpoint(melody: Melody, kind: ViewpointKind) -> ViewpointSequence:
     elif kind is ViewpointKind.IOI:
         syms = _iois(melody)
     elif kind is ViewpointKind.IOI_RATIO:
-        syms = ratios(_iois(melody))
+        syms = _fraction_ratios(_iois(melody))
     elif kind is ViewpointKind.DURATION_RATIO:
-        syms = ratios(_durations(melody))
+        syms = _fraction_ratios(_durations(melody))
     elif kind is ViewpointKind.JOINT_CHROMA_DURATION:
         syms = zip(pitch_symbols(_pitches(melody), ViewpointKind.CHROMA), _durations(melody))
     elif kind is ViewpointKind.JOINT_MINT_DURATION:

@@ -381,6 +381,39 @@ def test_genmodel_rhythm_command(tmp_path, corpus_file):
     assert rows_of(a)[0]["model"] == "SI1"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_genmodel_rhythm_csv_of_all_16_models_is_the_recorded_one(tmp_path, capsys):
+    # rhythm_corpus.json holds melodies whose IOIs are draws of the 16 models
+    # at a = 3, 5, 7 (one melody, CI3-1, repeats one IOI and is skipped);
+    # genmodel_rhythm.csv is the header and each model's row as recorded
+    # when IOIs were Fractions, so the SR/CR and metrical paths are pinned
+    # byte for byte, not only the benchmark's SI4
+    grid = ["--grid-a", "3,5,7", "--grid-l", "6,16", "--grid-exp", "1,3", "--n-per-setting", "15", "--seed", "5"]
+    lines = []
+    for model in [vs + str(dist) for vs in genmodel.RHYTHM_VALUE_SETS for dist in (1, 2, 3, 4)]:
+        rc, data = run(["genmodel", "rhythm", "--model", model, *grid, str(GOLDEN / "rhythm_corpus.json")], tmp_path / "o.csv")
+        assert rc == 0, model
+        header, row = data.splitlines(keepends=True)
+        lines += [header, row] if not lines else [row]
+    assert b"".join(lines) == (GOLDEN / "genmodel_rhythm.csv").read_bytes()
+    assert "melody 'CI3-1' skipped: H(IOI) is 0" in capsys.readouterr().err
+
+
+def test_an_unexpected_exception_is_not_reported_as_an_input_error(tmp_path, capsys, monkeypatch, corpus_file):
+    # a ValueError from melic's own code is a bug: it propagates, where an
+    # input error is one `error:` line and exit 1
+    def broken(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(genmodel, "rhythm_pair", broken)
+    argv = ["genmodel", "rhythm", "--model", "SI1", "--grid-a", "3", "--grid-l", "20", "--grid-exp", "1", str(corpus_file)]
+    with pytest.raises(ValueError, match="^a bug$"):
+        main([*argv, "--seed", "1", "--out", str(tmp_path / "o.csv")])
+    assert "error:" not in capsys.readouterr().err
+
+
 def write_corpus(path, melodies):
     path.write_text(serialize_canonical(corpus_of(melodies)))
     return path

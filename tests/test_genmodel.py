@@ -38,8 +38,8 @@ from melic.genmodel import (
     simple_value_set,
     simulate_scale_entropy,
 )
-from melic.infotheory import Distribution, entropy_of
-from melic.viewpoints import ViewpointKind, extract_viewpoint, pitch_symbols, ratios
+from melic.infotheory import Distribution, distribution_of, entropy, entropy_of
+from melic.viewpoints import ViewpointKind, extract_viewpoint, pairs_of, pitch_symbols, ratios
 
 from conftest import melody_from_pitches
 
@@ -102,9 +102,9 @@ def test_fit_statistics_are_none_where_the_base_entropy_is_0():
     assert pitch_ratios((60, 64, 60, 64)) == pytest.approx((0.9182958, 0.9182958))
     # H(Chroma) = 1 bit; one M-Int and one S-Int, so both are 0
     assert pitch_ratios((60, 64)) == pytest.approx((0.0, 0.0))
-    assert rhythm_pair([Fraction(1)] * 3) is None
+    assert rhythm_pair([(1, 1)] * 3) is None
     # H(IOI) = 1 bit; the IOI ratios 2, 1/2, 2 have H = 0.918 bits
-    assert rhythm_pair([Fraction(x) for x in (1, 2, 1, 2)]) == pytest.approx((1.0, 0.9182958))
+    assert rhythm_pair([(x, 1) for x in (1, 2, 1, 2)]) == pytest.approx((1.0, 0.9182958))
 
 
 @given(st.lists(st.integers(-30, 130), min_size=1, max_size=40))
@@ -127,9 +127,53 @@ def test_rhythm_pair_is_the_entropy_ratio_of_the_melody_viewpoints(iois):
     assert list(ioi) == iois
     hi = entropy_of(ioi)
     if hi == 0.0:
-        assert rhythm_pair(iois) is None
+        assert rhythm_pair(pairs_of(iois)) is None
     else:
-        assert rhythm_pair(iois) == (hi, entropy_of(iratio) / hi)
+        assert rhythm_pair(pairs_of(iois)) == (hi, entropy_of(iratio) / hi)
+
+
+def oracle_ratios(values):
+    # Oracle: viewpoints.ratios when it divided Fractions
+    try:
+        return [b / a for a, b in zip(values, values[1:])]
+    except ZeroDivisionError:
+        raise MelicError("degenerate input: zero IOI (simultaneous onsets)") from None
+
+
+def oracle_rhythm_pair(iois):
+    # Oracle: rhythm_pair on Fractions, its entropies over interned symbols
+    iratio = oracle_ratios(iois)
+    hi = entropy(distribution_of(iois))
+    return None if hi == 0.0 else (hi, entropy(distribution_of(iratio)) / hi)
+
+
+# a CR-sized IOI: a product of prime powers over a product of others, up to
+# 15 primes with exponents up to 80, as a CR model's running products reach
+_prime_power = st.tuples(st.sampled_from(genmodel._PRIMES), st.integers(0, 80))
+_cr_ioi = st.builds(
+    lambda up, down: Fraction(math.prod(p**e for p, e in up), math.prod(p**e for p, e in down)),
+    st.lists(_prime_power, max_size=15), st.lists(_prime_power, max_size=15),
+)
+_rational = st.one_of(_ioi, _cr_ioi, st.fractions(min_value=Fraction(1, 10**6), max_value=10**6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(iois=st.lists(_rational, min_size=1, max_size=40), zero_at=st.integers(0, 40))
+def test_rhythm_pair_on_reduced_pairs_equals_the_fraction_oracle(iois, zero_at):
+    # zero_at < len(iois) puts a zero IOI there: before the last IOI both
+    # sides fail with the same error; as the last IOI, both give it ratio 0
+    if zero_at < len(iois):
+        iois[zero_at] = Fraction(0)
+    try:
+        want, want_ratios = oracle_rhythm_pair(iois), oracle_ratios(iois)
+    except MelicError as exc:
+        assert 0 <= zero_at < len(iois) - 1
+        for fn in (ratios, rhythm_pair):
+            with pytest.raises(MelicError, match=f"^{re.escape(str(exc))}$"):
+                fn(pairs_of(iois))
+        return
+    assert ratios(pairs_of(iois)) == pairs_of(want_ratios)
+    assert rhythm_pair(pairs_of(iois)) == want
 
 
 def test_metrical_base():
@@ -270,20 +314,20 @@ def test_generate_rhythm_iid_and_ratio_families():
     for ioi in generate_rhythm_sequences(spec, 5, rng):
         ratio = ratios(ioi)
         assert len(ioi) == 20 and len(ratio) == 19
-        assert set(ioi) <= set(simple_value_set(5))
-        assert all(ratio[i] == ioi[i + 1] / ioi[i] for i in range(19))
+        assert set(ioi) <= set(pairs_of(simple_value_set(5)))
+        assert all(Fraction(*ratio[i]) == Fraction(*ioi[i + 1]) / Fraction(*ioi[i]) for i in range(19))
     spec_r = RhythmModelSpec(value_set="SR", dist=1, a=5, length=20)
     for ioi in generate_rhythm_sequences(spec_r, 5, rng):
         ratio = ratios(ioi)
-        assert len(ratio) == 20 and len(ioi) == 21 and ioi[0] == 1
-        assert set(ratio) <= set(simple_value_set(5))
+        assert len(ratio) == 20 and len(ioi) == 21 and ioi[0] == (1, 1)
+        assert set(ratio) <= set(pairs_of(simple_value_set(5)))
 
 
 def test_generate_rhythm_metrical_prefers_strong_beats():
     rng = np.random.default_rng(5)
     spec = RhythmModelSpec(value_set="SI", dist=4, a=5, length=200, exponent=3.0)
     ioi, = generate_rhythm_sequences(spec, 1, rng)
-    onsets = np.cumsum([float(v) for v in ioi])
+    onsets = np.cumsum([p / q for p, q in ioi])
     on_grid = np.mean([o == int(o) for o in onsets])
     assert on_grid > 0.5  # heavily weighted toward integer beats
 
@@ -340,7 +384,7 @@ def oracle_rhythm_pairs(spec, n, rng):
 @pytest.mark.parametrize("value_set", RHYTHM_VALUE_SETS)
 @pytest.mark.parametrize("dist", [1, 2, 3, 4])
 def test_rhythm_models_match_the_pair_oracle(value_set, dist):
-    # The same IOIs, the oracle's ratios from viewpoints.ratios, and the same
+    # The same IOIs as reduced pairs, the oracle's ratios from viewpoints.ratios, and the same
     # next draw, over 135 (a, L, exponent, seed) settings per model, and 24
     # more with long sequences, flat, inverted and near one-hot weights and,
     # for CI/CR, a = 15, where the denominators grow largest
@@ -350,8 +394,8 @@ def test_rhythm_models_match_the_pair_oracle(value_set, dist):
         spec = RhythmModelSpec(value_set=value_set, dist=dist, a=a, length=length, exponent=exponent)
         rng, ref_rng = np.random.default_rng([seed, a]), np.random.default_rng([seed, a])
         got, ref = generate_rhythm_sequences(spec, 4, rng), oracle_rhythm_pairs(spec, 4, ref_rng)
-        assert [tuple(iois) for iois in got] == [iois for iois, _ in ref], spec
-        assert [tuple(ratios(iois)) for iois in got] == [ratio for _, ratio in ref], spec
+        assert got == [pairs_of(iois) for iois, _ in ref], spec
+        assert [ratios(iois) for iois in got] == [pairs_of(ratio) for _, ratio in ref], spec
         assert rng.random() == ref_rng.random(), spec
 
 
@@ -378,7 +422,7 @@ def test_a_uniform_on_a_cdf_step_picks_the_next_value(value_set, dist):
     values = simple_value_set(4) if value_set[0] == "S" else complex_value_set(4)
     drawn = [values[i] for i in picks]
     expected = list(itertools.accumulate(drawn, lambda ioi, r: ioi * r, initial=Fraction(1))) if value_set[1] == "R" else drawn
-    assert generate_rhythm_sequences(spec, 1, _Uniforms(u)) == [expected]
+    assert generate_rhythm_sequences(spec, 1, _Uniforms(u)) == [pairs_of(expected)]
 
 
 def _pitch_pairs(seq_sets):
@@ -459,8 +503,8 @@ def test_pitch_objective_zero_for_identical():
 
 
 def _rhythm_seqs(ioi_lists):
-    """IOI sequences of Fractions, as generate_rhythm_sequences returns them."""
-    return [[Fraction(x) for x in xs] for xs in ioi_lists]
+    """IOI sequences of integers as reduced pairs, as generate_rhythm_sequences returns them."""
+    return [[(x, 1) for x in xs] for xs in ioi_lists]
 
 
 # H(IOI) values include multiples of 0.5 bit, where the bins meet

@@ -1,6 +1,8 @@
 """Entropy, Gini, mutual information, and the entropy lower bound."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from melic.corpus import MelicError
 from melic.infotheory import (
     Distribution,
+    _plugin_entropy,
     distribution_of,
     entropy,
     entropy_lower_bound,
@@ -18,7 +21,7 @@ from melic.infotheory import (
     gini,
     mutual_information_excess,
 )
-from melic.viewpoints import ViewpointKind, extract_viewpoint, symbols_of
+from melic.viewpoints import ViewpointKind, by_value, extract_viewpoint, pairs_of, symbols_of
 
 from conftest import melody_from_pitches
 
@@ -206,6 +209,38 @@ def test_mutual_information_of_empty_sequences_is_the_oracle_error():
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 _symbols = st.lists(st.integers(0, 11), min_size=1, max_size=60)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), max_size=60))
+def test_plugin_entropy_sums_its_terms_left_to_right(probs):
+    # the defined float operations: no compensated or pairwise sum, on any Python
+    terms = [p * math.log2(p) for p in probs if p > 0.0]
+    assert _plugin_entropy(probs) == -functools.reduce(operator.add, terms, 0.0) + 0.0
+
+
+_fraction = st.fractions(min_value=0, max_value=50, max_denominator=12)
+
+
+@PROPERTY
+@given(st.one_of(
+    _symbols,
+    st.lists(_fraction, min_size=1, max_size=60),
+    st.lists(st.tuples(st.integers(0, 11), _fraction), min_size=1, max_size=60),
+))
+def test_entropy_of_counts_is_the_entropy_of_the_interned_distribution(seq):
+    assert entropy_of(seq) == entropy(distribution_of(seq))
+
+
+@PROPERTY
+@given(st.lists(_fraction, min_size=1, max_size=60))
+def test_entropy_of_pairs_in_value_order_is_that_of_their_fractions(values):
+    assert entropy_of(pairs_of(values), key=by_value) == entropy(distribution_of(values))
+
+
+def test_entropy_of_an_empty_sequence_is_an_error():
+    with pytest.raises(MelicError, match="^cannot build a distribution from an empty sequence$"):
+        entropy_of(())
 
 
 @PROPERTY
