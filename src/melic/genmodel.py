@@ -15,7 +15,7 @@ from . import _kernels
 from .corpus import MelicError
 from .infotheory import Distribution, entropy_of
 from .stats import jsd, kde_silverman
-from .viewpoints import ViewpointKind, by_value, pairs_of, pitch_symbols, ratios
+from .viewpoints import ViewpointKind, pairs_of, pitch_symbols, ratios
 
 PITCH_FAMILIES = ("S", "I", "IS")
 RHYTHM_VALUE_SETS = ("SI", "CI", "SR", "CR")
@@ -250,8 +250,7 @@ def pitch_ratios(pitches) -> tuple[float, float] | None:
     """(H(M-Int)/H(Chroma), H(S-Int)/H(Chroma)) of a pitch sequence, or None
     where H(Chroma) is 0."""
     sdeg = pitch_symbols(pitches, ViewpointKind.SCALE_DEGREE)
-    # scale degrees rank the chromas in chroma order, so their entropy is H(Chroma) bit for bit
-    hc = entropy_of(sdeg)
+    hc = entropy_of(sdeg)  # the scale degrees count as the chromas do, so this is H(Chroma)
     if hc == 0.0:
         return None
     # S-Int is the M-Int of the scale degrees
@@ -263,11 +262,10 @@ def rhythm_pair(iois) -> tuple[float, float] | None:
     """(H(IOI), H(IOI-ratio)/H(IOI)) of a sequence of IOIs, reduced (num, den)
     pairs, or None where H(IOI) is 0. The IOI ratios come from
     viewpoints.ratios, as a melody's do; they are derived first, so a zero IOI
-    before another is an error even there. Both entropies sum over the
-    symbols in value order, as entropy_of does over Fractions."""
+    before another is an error even there."""
     iratio = ratios(iois)
-    hi = entropy_of(iois, key=by_value)
-    return None if hi == 0.0 else (hi, entropy_of(iratio, key=by_value) / hi)
+    hi = entropy_of(iois)
+    return None if hi == 0.0 else (hi, entropy_of(iratio) / hi)
 
 
 def pitch_fit_objective(seq_sets, empirical) -> float:

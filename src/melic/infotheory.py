@@ -43,11 +43,11 @@ def distribution_of(seq) -> Distribution:
 
 
 def _plugin_entropy(probs) -> float:
-    """-sum p log2 p in bits, summed left to right in the given
-    (ascending-symbol) order: an explicit loop, so no Python version's
-    builtin sum can move the last bits."""
+    """-sum p log2 p in bits, summed left to right in ascending order of p:
+    an explicit loop, so no Python version's builtin sum can move the last
+    bits. Equal count multisets give bit-equal H, whatever their symbols."""
     acc = 0.0
-    for p in probs:
+    for p in sorted(probs):
         if p > 0.0:
             acc += p * math.log2(p)
     return -acc + 0.0
@@ -58,15 +58,13 @@ def entropy(d: Distribution) -> float:
     return _plugin_entropy(d.probs)
 
 
-def entropy_of(seq, key=None) -> float:
-    """entropy(distribution_of(seq)) from the symbols' counts, which it
-    sums in ascending symbol order, or in the order of a sort key: give
-    viewpoints.by_value for (num, den) pairs."""
+def entropy_of(seq) -> float:
+    """entropy(distribution_of(seq)) from the symbols' counts."""
     symbols = symbols_of(seq)
     if not symbols:
         raise MelicError("cannot build a distribution from an empty sequence")
-    counts, n = Counter(symbols), len(symbols)
-    return _plugin_entropy(counts[s] / n for s in sorted(counts, key=key))
+    n = len(symbols)
+    return _plugin_entropy(c / n for c in Counter(symbols).values())
 
 
 def gini(d: Distribution) -> float:
@@ -86,15 +84,15 @@ def gini(d: Distribution) -> float:
 def _entropy_of_codes(codes: np.ndarray) -> float:
     """entropy(distribution_of(symbols)) from the symbols' `intern` codes."""
     n = codes.size
-    return _plugin_entropy(c / n for c in np.bincount(codes).tolist())
+    # drops bincount's zeros (codes absent here), so _plugin_entropy sorts only the counts that occur
+    return _plugin_entropy([c / n for c in np.bincount(codes).tolist() if c])
 
 
 def mutual_information_excess(seqP, seqR, n_shuffles: int = 10, rng: np.random.Generator | None = None):
     """Nonnegative MI between two aligned sequences, the shuffle-null mean, and
     their difference I* = I - I_ran.
 
-    Runs on `intern` codes; the joint symbol (p, r) is coded p * |R| + r,
-    which orders the pairs as the pairs of symbols sort."""
+    Runs on `intern` codes; the joint symbol (p, r) is coded p * |R| + r."""
     codesP, _ = intern(seqP)
     codesR, tableR = intern(seqR)
     if len(codesP) != len(codesR):

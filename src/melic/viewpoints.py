@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 from .corpus import MelicError, Melody
@@ -76,10 +75,6 @@ def _iois(melody: Melody) -> list[Fraction]:
 def pairs_of(values) -> list[tuple[int, int]]:
     """The reduced (num, den) pair of each Fraction, den > 0."""
     return [(v.numerator, v.denominator) for v in values]
-
-
-# sorts reduced (num, den) pairs, den > 0, by value, comparing them exactly by cross-multiplication
-by_value = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
 
 
 def ratios(pairs) -> list[tuple[int, int]]:

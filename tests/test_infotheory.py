@@ -21,7 +21,7 @@ from melic.infotheory import (
     gini,
     mutual_information_excess,
 )
-from melic.viewpoints import ViewpointKind, by_value, extract_viewpoint, pairs_of, symbols_of
+from melic.viewpoints import ViewpointKind, extract_viewpoint, pairs_of, symbols_of
 
 from conftest import melody_from_pitches
 
@@ -214,8 +214,8 @@ _symbols = st.lists(st.integers(0, 11), min_size=1, max_size=60)
 @PROPERTY
 @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), max_size=60))
 def test_plugin_entropy_sums_its_terms_left_to_right(probs):
-    # the defined float operations: no compensated or pairwise sum, on any Python
-    terms = [p * math.log2(p) for p in probs if p > 0.0]
+    # the defined float operations: ascending p, no compensated or pairwise sum, on any Python
+    terms = [p * math.log2(p) for p in sorted(probs) if p > 0.0]
     assert _plugin_entropy(probs) == -functools.reduce(operator.add, terms, 0.0) + 0.0
 
 
@@ -234,8 +234,44 @@ def test_entropy_of_counts_is_the_entropy_of_the_interned_distribution(seq):
 
 @PROPERTY
 @given(st.lists(_fraction, min_size=1, max_size=60))
-def test_entropy_of_pairs_in_value_order_is_that_of_their_fractions(values):
-    assert entropy_of(pairs_of(values), key=by_value) == entropy(distribution_of(values))
+def test_entropy_of_pairs_is_that_of_their_fractions(values):
+    assert entropy_of(pairs_of(values)) == entropy(distribution_of(values))
+
+
+# H is a function of the count multiset: bit-equal under any permutation of the
+# counts, so under any bijective relabelling of the symbols
+_permuted_counts = st.lists(st.integers(1, 60), min_size=1, max_size=30).flatmap(
+    lambda counts: st.tuples(st.just(counts), st.permutations(counts))
+)
+
+
+@PROPERTY
+@given(_permuted_counts)
+def test_plugin_entropy_is_invariant_under_permutations_of_the_counts(counts_and_permuted):
+    counts, permuted = counts_and_permuted
+    n = sum(counts)
+    assert _plugin_entropy([c / n for c in permuted]) == _plugin_entropy([c / n for c in counts])
+
+
+@PROPERTY
+@given(_symbols, st.permutations(range(12)))
+def test_entropy_of_is_invariant_under_relabelling_the_symbols(seq, relabel):
+    h = entropy_of(seq)
+    assert entropy_of([relabel[s] for s in seq]) == h
+    assert entropy_of([-s for s in seq]) == h
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 5)), min_size=1, max_size=60),
+    st.permutations(range(12)),
+    st.permutations(range(6)),
+)
+def test_mutual_information_is_invariant_under_relabelling_the_symbols(pairs, relabel_p, relabel_r):
+    p, r = zip(*pairs)
+    mi = mutual_information_excess(p, r, n_shuffles=0)
+    assert mutual_information_excess([relabel_p[s] for s in p], [relabel_r[s] for s in r], n_shuffles=0) == mi
+    assert mutual_information_excess([-s for s in p], [-s for s in r], n_shuffles=0) == mi
 
 
 def test_entropy_of_an_empty_sequence_is_an_error():
