@@ -359,11 +359,13 @@ class ScaleSimResult:
     n_failed: int = 0
 
 
-_CHUNK = 1 << 15  # walks per derived seed: a chunk draws its lengths and uniforms from its own seed
-_BLOCK = 1 << 12  # walks per pool task, a constant, so the blocks do not depend on --threads
+_BLOCK = 1 << 12  # walks per derived seed and pool task, a constant, so the walks do not depend on --threads
 _MAX_THREADS = 8  # pool threads at most, whatever --threads asks for
-_MAX_WALKS = 10**7  # walks at most: a run at the limit peaks near 2.1 GiB, most of it the largest samples' KDEs
+_MAX_WALKS = 10**7  # walks at most: a run at the limit peaks near 2.1 GiB at --threads 2, mostly the largest KDEs
 _MAX_TABLE_CELLS = 1 << 22  # the walk table's cells at most: a run at the limit peaks near 240 MiB
+# a block's walks times its longest walk at most (2048 notes per walk): a run at
+# the limit peaks near 300 MiB at --threads 1 and 560 MiB at 2, one block a thread
+_MAX_BLOCK_CELLS = 1 << 23
 
 
 def _pool(threads: int) -> ThreadPoolExecutor:
@@ -403,10 +405,10 @@ def simulate_scale_entropy(
     distributions, pitch confined to a 12*O-semitone window), fold to chroma,
     and record (A, H) per sequence grouped by A.
 
-    Chunks of _CHUNK walks get independent derived seeds. The main thread
-    draws a chunk while the pool walks the one before, in fixed blocks of
-    _BLOCK walks. A walk's draws depend only on its own uniforms and window,
-    so the output is identical for any thread count.
+    Blocks of _BLOCK walks get independent derived seeds, and one pool task
+    draws a block's lengths and uniforms and walks it. A walk's draws depend
+    only on its block's seed and its window, so the output is identical for
+    any thread count.
     """
     if not 1 <= n_sequences <= _MAX_WALKS:
         raise MelicError(
@@ -421,11 +423,12 @@ def simulate_scale_entropy(
             raise MelicError(f"o must be finite and > 0, got {o}")
     vals, probs = _dist_arrays(interval_dist)
     lvals, lprobs = _dist_arrays(length_dist)
-    if lvals.min() < 1:
-        raise MelicError("melody lengths must be >= 1")
+    low, high = int(lvals.min()), int(lvals.max())
+    if low < 1 or _BLOCK * high > _MAX_BLOCK_CELLS:  # a block pads its walks to the longest one
+        raise MelicError(f"melody lengths (--lengths) must be 1 to {_MAX_BLOCK_CELLS // _BLOCK}, got {low} to {high}")
     # a window as wide as the walks' reach gives the same walks as any wider one
     step = int(np.abs(vals).max())
-    reach = step * (int(lvals.max()) - 1)
+    reach = step * (high - 1)
     half_widths = [round(min(6.0 * o, reach)) for o in o_values]
     if max(half_widths) + step >= 2**63:  # a walk's candidate pitches must fit in int64
         raise MelicError(
@@ -439,32 +442,21 @@ def simulate_scale_entropy(
             f"(--intervals) exceeds its limit of {_MAX_TABLE_CELLS} cells"
         )
     half_widths = np.array(half_widths, dtype=np.int64)
-    seeds = np.random.SeedSequence(seed).spawn((n_sequences + _CHUNK - 1) // _CHUNK)
+    seeds = np.random.SeedSequence(seed).spawn((n_sequences + _BLOCK - 1) // _BLOCK)
 
-    def draw(ci: int):
-        start = ci * _CHUNK
-        size = min(_CHUNK, n_sequences - start)
-        rng = np.random.default_rng(seeds[ci])
+    def walk_block(bi: int):
+        start = bi * _BLOCK
+        size = min(_BLOCK, n_sequences - start)
+        rng = np.random.default_rng(seeds[bi])
         lengths = rng.choice(lvals, size=size, p=lprobs).astype(np.int64)
         half = half_widths[(start + np.arange(size)) % len(o_values)]
-        return lengths, half, rng.random((size, max(1, int(lengths.max()) - 1)))
+        uniforms = rng.random((size, max(1, int(lengths.max()) - 1)))
+        pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
+        return _chroma_entropy(pitches, lengths, failed)
 
-    def walk_block(lengths, half, uniforms, i: int):
-        b = slice(i, i + _BLOCK)
-        pitches, failed = _kernels.walk_chunk(vals, probs, lengths[b], -half[b], half[b], uniforms[b])
-        return _chroma_entropy(pitches, lengths[b], failed)
-
-    results, walking = [], []
     with _pool(threads) as pool:
-        for ci in range(len(seeds)):
-            chunk = draw(ci)  # while the pool walks the chunk before: at most two chunks are held
-            submitted = [pool.submit(walk_block, *chunk, i) for i in range(0, len(chunk[0]), _BLOCK)]
-            results += [f.result() for f in walking]
-            walking = submitted
-        results += [f.result() for f in walking]
-
-    a, h = (np.concatenate(x) for x in zip(*results))
-    # sorted samples keep downstream statistics independent of merge order
+        a, h = (np.concatenate(x) for x in zip(*pool.map(walk_block, range(len(seeds)))))
+    # pool.map merges in block order; the std, the KDE and slices of per_a see each sample sorted
     per_a = {int(k): np.sort(h[a == k]) for k in np.unique(a[a > 0])}
     return ScaleSimResult(per_a=per_a, n_sequences=n_sequences, n_failed=int((a == 0).sum()))
 

@@ -100,8 +100,9 @@ def jsd(p, q) -> float:
     return min(1.0, max(0.0, _hist_entropy(m) - 0.5 * (_hist_entropy(p) + _hist_entropy(q))))
 
 
-def pearson(x, y) -> tuple[float, float]:
-    """Product-moment r with a two-sided Student-t p-value."""
+def _pearson_r(x, y) -> float:
+    """Product-moment r of at least 3 paired points, each side with variance;
+    an r at or beyond +-1 by rounding is exactly +-1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
@@ -111,13 +112,19 @@ def pearson(x, y) -> tuple[float, float]:
     if x.std() == 0 or y.std() == 0:
         raise MelicError("zero variance")
     r = float(np.corrcoef(x, y)[0, 1])
-    n = x.size
-    if abs(r) >= 1.0:
-        return (1.0 if r > 0 else -1.0), 0.0
+    return r if abs(r) < 1.0 else (1.0 if r > 0 else -1.0)
+
+
+def pearson(x, y) -> tuple[float, float]:
+    """Product-moment r with a two-sided Student-t p-value."""
+    r = _pearson_r(x, y)
+    if abs(r) == 1.0:
+        return r, 0.0
     # scipy.stats.t.sf(x, df) is special.stdtr(df, -x); importing scipy.special
     # here, not scipy.stats at module level, keeps ~1 s off every CLI start
     from scipy.special import stdtr
 
+    n = np.size(x)
     t = r * np.sqrt((n - 2) / (1 - r * r))
     p = 2 * float(stdtr(n - 2, -abs(t)))
     return r, p
@@ -218,8 +225,7 @@ def region_balanced_correlation(
             else:
                 idx = rng.choice(len(group), size=max_per_region, replace=False)
                 kept.extend(group[i] for i in idx)
-        r, _ = pearson([m.h_chroma for m in kept], [m.h_duration for m in kept])
-        rs.append(r)
+        rs.append(_pearson_r([m.h_chroma for m in kept], [m.h_duration for m in kept]))
     rs = np.array(rs)
     lo, hi = np.percentile(rs, [2.5, 97.5])
     return float(rs.mean()), (float(lo), float(hi))

@@ -1,8 +1,15 @@
 """Shared fixture helpers for building tiny corpora in memory."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 from melic.corpus import Corpus, CorpusMeta, Melody, NoteEvent
+
+# pyproject's pythonpath reaches only this process: child processes that run
+# melic from a checkout without installing it find it through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 META = CorpusMeta(corpus_id="fixture", type="Folk", region="test")
 

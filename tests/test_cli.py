@@ -819,7 +819,7 @@ def test_genmodel_scale_rejects_an_empirical_h_the_kde_cannot_use_before_any_wal
 
 def test_genmodel_scale_scores_an_alphabet_size_whose_walks_share_one_count_multiset(tmp_path, capsys):
     # a length-10 walk over 9 chromas counts one chroma twice and 8 once,
-    # wherever they lie, so all 131 A = 9 walks have one H: a delta that
+    # wherever they lie, so all 138 A = 9 walks have one H: a delta that
     # still gets a logL, not a KDE too narrow to reach the grid
     intervals = write_distribution(tmp_path / "intervals.csv", [(d, 6 - abs(d)) for d in range(-5, 6)])
     lengths = write_distribution(tmp_path / "lengths.csv", [(10, 1.0)])
@@ -829,7 +829,7 @@ def test_genmodel_scale_scores_an_alphabet_size_whose_walks_share_one_count_mult
     rc, data = run([*argv, "--n", "12288", "--seed", "1", "--empirical-h", str(h)], tmp_path / "o.csv")
     assert rc == 0
     row = {r["A"]: r for r in rows_of(data)}["9"]
-    assert row["n_samples"] == "131" and row["logL"] != ""
+    assert row["n_samples"] == "138" and row["logL"] != ""
     assert capsys.readouterr().err == ""
 
 
@@ -1014,6 +1014,22 @@ def test_genmodel_scale_window_beyond_int64_is_an_error(tmp_path, capsys, length
     expect_error(capsys, [*argv, "--o-values", "1e300"], "(--o-values)", "(--intervals)", "64-bit integer")
 
 
+@pytest.mark.parametrize("length", [2049, 1000000000])
+def test_genmodel_scale_length_beyond_its_limit_is_an_error_before_any_walk(tmp_path, capsys, monkeypatch, length):
+    # a block holds its walks' uniforms and pitches up to its longest walk
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walks ran before --lengths was checked")
+
+    monkeypatch.setattr(genmodel._kernels, "walk_chunk", no_walks)
+    intervals = write_distribution(tmp_path / "intervals.csv", [(1, 0.5), (-1, 0.5)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(30, 0.99), (length, 0.01)])
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--n", "10", "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: melody lengths (--lengths) must be 1 to 2048, got 30 to {length}"
+    ]
+
+
 @pytest.mark.parametrize("step", [1000000000, 2305843009213693952])
 def test_genmodel_scale_walk_table_beyond_its_limit_is_an_error(tmp_path, capsys, step):
     # at o = 1e300 the window is the reach, 2 steps: 4e9 + 1 pitches, or
@@ -1102,6 +1118,24 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_subsample_corr_loads_no_scipy(tmp_path):
+    # it prints only r, so it computes no p-value
+    means, out = tmp_path / "means.csv", tmp_path / "o.csv"
+    make_means_csv(means, [[f"c{i}", f"r{i % 2}", "Folk", 2 + 0.1 * i, 1 + 0.01 * i * i, 0.1] for i in range(6)])
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["subsample-corr", "--seed", "1", "--max-per-region", "2", str(means), "--out", str(out)]
+    code = (
+        f"import sys; from melic.cli import main; rc = main({argv!r}); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "0 []"
+    assert rows_of(out.read_bytes())[0]["mean_r"]
 
 
 # --- property: no input ends in a traceback ----------------------------------
@@ -1249,7 +1283,7 @@ def test_genmodel_scale_output_is_the_same_at_any_thread_count(intervals, length
             "genmodel", "scale", "--seed", "0", "--o-values", ",".join(map(str, o_values)),
             "--intervals", str(write_distribution(Path(tmp) / "i.csv", intervals.items())),
             "--lengths", str(write_distribution(Path(tmp) / "l.csv", lengths.items())),
-            "--n", str(genmodel._CHUNK + 100),  # two chunks of walks
+            "--n", str(3 * genmodel._BLOCK + 100),  # four blocks of walks, one or more for each thread
         ]
         outcomes = []
         for threads in ("1", "2", "3"):
@@ -1258,3 +1292,76 @@ def test_genmodel_scale_output_is_the_same_at_any_thread_count(intervals, length
                 rc = main([*argv, "--threads", threads, "--out", str(out)])
             outcomes.append((rc, out.read_bytes() if rc == 0 else b"", err.getvalue()))
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+# --- property: any genmodel scale argv is a result or one error line --------
+
+_EXTREMES = ["0", "-1", "1e308", "nan", "inf", str(2**63)]
+_BIG = str(2**62)  # fits in int64, so only the length bound stops it as a length
+# each option's ordinary values beside the extremes: --n goes above 3 blocks
+# only by an extreme that a bound rejects, and --threads never above 4
+_USUAL = {
+    "--n": ["1", "100", str(3 * genmodel._BLOCK)],
+    "--threads": ["1", "2", "4"],
+    "--seed": ["1"],
+    "--o-values": ["0.5", "2"],
+    "--threshold": ["2.8"],
+    "--alpha": ["0.5"],
+}
+_NEVER = {"--threads": {str(2**63)}}
+# a CSV option's header and, per column, its ordinary cells
+_CSV = {
+    "--intervals": (["symbol", "probability"], [["-2", "1", "2", "7", _BIG], ["1", "0.5"]]),
+    "--lengths": (["symbol", "probability"], [["1", "2", "10", "30", _BIG], ["1", "0.5"]]),
+    "--empirical-h": (["H"], [["2.5", "3.0"]]),
+}
+
+
+def _mostly(usual, extremes):
+    # one draw in eight is an extreme, so that many examples get past the
+    # input checks to the walks
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(extremes if i == 0 else usual))
+
+
+def _scale_value(action):
+    """A strategy for one genmodel scale option: (header, rows) of a CSV
+    file, one of its choices, or a number or list of numbers."""
+    option = action.option_strings[-1]
+    if option in _CSV:
+        header, usual = _CSV[option]
+        row = st.tuples(*(_mostly(cells, _EXTREMES) for cells in usual))
+        value = st.tuples(st.just(header), st.lists(row, min_size=1, max_size=3))
+    else:
+        value = _mostly(action.choices or _USUAL[option], [v for v in _EXTREMES if v not in _NEVER.get(option, ())])
+        if getattr(action.type, "__name__", "").endswith(" list"):
+            value = st.lists(value, min_size=1, max_size=3).map(",".join)
+    # --n is always given: its default, 100,000 walks, is above the cap
+    return value if action.required or option == "--n" else st.none() | value
+
+
+_SCALE_OPTIONS = {
+    a.option_strings[-1]: _scale_value(a)
+    for a in dict(_leaf_parsers(build_parser()))[("genmodel", "scale")]._actions
+    if a.option_strings and a.dest not in ("help", "out")
+}
+
+
+@settings(max_examples=150, deadline=5000, derandomize=True, database=None)
+@given(st.fixed_dictionaries(_SCALE_OPTIONS))
+def test_any_genmodel_scale_argv_is_a_result_or_one_error_line(drawn):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["genmodel", "scale", "--out", str(Path(tmp) / "o.csv")]
+        for option, value in drawn.items():
+            if isinstance(value, tuple):
+                header, rows = value
+                value = Path(tmp) / f"{option[2:]}.csv"
+                value.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+            if value is not None:
+                argv += [option, str(value)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 1)
+        assert all(line.startswith(("warning: ", "error: ")) for line in lines), lines
+        assert [line for line in lines if line.startswith("error: ")] == (lines[-1:] if rc else [])

@@ -561,20 +561,20 @@ def oracle_chroma_entropy(pitches, lengths, failed):
 
 
 def oracle_simulate_scale_entropy(interval_dist, length_dist, o_values, n_sequences, seed):
-    # The simulation with each seeded chunk walked at once: one kernel call
-    # and one chroma count per chunk, chunk after chunk.
+    # The simulation without a pool: one kernel call and one chroma count per
+    # seeded block, block after block.
     vals = np.array(interval_dist.alphabet, dtype=np.int64)
     probs = np.asarray(interval_dist.probs, dtype=float)
     lvals = np.array(length_dist.alphabet, dtype=np.int64)
     lprobs = np.asarray(length_dist.probs, dtype=float)
     reach = int(np.abs(vals).max()) * (int(lvals.max()) - 1)
     half_widths = np.array([round(min(6.0 * o, reach)) for o in o_values], dtype=np.int64)
-    chunk = genmodel._CHUNK
-    seeds = np.random.SeedSequence(seed).spawn((n_sequences + chunk - 1) // chunk)
+    block = genmodel._BLOCK
+    seeds = np.random.SeedSequence(seed).spawn((n_sequences + block - 1) // block)
     results = []
-    for ci, chunk_seed in enumerate(seeds):
-        start, size = ci * chunk, min(chunk, n_sequences - ci * chunk)
-        rng = np.random.default_rng(chunk_seed)
+    for bi, block_seed in enumerate(seeds):
+        start, size = bi * block, min(block, n_sequences - bi * block)
+        rng = np.random.default_rng(block_seed)
         lengths = rng.choice(lvals, size=size, p=lprobs).astype(np.int64)
         half = half_widths[(start + np.arange(size)) % len(o_values)]
         uniforms = rng.random((size, max(1, int(lengths.max()) - 1)))
@@ -591,10 +591,10 @@ def _two_lengths(short, long):
 @pytest.mark.parametrize(
     "intervals, o_values, n, some_fail",
     [
-        # two chunks, the second ending in a partial block
-        (triangular_intervals(), (0.5, 1.0, 1.5, 2.0), genmodel._CHUNK + 3 * genmodel._BLOCK + 77, False),
+        # nine blocks, the last a partial one
+        (triangular_intervals(), (0.5, 1.0, 1.5, 2.0), 8 * genmodel._BLOCK + 77, False),
         # from 0 in +-3, +2 is legal once and +7 never: the long walks fail
-        (Distribution(alphabet=(2, 7), probs=(0.5, 0.5)), (0.5, 2.0), genmodel._CHUNK + 123, True),
+        (Distribution(alphabet=(2, 7), probs=(0.5, 0.5)), (0.5, 2.0), 8 * genmodel._BLOCK + 123, True),
     ],
 )
 def test_simulation_in_blocks_matches_the_chunk_at_once_oracle(intervals, o_values, n, some_fail):
@@ -874,7 +874,7 @@ def test_simulate_validation():
     idist = triangular_intervals()
     with pytest.raises(MelicError, match="^need at least one pitch-range value$"):
         simulate_scale_entropy(idist, fixed_length(10), [], 100)
-    with pytest.raises(MelicError, match="^melody lengths must be >= 1$"):
+    with pytest.raises(MelicError, match=r"^melody lengths \(--lengths\) must be 1 to 2048, got 0 to 0$"):
         simulate_scale_entropy(idist, Distribution(alphabet=(0,), probs=(1.0,)), [1.0], 100)
     for o in (math.inf, -math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(MelicError, match=f"o must be finite and > 0, got {o}"):
