@@ -138,7 +138,7 @@ def _each_melody(args, measures) -> list:
 
     def row(m):
         values = measures(m)
-        return {"id": m.id, **{c: values[c] for c in columns}}
+        return (m.id, *(values[c] for c in columns))
 
     return [r for corpus in _load_corpora(args.corpus) for r in _per_melody(corpus, row)]
 
@@ -189,7 +189,7 @@ def _summary_values(m) -> tuple:
     )
 
 
-# --- subcommands: each returns its rows, which main writes ------------------
+# --- subcommands: each returns its rows, value tuples in schema order -------
 
 def cmd_viewpoints(args):
     return _each_melody(
@@ -220,7 +220,7 @@ def cmd_totalinfo(args):
 
 
 def cmd_ppm_repetition(args):
-    records = []
+    rows = []
     for corpus in _load_corpora(args.corpus):
         res = within_corpus_repetition(
             corpus,
@@ -232,15 +232,8 @@ def cmd_ppm_repetition(args):
             seed=args.seed,
         )
         _report_skips(corpus, list(res.left_out))
-        records.append(
-            {
-                "corpus": corpus.meta.corpus_id,
-                "mean_IC": res.mean_ic,
-                "mean_IC_r": res.mean_ic_r,
-                "repetition_bits": res.repetition_bits,
-            }
-        )
-    return records
+        rows.append((corpus.meta.corpus_id, res.mean_ic, res.mean_ic_r, res.repetition_bits))
+    return rows
 
 
 def cmd_genmodel_scale(args):
@@ -267,7 +260,7 @@ def cmd_genmodel_scale(args):
     for a in sorted(sim.per_a):
         n, p = int(sim.per_a[a].size), probs[a]
         se = math.sqrt(p * (1 - p) / n) if n >= 2 else None  # binomial standard error of P_below
-        rows.append({"A": a, "n_samples": n, "P_below": p, "P_below_se": se, "logL": logl.get(a)})
+        rows.append((a, n, p, se, logl.get(a)))
     return rows
 
 
@@ -299,7 +292,7 @@ def cmd_genmodel_pitch(args):
     grids = (args.grid_a, args.grid_l, args.grid_o, args.grid_exp)
     why = "H(Chroma) is 0, so H(M-Int)/H(Chroma) is undefined"
     best, score = _fit(args, genmodel.PitchModelSpec, grids, ViewpointKind.PITCH, genmodel.pitch_ratios, why, genmodel.PITCH_JSD_MAX)
-    return [{"model": best.name, "A": best.a, "L": best.length, "O": best.o, "exponent": best.exponent, "JSD": score}]
+    return [(best.name, best.a, best.length, best.o, best.exponent, score)]
 
 
 def cmd_genmodel_rhythm(args):
@@ -309,41 +302,26 @@ def cmd_genmodel_rhythm(args):
         return genmodel.rhythm_pair(pairs_of(iois))
 
     best, score = _fit(args, genmodel.RhythmModelSpec, grids, ViewpointKind.IOI, rhythm_pair, why, genmodel.RHYTHM_JSD_MAX)
-    return [{"model": best.name, "A": best.a, "L": best.length, "exponent": best.exponent, "JSD": score}]
+    return [(best.name, best.a, best.length, best.exponent, score)]
 
 
 def cmd_similarity(args):
     query_corpus = _read_corpus(Path(args.query))
     query = extract_viewpoint(query_corpus.melodies[0], args.viewpoint)
     stats.ngram_query(query, args.n)  # checked before any corpus is read
-    records = []
+    rows = []
     for corpus in _load_corpora(args.corpus):
         targets = _per_melody(corpus, lambda m: extract_viewpoint(m, args.viewpoint).symbols)
         rep = stats.ngram_similarity(query, targets, n=args.n)
-        records.append(
-            {
-                "corpus": corpus.meta.corpus_id,
-                "n_matches": rep.n_matches,
-                "expected_paper": rep.expected_paper,
-                "expected_fixed_query": rep.expected_fixed_query,
-                "enrichment": rep.enrichment,
-            }
-        )
-    return records
+        rows.append((corpus.meta.corpus_id, rep.n_matches, rep.expected_paper, rep.expected_fixed_query, rep.enrichment))
+    return rows
 
 
 def cmd_null_joint(args):
     means = _load_means(args.means)
     rng = np.random.default_rng(args.seed)
     res = stats.joint_entropy_null(means, n_samples=args.samples, rng=rng)
-    return [
-        {
-            "null_variance": res.null_variance,
-            "empirical_variance": res.empirical_variance,
-            "ratio": res.ratio,
-            "degenerate": res.degenerate,
-        }
-    ]
+    return [(res.null_variance, res.empirical_variance, res.ratio, res.degenerate)]
 
 
 def cmd_subsample_corr(args):
@@ -352,16 +330,15 @@ def cmd_subsample_corr(args):
     mean_r, (lo, hi) = stats.region_balanced_correlation(
         means, args.max_per_region, n_resamples=args.resamples, rng=rng
     )
-    return [{"mean_r": mean_r, "ci_low": lo, "ci_high": hi}]
+    return [(mean_r, lo, hi)]
 
 
 def cmd_summary(args):
-    records = []
+    rows = []
     for corpus in sorted(_load_corpora(args.corpus), key=lambda c: c.meta.corpus_id):
-        if rows := _per_melody(corpus, _summary_values):
-            means = (float(np.mean(column)) for column in zip(*rows))
-            records.append({"corpus": corpus.meta.corpus_id, **dict(zip(args.schema[1:], means))})
-    return records
+        if values := _per_melody(corpus, _summary_values):
+            rows.append((corpus.meta.corpus_id, *(float(np.mean(column)) for column in zip(*values))))
+    return rows
 
 
 # --- parser ----------------------------------------------------------------
@@ -441,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shuffle-reps", type=int, default=10)
     p.add_argument("--max-order", type=int, default=5)
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_ppm_repetition)
+    p.set_defaults(func=cmd_ppm_repetition, schema=["corpus", "mean_IC", "mean_IC_r", "repetition_bits"])
 
     pg = sub.add_parser("genmodel", help="generative sequence models")
     gsub = pg.add_subparsers(dest="genmodel_command", required=True)
@@ -455,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.999)
     p.add_argument("--empirical-h", default=None, help="CSV with column H for log-likelihoods")
     _add_common(p, corpus=False, seed=True)
-    p.set_defaults(func=cmd_genmodel_scale)
+    p.set_defaults(func=cmd_genmodel_scale, schema=["A", "n_samples", "P_below", "P_below_se", "logL"])
 
     p = gsub.add_parser("pitch", help="fit a pitch-sequence model family")
     p.add_argument("--model", required=True, choices=[f"{f}{d}" for f in genmodel.PITCH_FAMILIES for d in "123"])
@@ -465,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-exp", type=_floats, default="1,2,3")
     p.add_argument("--n-per-setting", type=int, default=100)
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_genmodel_pitch)
+    p.set_defaults(func=cmd_genmodel_pitch, schema=["model", "A", "L", "O", "exponent", "JSD"])
 
     p = gsub.add_parser("rhythm", help="fit a rhythm-sequence model family")
     p.add_argument("--model", required=True, choices=[f"{v}{d}" for v in genmodel.RHYTHM_VALUE_SETS for d in "1234"])
@@ -474,27 +451,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-exp", type=_floats, default="1,2,3")
     p.add_argument("--n-per-setting", type=int, default=100)
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_genmodel_rhythm)
+    p.set_defaults(func=cmd_genmodel_rhythm, schema=["model", "A", "L", "exponent", "JSD"])
 
     p = sub.add_parser("similarity", help="n-gram melodic similarity vs chance")
     p.add_argument("--query", required=True, help="canonical corpus file; first melody is the query")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--viewpoint", type=ViewpointKind, default="mint")
     _add_common(p)
-    p.set_defaults(func=cmd_similarity)
+    p.set_defaults(
+        func=cmd_similarity, schema=["corpus", "n_matches", "expected_paper", "expected_fixed_query", "enrichment"]
+    )
 
     p = sub.add_parser("null-joint", help="joint-entropy null model over corpus means")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("means", help="CSV of per-corpus means")
     _add_common(p, corpus=False, seed=True)
-    p.set_defaults(func=cmd_null_joint)
+    p.set_defaults(func=cmd_null_joint, schema=["null_variance", "empirical_variance", "ratio", "degenerate"])
 
     p = sub.add_parser("subsample-corr", help="region-balanced entropy correlation")
     p.add_argument("--max-per-region", type=int, required=True)
     p.add_argument("--resamples", type=int, default=1000)
     p.add_argument("means", help="CSV of per-corpus means")
     _add_common(p, corpus=False, seed=True)
-    p.set_defaults(func=cmd_subsample_corr)
+    p.set_defaults(func=cmd_subsample_corr, schema=["mean_r", "ci_low", "ci_high"])
 
     p = sub.add_parser("summary", help="per-corpus information summary table")
     _add_common(p)
@@ -517,7 +496,7 @@ def main(argv=None) -> int:
             raise MelicError(f"--threads must be >= 1, got {args.threads}")
         if "seed" in args and args.seed < 0:  # checked before any input is read
             raise MelicError(f"--seed must be >= 0, got {args.seed}")
-        data = write_table(args.func(args), format=args.format, schema=getattr(args, "schema", None))
+        data = write_table(args.schema, args.func(args), args.format)
         if args.out:
             Path(args.out).write_bytes(data)
         else:

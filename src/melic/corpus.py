@@ -21,11 +21,6 @@ class MelicError(Exception):
     or, raised for one melody, skips that melody with a warning."""
 
 
-class SchemaError(Exception):
-    """Rows passed to write_table do not share one schema: a bug in melic's
-    own row building, so deliberately not a MelicError."""
-
-
 def _is_int(value) -> bool:
     """An integer, but not a bool (an int subclass): JSON true is not 1."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -221,27 +216,23 @@ def _fmt_value(v):
     return v
 
 
-def write_table(records: list[dict], format: str = "csv", schema: list[str] | None = None) -> bytes:
-    """Serialize homogeneous rows; floats use 6 significant digits, row order kept.
-
-    schema is only needed to emit a header for an empty record list.
+def write_table(schema: list[str], rows: list, format: str = "csv") -> bytes:
+    """Serialize rows, each a sequence of values in schema order: a CSV whose
+    header is the schema, or a JSON list of objects keyed by it. Floats use 6
+    significant digits; row order is kept. A row whose length differs from
+    the schema's is a bug in the caller, so a ValueError, not a MelicError.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
-    if records:
-        schema = list(records[0].keys())
-        for r in records:
-            if list(r.keys()) != schema:
-                raise SchemaError(f"row schema {list(r.keys())} != {schema}")
-    elif schema is None:
-        schema = []
+    for r in rows:
+        if len(r) != len(schema):
+            raise ValueError(f"a row of {len(r)} values for the {len(schema)} columns {schema}")
     if format == "json":
-        rows = [{k: _fmt_value(r[k]) for k in schema} for r in records]
-        return (json.dumps(rows, indent=1) + "\n").encode("utf-8")
+        objects = [{k: _fmt_value(v) for k, v in zip(schema, r)} for r in rows]
+        return (json.dumps(objects, indent=1) + "\n").encode("utf-8")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if schema:
-        writer.writerow(schema)
-        for r in records:
-            writer.writerow(["" if (v := _fmt_value(r[k])) is None else v for k in schema])
+    writer.writerow(schema)
+    for r in rows:
+        writer.writerow(["" if (v := _fmt_value(x)) is None else v for x in r])
     return buf.getvalue().encode("utf-8")

@@ -131,9 +131,9 @@ def generate_pitch_sequences(spec: PitchModelSpec, n: int, rng: np.random.Genera
             out.append((scale[i % spec.a] + 12 * (i // spec.a)).tolist())
         return out
     vals = np.arange(-spec.a, spec.a + 1)
-    # dists 1 and 3 draw no weights and I has no chroma mask, so I1/I3 walks
-    # share one weight row, and the kernel builds one state table for them all
-    shared = spec.family == "I" and spec.dist != 2
+    # dists 1 and 3 draw no weights, so their walks share one weight row; I1/I3
+    # walks, which have no chroma mask, share one state table in the kernel too
+    shared = spec.dist != 2
     probs = _weights(len(vals), spec, rng) if shared else np.empty((n, len(vals)))
     uniforms = np.empty((n, spec.length - 1))
     allowed = np.zeros((n, 12), dtype=bool) if spec.family == "IS" else None
@@ -202,12 +202,11 @@ def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Gene
     picks bisect_right(row, u) on Generator.choice's CDF row: the draws of one
     rng.choice per sequence, or per step for dist 4, whose rows are cached per
     tuple of landing bases. Onsets are reduced pairs too, so onset N/D plus
-    IOI a/b is an integer only where b == D and D divides N + a."""
+    an IOI set's value a/b is an integer only where b == D and D divides N + a."""
     pairs = pairs_of(simple_value_set(spec.a) if spec.value_set in ("SI", "SR") else complex_value_set(spec.a))
     is_ratio_set = spec.value_set in ("SR", "CR")
     metrical = spec.dist == 4
     rows: dict[tuple, list[float]] = {}  # landing bases -> CDF row
-    cands = pairs  # a step's candidate IOIs; dist 4 recomputes a ratio set's
     out = []
     for _ in range(n):
         if not metrical:
@@ -217,17 +216,17 @@ def generate_rhythm_sequences(spec: RhythmModelSpec, n: int, rng: np.random.Gene
         num, den = 0, 1  # the onset, for dist 4; a ratio set's first IOI of 1 does not move it
         for u in rng.random(spec.length).tolist():
             if metrical:
-                cands = [_reduced(p * a, q * b) for a, b in pairs] if is_ratio_set else pairs
-                bases = tuple([_metrical_base(num + a, den) if b == den else 1 for a, b in cands])
+                if is_ratio_set:  # candidate IOI p*a/(q*b) lands on (num*q*b + p*a*den)/(den*q*b)
+                    bases = tuple([_metrical_base(num * q * b + p * a * den, den * q * b) for a, b in pairs])
+                else:
+                    bases = tuple([_metrical_base(num + a, den) if b == den else 1 for a, b in pairs])
                 row = rows.get(bases)
                 if row is None:
                     with np.errstate(over="ignore"):  # an overflow is reported by _normalized
                         row = rows[bases] = _cdf_row(_normalized(np.array(bases, dtype=float) ** spec.exponent, spec))
-            i = bisect_right(row, u)
-            # a ratio set's IOI is the last one times the drawn ratio, which dist 4 has computed
-            ioi = _reduced(p * pairs[i][0], q * pairs[i][1]) if is_ratio_set and not metrical else cands[i]
-            iois.append(ioi)
-            p, q = ioi
+            a, b = pairs[bisect_right(row, u)]
+            p, q = _reduced(p * a, q * b) if is_ratio_set else (a, b)
+            iois.append((p, q))
             if metrical:
                 num, den = _reduced(num * q + p * den, den * q)
         out.append(iois)

@@ -22,11 +22,15 @@ class KDEResult:
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """h = 0.9 * min(sigma, IQR/1.34) * n^(-1/5); the KDE needs at least 2
-    samples and a spread above 0."""
+    samples and a spread above 0 whose standard deviation float64 holds, so
+    that its window arithmetic (_KDE_REACH * h) is finite too."""
     n = samples.size
     if n < 2:
         raise MelicError("KDE needs at least 2 samples")
-    sigma = samples.std(ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        sigma = samples.std(ddof=1)
+    if not np.isfinite(sigma):
+        raise MelicError("KDE samples spread too widely: their standard deviation overflows float64")
     q75, q25 = np.percentile(samples, [75, 25])
     iqr = q75 - q25
     spread = min(sigma, iqr / 1.34) if iqr > 0 else sigma

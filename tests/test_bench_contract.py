@@ -87,7 +87,7 @@ def small_calls():
 
     return {
         ("melic.corpus", "parse_canonical"): lambda: corpus.parse_canonical(corpus.serialize_canonical(mels)),
-        ("melic.corpus", "write_table"): lambda: corpus.write_table([{"a": 1.5}]),
+        ("melic.corpus", "write_table"): lambda: corpus.write_table(["a"], [(1.5,)]),
         ("melic.viewpoints", "extract_viewpoint"): lambda: viewpoints.extract_viewpoint(mels.melodies[0], "mint"),
         ("melic.repetition", "remove_repetition"): lambda: repetition.remove_repetition((1, 2, 1, 2)),
         ("melic.seqmodel", "train_ppm"): ppm,

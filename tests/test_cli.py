@@ -160,7 +160,7 @@ def test_summary_is_the_mean_of_the_per_melody_commands_rows(tmp_path, corpus_fi
 
     def rows(*argv):
         args = parser.parse_args(list(argv))
-        return args.func(args)
+        return [dict(zip(args.schema, row)) for row in args.func(args)]
 
     summary = rows("summary", str(corpus_file), str(art_file))
     assert [r["corpus"] for r in summary] == ["aaa", "fixture"]
@@ -184,7 +184,40 @@ HEADERS = {
     "repetition": "id,L,L_NR,fraction",
     "totalinfo": "id,H_joint,L_NR,T",
     "summary": "corpus,H_chroma,H_dur,H_chroma_dur,mean_length,mean_L_NR,mean_T",
+    "ppm-repetition": "corpus,mean_IC,mean_IC_r,repetition_bits",
+    "genmodel scale": "A,n_samples,P_below,P_below_se,logL",
+    "genmodel pitch": "model,A,L,O,exponent,JSD",
+    "genmodel rhythm": "model,A,L,exponent,JSD",
+    "similarity": "corpus,n_matches,expected_paper,expected_fixed_query,enrichment",
+    "null-joint": "null_variance,empirical_variance,ratio,degenerate",
+    "subsample-corr": "mean_r,ci_low,ci_high",
 }
+
+
+@pytest.mark.parametrize("command", list(HEADERS))
+def test_every_command_writes_its_header_and_json_keys(tmp_path, corpus_file, command):
+    means = tmp_path / "means.csv"
+    make_means_csv(means, [[f"c{i}", f"r{i % 2}", "Folk", 2 + 0.1 * i, 1 + 0.01 * i * i, 0.1] for i in range(6)])
+    intervals = write_distribution(tmp_path / "intervals.csv", [(-1, 0.5), (1, 0.5)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(5, 1.0)])
+    argv = {
+        "mi": ["--seed", "1", "--shuffles", "2", str(corpus_file)],
+        "ppm-repetition": ["--seed", "1", "--n-train", "2", "--shuffle-reps", "1", str(corpus_file)],
+        "genmodel scale": ["--intervals", str(intervals), "--lengths", str(lengths), "--n", "100", "--seed", "1"],
+        "genmodel pitch": ["--model", "S1", "--grid-a", "4", "--grid-l", "10", "--grid-o", "1", "--grid-exp", "1",
+                           "--n-per-setting", "5", "--seed", "1", str(corpus_file)],
+        "genmodel rhythm": ["--model", "SI1", "--grid-a", "3", "--grid-l", "10", "--grid-exp", "1",
+                            "--n-per-setting", "5", "--seed", "1", str(corpus_file)],
+        "similarity": ["--query", str(corpus_file), "--n", "3", str(corpus_file)],
+        "null-joint": ["--seed", "1", "--samples", "100", str(means)],
+        "subsample-corr": ["--seed", "1", "--max-per-region", "2", "--resamples", "10", str(means)],
+    }.get(command, [str(corpus_file)])
+    argv = [*command.split(), *argv]
+    rc, data = run(argv, tmp_path / "o.csv")
+    lines = data.decode().splitlines()
+    assert rc == 0 and lines[0] == HEADERS[command] and len(lines) > 1
+    rc, data = run([*argv, "--format", "json"], tmp_path / "o.json")
+    assert rc == 0 and [list(row) for row in json.loads(data)] == [HEADERS[command].split(",")] * (len(lines) - 1)
 
 
 @pytest.mark.parametrize(
@@ -817,6 +850,21 @@ def test_genmodel_scale_rejects_an_empirical_h_the_kde_cannot_use_before_any_wal
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_genmodel_scale_rejects_an_empirical_h_whose_spread_overflows_before_any_walk(tmp_path, capsys, monkeypatch):
+    # the variance of 1e308, 2.5 and -1e308 overflows float64, and so would
+    # the KDE's window, _KDE_REACH times a bandwidth of 5.4e307
+    _refuse_walks(monkeypatch)
+    intervals = write_distribution(tmp_path / "intervals.csv", [(d, 6 - abs(d)) for d in range(-5, 6)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(10, 1.0)])
+    h = tmp_path / "H.csv"
+    h.write_text("H\n1e308\n2.5\n-1e308\n")
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--empirical-h", str(h)]
+    assert main([*argv, "--n", "1000", "--seed", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_genmodel_scale_scores_an_alphabet_size_whose_walks_share_one_count_multiset(tmp_path, capsys):
     # a length-10 walk over 9 chromas counts one chroma twice and 8 once,
     # wherever they lie, so all 138 A = 9 walks have one H: a delta that
@@ -1055,6 +1103,7 @@ def test_every_subcommand_has_a_function_and_help(capsys):
     assert len(leaves) == 14 and ("genmodel", "pitch") in leaves
     for command, parser in leaves.items():
         assert callable(parser.get_default("func")), command
+        assert parser.get_default("schema") == HEADERS[" ".join(command)].split(","), command
     for command in [*leaves, ("genmodel",)]:
         with pytest.raises(SystemExit) as exc:
             main([*command, "--help"])
@@ -1294,10 +1343,11 @@ def test_genmodel_scale_output_is_the_same_at_any_thread_count(intervals, length
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
-# --- property: any genmodel scale argv is a result or one error line --------
+# --- property: any argv of any command is a result or one error line -------
 
 _EXTREMES = ["0", "-1", "1e308", "nan", "inf", str(2**63)]
 _BIG = str(2**62)  # fits in int64, so only the length bound stops it as a length
+_HUGE = str(2**63)  # one beyond int64, so only the 64-bit symbol check stops it
 # each option's ordinary values beside the extremes: --n goes above 3 blocks
 # only by an extreme that a bound rejects, and --threads never above 4
 _USUAL = {
@@ -1308,60 +1358,151 @@ _USUAL = {
     "--threshold": ["2.8"],
     "--alpha": ["0.5"],
 }
-_NEVER = {"--threads": {str(2**63)}}
-# a CSV option's header and, per column, its ordinary cells
-_CSV = {
-    "--intervals": (["symbol", "probability"], [["-2", "1", "2", "7", _BIG], ["1", "0.5"]]),
-    "--lengths": (["symbol", "probability"], [["1", "2", "10", "30", _BIG], ["1", "0.5"]]),
-    "--empirical-h": (["H"], [["2.5", "3.0"]]),
+# the other commands' options that size work, at small values; their --n
+# is similarity's n-gram length
+_SMALL = {
+    "--n": ["2", "3"], "--shuffles": ["0", "2"], "--lmin": ["2", "3"], "--n-train": ["1", "2"],
+    "--truncate": ["2", "50"], "--shuffle-reps": ["1", "2"], "--max-order": ["0", "2"],
+    "--samples": ["1", "100"], "--max-per-region": ["1", "2"], "--resamples": ["1", "10"],
+    "--n-per-setting": ["1", "5"], "--grid-a": ["2", "3", "5"], "--grid-l": ["2", "10"],
+    "--grid-o": ["0.5", "2"], "--grid-exp": ["1", "2"],
 }
+# never 2^63 threads, nor 2^63 rounds of a loop that no bound caps
+_NEVER = {option: {str(2**63)} for option in ("--threads", "--shuffles", "--shuffle-reps", "--resamples")}
+# always given: their defaults size more work than the caps (100,000 walks,
+# a fit of up to 135 grid points at 100 sequences each, 1,000 resamples or
+# 10,000 null samples), or in --n-train's case need 11 melodies
+_ALWAYS = {"--n", "--n-per-setting", "--grid-a", "--grid-l", "--grid-o", "--grid-exp", "--resamples", "--samples",
+           "--n-train"}
 
 
 def _mostly(usual, extremes):
     # one draw in eight is an extreme, so that many examples get past the
-    # input checks to the walks
+    # input checks to the work
     return st.integers(0, 7).flatmap(lambda i: st.sampled_from(extremes if i == 0 else usual))
 
 
-def _scale_value(action):
-    """A strategy for one genmodel scale option: (header, rows) of a CSV
-    file, one of its choices, or a number or list of numbers."""
-    option = action.option_strings[-1]
-    if option in _CSV:
-        header, usual = _CSV[option]
-        row = st.tuples(*(_mostly(cells, _EXTREMES) for cells in usual))
-        value = st.tuples(st.just(header), st.lists(row, min_size=1, max_size=3))
+def _csv(header, cells, n_rows=(1, 3)):
+    """(header, rows) of a CSV file of n_rows[0] to n_rows[1] rows, each
+    column's cell one of its ordinary cells or an extreme."""
+    row = st.tuples(*(_mostly(column, _EXTREMES) for column in cells))
+    return st.tuples(st.just(header), st.lists(row, min_size=n_rows[0], max_size=n_rows[1]))
+
+
+_CSV = {
+    "--intervals": _csv(["symbol", "probability"], [["-2", "1", "2", "7", _BIG, _HUGE], ["1", "0.5"]]),
+    "--lengths": _csv(["symbol", "probability"], [["1", "2", "10", "30", _BIG, _HUGE], ["1", "0.5"]]),
+    "--empirical-h": _csv(["H"], [["2.5", "3.0"]]),
+    # 3 to 6 corpora, corpus i in region r{i % 3}, get past the corpus and
+    # region counts; only the measures are drawn
+    "means": _csv(MEANS_COLUMNS, [["0.5", "1", "2.5"], ["0.5", "1", "2.5"], ["0", "0.1"]], n_rows=(3, 6)).map(
+        lambda table: (["corpus_id", "region", *table[0]], [(f"c{i}", f"r{i % 3}", *r) for i, r in enumerate(table[1])])
+    ),
+}
+_odd_melodies = [
+    [(60, "1", "1")],  # one note
+    [(60, "1", "1"), (None, "1", "1"), (None, "1/2", "1")],  # rests only after the first note
+    [(62, "1/2", "1/2")] * 4,  # one repeated pitch
+]
+_corpus = st.lists(st.sampled_from(_odd_melodies) | _melody, min_size=1, max_size=4)
+
+
+def _option_value(action, usual):
+    """A strategy for one option or positional of a command: a list of
+    corpora (melody lists), (header, rows) of a CSV file, one of its
+    choices, or a number or list of numbers."""
+    option = action.option_strings[-1] if action.option_strings else action.dest
+    if option in ("corpus", "--query"):
+        value = st.lists(_corpus, min_size=1, max_size=2 if option == "corpus" else 1)
+    elif option in _CSV:
+        value = _CSV[option]
     else:
-        value = _mostly(action.choices or _USUAL[option], [v for v in _EXTREMES if v not in _NEVER.get(option, ())])
+        choices = action.choices or ([k.value for k in ViewpointKind] if action.type is ViewpointKind else None)
+        value = _mostly(choices or usual[option], [v for v in _EXTREMES if v not in _NEVER.get(option, ())])
         if getattr(action.type, "__name__", "").endswith(" list"):
             value = st.lists(value, min_size=1, max_size=3).map(",".join)
-    # --n is always given: its default, 100,000 walks, is above the cap
-    return value if action.required or option == "--n" else st.none() | value
+    return value if action.required or option in _ALWAYS else st.none() | value
 
 
-_SCALE_OPTIONS = {
-    a.option_strings[-1]: _scale_value(a)
-    for a in dict(_leaf_parsers(build_parser()))[("genmodel", "scale")]._actions
-    if a.option_strings and a.dest not in ("help", "out")
-}
+def _options_of(parser, usual):
+    return st.fixed_dictionaries({
+        a.option_strings[-1] if a.option_strings else a.dest: _option_value(a, usual)
+        for a in parser._actions
+        if a.dest not in ("help", "out")
+    })
 
 
+def _run_drawn(command, drawn, tmp):
+    """main on command with the drawn options, their files written under tmp:
+    (exit code, stderr lines, argv, output path)."""
+    out = Path(tmp) / "o.out"
+    argv, positionals = [*command, "--out", str(out)], []
+    for option, value in drawn.items():
+        if value is None:
+            continue
+        if option in ("corpus", "--query"):
+            paths = [Path(tmp) / f"{option.lstrip('-')}{j}.json" for j in range(len(value))]
+            for path, melodies in zip(paths, value):
+                path.write_text(_corpus_json(melodies))
+            value = paths
+        elif isinstance(value, tuple):
+            header, rows = value
+            value = [Path(tmp) / f"{option.lstrip('-')}.csv"]
+            value[0].write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+        else:
+            value = [value]
+        if option.startswith("--"):
+            argv += [option, *map(str, value)]
+        else:
+            positionals += map(str, value)
+    argv += positionals
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue().splitlines(), argv, out
+
+
+def _assert_a_result_or_one_error_line(rc, lines):
+    assert rc in (0, 1)
+    assert all(line.startswith(("warning: ", "error: ")) for line in lines), lines
+    assert [line for line in lines if line.startswith("error: ")] == (lines[-1:] if rc else [])
+
+
+_LEAVES = dict(_leaf_parsers(build_parser()))
+_SCALE_OPTIONS = _options_of(_LEAVES[("genmodel", "scale")], _USUAL)
+
+
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=150, deadline=5000, derandomize=True, database=None)
-@given(st.fixed_dictionaries(_SCALE_OPTIONS))
+@given(_SCALE_OPTIONS)
 def test_any_genmodel_scale_argv_is_a_result_or_one_error_line(drawn):
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["genmodel", "scale", "--out", str(Path(tmp) / "o.csv")]
-        for option, value in drawn.items():
-            if isinstance(value, tuple):
-                header, rows = value
-                value = Path(tmp) / f"{option[2:]}.csv"
-                value.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
-            if value is not None:
-                argv += [option, str(value)]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = main(argv)
-        lines = err.getvalue().splitlines()
-        assert rc in (0, 1)
-        assert all(line.startswith(("warning: ", "error: ")) for line in lines), lines
-        assert [line for line in lines if line.startswith("error: ")] == (lines[-1:] if rc else [])
+        rc, lines, _, _ = _run_drawn(("genmodel", "scale"), drawn, tmp)
+        _assert_a_result_or_one_error_line(rc, lines)
+
+
+_OTHER_OPTIONS = {
+    command: _options_of(parser, {**_USUAL, **_SMALL}) for command, parser in _LEAVES.items() if command != ("genmodel", "scale")
+}
+# the means commands run in milliseconds, and draw up to 18 cells beside
+# their options, so they take more examples to reach their work
+_EXAMPLES = {("null-joint",): 150, ("subsample-corr",): 150}
+
+
+@pytest.mark.parametrize("command", list(_OTHER_OPTIONS), ids=" ".join)
+def test_any_argv_of_any_other_command_is_its_table_or_one_error_line(command):
+    # tiny corpora and means CSVs; a run that exits 0 writes its parser's schema
+    @settings(max_examples=_EXAMPLES.get(command, 30), deadline=5000, derandomize=True, database=None)
+    @given(_OTHER_OPTIONS[command])
+    def check(drawn):
+        with tempfile.TemporaryDirectory() as tmp:
+            rc, lines, argv, out = _run_drawn(command, drawn, tmp)
+            _assert_a_result_or_one_error_line(rc, lines)
+            if rc == 0:
+                args = _LEAVES[command].parse_args(argv[len(command):])
+                if args.format == "json":
+                    assert all(list(row) == args.schema for row in json.loads(out.read_text()))
+                else:
+                    assert out.read_text().split("\n", 1)[0] == ",".join(args.schema)
+
+    check()

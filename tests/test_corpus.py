@@ -20,7 +20,6 @@ from melic.corpus import (
     MelicError,
     Melody,
     NoteEvent,
-    SchemaError,
     _check_text,
     _is_int,
     _json,
@@ -284,7 +283,7 @@ def test_corpus_invariants():
         Corpus(meta=meta, melodies=(m, m))
 
 
-def test_melic_has_one_error_type_besides_schema_error():
+def test_melic_has_one_error_type():
     # __main__ is skipped: importing it runs the CLI
     modules = [importlib.import_module(f"melic.{m.name}") for m in pkgutil.iter_modules(melic.__path__) if m.name != "__main__"]
     defined = {
@@ -293,7 +292,7 @@ def test_melic_has_one_error_type_besides_schema_error():
         for _, cls in inspect.getmembers(module, inspect.isclass)
         if issubclass(cls, BaseException) and cls.__module__.startswith("melic")
     }
-    assert defined == {MelicError, SchemaError}
+    assert defined == {MelicError}
 
 
 def test_every_export_is_reached_beyond_its_own_definition():
@@ -320,25 +319,27 @@ def test_every_export_is_reached_beyond_its_own_definition():
 # --- table output -----------------------------------------------------------
 
 def test_write_table_csv():
-    rows = [{"id": "a", "x": 0.123456789, "y": None}, {"id": "b", "x": 2.0, "y": 3}]
-    out = write_table(rows, "csv").decode()
+    rows = [("a", 0.123456789, None), ("b", 2.0, 3)]
+    out = write_table(["id", "x", "y"], rows, "csv").decode()
     assert out.splitlines() == ["id,x,y", "a,0.123457,", "b,2.0,3"]
 
 
 def test_write_table_json_round_trips():
-    rows = [{"id": "a", "x": 1.5}]
-    assert json.loads(write_table(rows, "json")) == rows
+    assert json.loads(write_table(["id", "x"], [("a", 1.5)], "json")) == [{"id": "a", "x": 1.5}]
 
 
 def test_write_table_empty_with_schema():
-    assert write_table([], "csv", schema=["id", "x"]).decode() == "id,x\n"
+    assert write_table(["id", "x"], [], "csv").decode() == "id,x\n"
 
 
 def test_write_table_schema_mismatch():
-    with pytest.raises(SchemaError):
-        write_table([{"a": 1}, {"b": 2}], "csv")
+    # a row whose length differs from the schema's is a bug in the caller
+    for fmt in ("csv", "json"):
+        for rows in ([("a", 1), ("b",)], [("a", 1, 2)]):
+            with pytest.raises(ValueError, match=f"a row of {len(rows[-1])} values for the 2 columns"):
+                write_table(["id", "x"], rows, fmt)
 
 
 def test_write_table_unknown_format():
     with pytest.raises(ValueError):
-        write_table([], "xml")
+        write_table([], [], "xml")
