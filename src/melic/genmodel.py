@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .corpus import MelicError
-from .infotheory import Distribution, entropy_of
+from .infotheory import Distribution, PluginTerms, entropy_of
 from .stats import jsd, kde_silverman
 from .viewpoints import ViewpointKind, pairs_of, pitch_symbols, ratios
 
@@ -377,16 +377,15 @@ def _dist_arrays(d: Distribution):
     return vals, probs
 
 
-def _chroma_entropy(pitches, lengths, failed):
+def _chroma_entropy(pitches, lengths, failed, terms: PluginTerms):
     """(A, H) of each walk's chroma counts over its lengths[i] pitches; a
-    failed walk gets A = 0 and H = nan. H sums over the counts in ascending
-    order, so walks with equal count multisets get bit-equal H."""
+    failed walk gets A = 0 and H = nan. H is bit-equal to entropy_of the
+    walk's chromas; `terms` covers every length."""
     n, width = pitches.shape
     cells = np.arange(n)[:, None] * 12 + pitches % 12
-    counts = np.bincount(cells[np.arange(width) < lengths[:, None]], minlength=n * 12)
-    p = np.sort(counts.reshape(n, 12), axis=1) / lengths.astype(np.float64)[:, None]
-    h = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
-    a = (p > 0).sum(axis=1)
+    counts = np.bincount(cells[np.arange(width) < lengths[:, None]], minlength=n * 12).reshape(n, 12)
+    h = terms.entropy_rows(counts, lengths)
+    a = np.count_nonzero(counts, axis=1)
     a[failed] = 0
     h[failed] = np.nan
     return a, h
@@ -441,6 +440,7 @@ def simulate_scale_entropy(
             f"(--intervals) exceeds its limit of {_MAX_TABLE_CELLS} cells"
         )
     half_widths = np.array(half_widths, dtype=np.int64)
+    terms = PluginTerms(lvals)
     seeds = np.random.SeedSequence(seed).spawn((n_sequences + _BLOCK - 1) // _BLOCK)
 
     def walk_block(bi: int):
@@ -451,7 +451,7 @@ def simulate_scale_entropy(
         half = half_widths[(start + np.arange(size)) % len(o_values)]
         uniforms = rng.random((size, max(1, int(lengths.max()) - 1)))
         pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
-        return _chroma_entropy(pitches, lengths, failed)
+        return _chroma_entropy(pitches, lengths, failed, terms)
 
     with _pool(threads) as pool:
         a, h = (np.concatenate(x) for x in zip(*pool.map(walk_block, range(len(seeds)))))

@@ -53,6 +53,29 @@ def _plugin_entropy(probs) -> float:
     return -acc + 0.0
 
 
+class PluginTerms:
+    """_plugin_entropy's terms p * log2(p), p = c/n, for c = 0..n and each
+    total n given, in one table that any thread can read. math.log2, not
+    np.log2, whose last bits follow the SIMD path numpy picks on a CPU."""
+
+    def __init__(self, totals):
+        sizes = sorted(set(np.asarray(totals).tolist()))
+        self._start = np.zeros(sizes[-1] + 1, dtype=np.int64)
+        terms = []
+        for n in sizes:
+            self._start[n] = len(terms)
+            terms += [0.0] + [c / n * math.log2(c / n) for c in range(1, n + 1)]
+        self._terms = np.array(terms)
+
+    def entropy_rows(self, counts, totals) -> np.ndarray:
+        """_plugin_entropy of each count row over its total, bit for bit: a
+        row's terms in ascending order of count, summed left to right by
+        cumsum, a sum whose bits do not depend on numpy's pairwise summation.
+        A zero count adds 0.0, which leaves the sum as it is."""
+        cells = self._start[totals][:, None] + np.sort(counts, axis=1)
+        return -self._terms[cells].cumsum(axis=1)[:, -1] + 0.0
+
+
 def entropy(d: Distribution) -> float:
     """Plug-in Shannon entropy in bits."""
     return _plugin_entropy(d.probs)

@@ -113,9 +113,13 @@ def _pearson_r(x, y) -> float:
         raise MelicError("length mismatch")
     if x.size < 3:
         raise MelicError("need at least 3 points")
-    if x.std() == 0 or y.std() == 0:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
+        sx, sy = x.std(), y.std()
+        r = float(np.corrcoef(x, y)[0, 1])
+    if sx == 0 or sy == 0:
         raise MelicError("zero variance")
-    r = float(np.corrcoef(x, y)[0, 1])
+    if not np.isfinite([sx, sy, r]).all():
+        raise MelicError("the points spread too widely: their standard deviation or r overflows float64")
     return r if abs(r) < 1.0 else (1.0 if r > 0 else -1.0)
 
 
@@ -190,14 +194,17 @@ def joint_entropy_null(means: list[CorpusMeans], n_samples: int = 10000, rng=Non
     hd = np.array([m.h_duration for m in means])
     mi = np.array([m.i_chroma_duration for m in means])
     n = len(means)
-    null = (
-        hc[rng.integers(0, n, n_samples)]
-        + hd[rng.integers(0, n, n_samples)]
-        - mi[rng.integers(0, n, n_samples)]
-    )
-    emp = hc + hd - mi
-    null_var = float(null.var())
-    emp_var = float(emp.var())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        null = (
+            hc[rng.integers(0, n, n_samples)]
+            + hd[rng.integers(0, n, n_samples)]
+            - mi[rng.integers(0, n, n_samples)]
+        )
+        emp = hc + hd - mi
+        null_var = float(null.var())
+        emp_var = float(emp.var())
+    if not np.isfinite([null_var, emp_var]).all():
+        raise MelicError("the means spread too widely: the joint entropies' variance overflows float64")
     if null_var == 0.0:
         return JointNullResult(0.0, emp_var, 1.0, degenerate=True)
     ratio = null_var / emp_var if emp_var > 0 else float("inf")

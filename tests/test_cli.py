@@ -895,6 +895,24 @@ def test_means_that_are_not_finite_are_errors(tmp_path, capsys, command, column,
 
 
 @pytest.mark.parametrize(
+    "argv, rows",
+    [
+        # r over three of these points overflows the standard deviations and corrcoef
+        (["subsample-corr", "--max-per-region", "2", "--resamples", "5"],
+         [["a", "r0", "Folk", 0, 0, 0], ["b", "r1", "Folk", 1e308, 1e308, 0],
+          ["c", "r2", "Folk", 1e308, 0, 0], ["d", "r0", "Folk", 1, 2, 0]]),
+        # H(C) + H(D) - I of these rows spreads too widely for float64's variance
+        (["null-joint"], [["a", "r", "Folk", 0, 0, 0], ["b", "r", "Folk", 0, 0, 0], ["c", "r", "Folk", 0, 0, 1e308]]),
+    ],
+    ids=["subsample-corr", "null-joint"],
+)
+def test_means_whose_statistics_overflow_float64_are_one_error_line(tmp_path, capsys, argv, rows):
+    means = tmp_path / "means.csv"
+    make_means_csv(means, rows)
+    expect_error(capsys, [*argv, "--seed", "1", str(means)], "overflows float64")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["pitch", "--model", "S1", "--grid-a", "13"], "S1: alphabet size must be <= 12, got 13"),

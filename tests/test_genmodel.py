@@ -38,7 +38,7 @@ from melic.genmodel import (
     simple_value_set,
     simulate_scale_entropy,
 )
-from melic.infotheory import Distribution, distribution_of, entropy, entropy_of
+from melic.infotheory import Distribution, PluginTerms, _plugin_entropy, distribution_of, entropy, entropy_of
 from melic.viewpoints import ViewpointKind, extract_viewpoint, pairs_of, pitch_symbols, ratios
 
 from conftest import melody_from_pitches
@@ -543,8 +543,8 @@ def test_simulate_deterministic_across_threads():
 
 def oracle_chroma_entropy(pitches, lengths, failed):
     # _chroma_entropy as it was before blocks bounded its input: 16 columns
-    # at a time, chroma 12 counting the padding; H sums the counts in
-    # ascending order
+    # at a time, chroma 12 counting the padding; H is _plugin_entropy of
+    # each walk's counts
     n, width = pitches.shape
     counts = np.zeros(n * 13, dtype=np.int64)
     rows = np.arange(n)[:, None] * 13
@@ -552,9 +552,9 @@ def oracle_chroma_entropy(pitches, lengths, failed):
         c = pitches[:, j : j + 16] % 12
         c[np.arange(j, j + c.shape[1]) >= lengths[:, None]] = 12
         counts += np.bincount((rows + c).ravel(), minlength=n * 13)
-    p = np.sort(counts.reshape(n, 13)[:, :12], axis=1) / lengths.astype(np.float64)[:, None]
-    h = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0).sum(axis=1)
-    a = (p > 0).sum(axis=1)
+    counts = counts.reshape(n, 13)[:, :12]
+    h = np.array([_plugin_entropy([c / length for c in row]) for row, length in zip(counts.tolist(), lengths.tolist())])
+    a = (counts > 0).sum(axis=1)
     a[failed] = 0
     h[failed] = np.nan
     return a, h
@@ -665,15 +665,8 @@ def _walk_chunk_loop(vals, probs, lengths, lo, hi, uniforms, out_a, out_h):
             out_a[i] = 0
             out_h[i] = np.nan
             continue
-        a = 0
-        h = 0.0
-        for c in range(12):
-            if counts[c] > 0:
-                a += 1
-                p = counts[c] / length
-                h -= p * np.log2(p)
-        out_a[i] = a
-        out_h[i] = h
+        out_a[i] = np.count_nonzero(counts)
+        out_h[i] = _plugin_entropy([c / length for c in counts.tolist()])
 
 
 def test_walk_kernel_matches_per_walk_loop():
@@ -691,9 +684,9 @@ def test_walk_kernel_matches_per_walk_loop():
     h_ref = np.zeros(n)
     _walk_chunk_loop(vals, probs, lengths, -half, half, uniforms, a_ref, h_ref)
     pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
-    a, h = _chroma_entropy(pitches, lengths, failed)
+    a, h = _chroma_entropy(pitches, lengths, failed, PluginTerms(lengths))
     assert np.array_equal(a, a_ref)
-    assert np.allclose(h, h_ref, rtol=0, atol=1e-12, equal_nan=True)
+    assert np.array_equal(h, h_ref, equal_nan=True)
 
 
 def test_walk_kernel_matches_per_walk_loop_where_walks_fail():
@@ -713,10 +706,26 @@ def test_walk_kernel_matches_per_walk_loop_where_walks_fail():
         a_ref, h_ref = np.zeros(n, dtype=np.int64), np.zeros(n)
         _walk_chunk_loop(vals, probs, lengths, -half, half, uniforms, a_ref, h_ref)
         pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, uniforms)
-        a, h = _chroma_entropy(pitches, lengths, failed)
+        a, h = _chroma_entropy(pitches, lengths, failed, PluginTerms(lengths))
         assert np.array_equal(failed, a_ref == 0)
         assert np.array_equal(a, a_ref)
-        assert np.allclose(h, h_ref, rtol=0, atol=1e-12, equal_nan=True)
+        assert np.array_equal(h, h_ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("low, high, n", [(10, 80, 2000), (1000, 2048, 200)])
+def test_a_walks_h_is_the_entropy_of_its_chromas(low, high, n):
+    # one entropy formula: a walk's H is bit-equal to a melody's H of the same chromas
+    rng = np.random.default_rng(21)
+    vals = np.arange(-5, 6, dtype=np.int64)
+    probs = (6.0 - np.abs(vals)) / 36.0
+    lengths = rng.integers(low, high + 1, n)
+    half = rng.choice([6, 12, 18], n)
+    pitches, failed = _kernels.walk_chunk(vals, probs, lengths, -half, half, rng.random((n, high - 1)))
+    assert not failed.any()
+    a, h = _chroma_entropy(pitches, lengths, failed, PluginTerms(lengths))
+    chromas = [(row[:length] % 12).tolist() for row, length in zip(pitches, lengths)]
+    assert h.tolist() == [entropy_of(c) for c in chromas]
+    assert a.tolist() == [len(set(c)) for c in chromas]
 
 
 def oracle_walk_chunk(vals, probs, lengths, lo, hi, uniforms, allowed=None):

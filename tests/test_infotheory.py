@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from melic.corpus import MelicError
 from melic.infotheory import (
     Distribution,
+    PluginTerms,
     _plugin_entropy,
     distribution_of,
     entropy,
@@ -251,6 +252,27 @@ def test_plugin_entropy_is_invariant_under_permutations_of_the_counts(counts_and
     counts, permuted = counts_and_permuted
     n = sum(counts)
     assert _plugin_entropy([c / n for c in permuted]) == _plugin_entropy([c / n for c in counts])
+
+
+@st.composite
+def _count_rows(draw):
+    # rows of one width cut from totals up to 2048: cuts that coincide give
+    # zero counts, and cuts all at 0 or at the total give one-symbol rows
+    width = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        total = draw(st.integers(1, 2048))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=width - 1, max_size=width - 1)))
+        rows.append(np.diff([0, *cuts, total]))
+    return np.array(rows)
+
+
+@PROPERTY
+@given(_count_rows())
+def test_entropy_rows_is_the_plugin_entropy_of_each_row(counts):
+    totals = counts.sum(axis=1)
+    want = [_plugin_entropy([c / n for c in row]) for row, n in zip(counts.tolist(), totals.tolist())]
+    assert PluginTerms(totals).entropy_rows(counts, totals).tolist() == want
 
 
 @PROPERTY
