@@ -76,9 +76,7 @@ def _walk_block(vals, probs, lengths, lo, hi, uniforms, allowed, shared, pitches
     # power of two up to 256 that gives no more cells than draws.
     draws = int(np.sum(lengths - 1))
     B = 1 << min(8, max(1, draws // len(cdf)).bit_length() - 1)
-    edges = np.arange(B + 1) / B
-    g_lo = np.count_nonzero(cdf[:, None, :] <= edges[:-1, None], axis=2)
-    g_hi = np.count_nonzero(cdf[:, None, :] < edges[1:, None], axis=2)
+    g_lo, g_hi = _guide_bounds(cdf, B)
     guide = np.where(g_lo == g_hi, vals[np.minimum(g_lo, nv - 1)], _FALLBACK)
     guide[dead] = 0  # a walk in a dead state stays where it is
     guide = guide.ravel()
@@ -103,3 +101,20 @@ def _walk_block(vals, probs, lengths, lo, hi, uniforms, allowed, shared, pitches
     # dead states are absorbing: a walk failed iff it began its last step in one
     last = pitches[order, np.maximum(steps - 1, 0)]
     failed[order] = (steps > 0) & dead[start + last]
+
+
+def _guide_bounds(cdf, B):
+    """g_lo[r, b] = #{cdf[r] <= b/B} and g_hi[r, b] = #{cdf[r] < (b+1)/B} for
+    B a power of two, by counting: cdf * B is exact, so the first counts the
+    values whose ceil(cdf * B) is at most b and the second those whose
+    floor(cdf * B) is. A dead row's NaN CDF goes to bucket B, which no count
+    reaches."""
+    rows = len(cdf)
+    scaled = np.nan_to_num(cdf * B, nan=B)
+    base = np.arange(rows)[:, None] * (B + 1)
+
+    def at_most(buckets):
+        counts = np.bincount((base + buckets.astype(np.int64)).ravel(), minlength=rows * (B + 1))
+        return counts.reshape(rows, B + 1).cumsum(axis=1)[:, :B]
+
+    return at_most(np.ceil(scaled)), at_most(np.floor(scaled))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -367,7 +366,11 @@ _MAX_TABLE_CELLS = 1 << 22  # the walk table's cells at most: a run at the limit
 _MAX_BLOCK_CELLS = 1 << 23
 
 
-def _pool(threads: int) -> ThreadPoolExecutor:
+def _pool(threads: int):
+    """A thread pool of at most _MAX_THREADS threads."""
+    # imported here: concurrent.futures costs about 6 ms of start-up, and only genmodel scale runs a pool
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=min(threads, _MAX_THREADS))
 
 
@@ -382,7 +385,10 @@ def _chroma_entropy(pitches, lengths, failed, terms: PluginTerms):
     failed walk gets A = 0 and H = nan. H is bit-equal to entropy_of the
     walk's chromas; `terms` covers every length."""
     n, width = pitches.shape
-    cells = np.arange(n)[:, None] * 12 + pitches % 12
+    # a chroma table over the pitches' range: a lookup, not an int64 modulo of every cell
+    lo = int(pitches.min(initial=0))
+    chroma = np.arange(lo, int(pitches.max(initial=0)) + 1) % 12
+    cells = np.arange(n)[:, None] * 12 + np.take(chroma, pitches - lo)
     counts = np.bincount(cells[np.arange(width) < lengths[:, None]], minlength=n * 12).reshape(n, 12)
     h = terms.entropy_rows(counts, lengths)
     a = np.count_nonzero(counts, axis=1)
@@ -456,7 +462,8 @@ def simulate_scale_entropy(
     with _pool(threads) as pool:
         a, h = (np.concatenate(x) for x in zip(*pool.map(walk_block, range(len(seeds)))))
     # pool.map merges in block order; the std, the KDE and slices of per_a see each sample sorted
-    per_a = {int(k): np.sort(h[a == k]) for k in np.unique(a[a > 0])}
+    # the sizes that occur, by counting: np.unique would import numpy.ma
+    per_a = {int(k): np.sort(h[a == k]) for k in np.flatnonzero(np.bincount(a)[1:]) + 1}
     return ScaleSimResult(per_a=per_a, n_sequences=n_sequences, n_failed=int((a == 0).sum()))
 
 
@@ -476,13 +483,17 @@ def scale_loglikelihood(sim: ScaleSimResult, empirical_h, alpha: float = 0.999, 
     of `threads` threads.
 
     P'(H) = alpha * KDE(empirical) + (1 - alpha)/5 on [0, 5] bits;
-    logL(A) = sum over bins of Q_A(H) * log2 P'(H) * _H_BIN.
+    logL(A) = sum over bins of Q_A(H) * log2 P'(H) * _H_BIN. A bin where Q_A
+    is 0 adds nothing; Q_A above 0 where P' is 0 (only at alpha 1) is an error.
     """
     empirical_h = np.asarray(list(empirical_h), dtype=float)
     check_alpha(alpha)
     grid = np.arange(_H_BIN / 2, 5.0, _H_BIN)
     p = kde_silverman(empirical_h, grid=grid).density
-    log_p = np.log2(alpha * p + (1.0 - alpha) / 5.0)
+    with np.errstate(divide="ignore"):  # P' is 0 only at alpha 1, where the KDE is 0
+        log_p = np.log2(alpha * p + (1.0 - alpha) / 5.0)
+    zero = np.isneginf(log_p)
+    log_p[zero] = 0.0  # a bin where Q_A is 0 adds nothing; Q_A > 0 there is an error below
 
     def density(samples):
         if np.ptp(samples) != 0:
@@ -494,8 +505,15 @@ def scale_loglikelihood(sim: ScaleSimResult, empirical_h, alpha: float = 0.999, 
 
     # an alphabet size with fewer than _MIN_SAMPLES walks is flagged unreliable and gets no logL
     kept = {a: s for a, s in sorted(sim.per_a.items()) if s.size >= _MIN_SAMPLES}
+
+    def loglik(a, q):
+        if (q[zero] > 0).any():
+            why = "its walks reach entropies where the empirical density is 0; use --alpha below 1"
+            raise MelicError(f"logL of A={a} is -inf: {why}")
+        return float(np.sum(q * log_p) * _H_BIN)
+
     with _pool(threads) as pool:
-        return {a: float(np.sum(q * log_p) * _H_BIN) for a, q in zip(kept, pool.map(density, kept.values()))}
+        return {a: loglik(a, q) for a, q in zip(kept, pool.map(density, kept.values()))}
 
 
 def prob_entropy_below(sim: ScaleSimResult, threshold: float = 2.8) -> dict[int, float]:

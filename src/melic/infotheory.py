@@ -61,11 +61,15 @@ class PluginTerms:
     def __init__(self, totals):
         sizes = sorted(set(np.asarray(totals).tolist()))
         self._start = np.zeros(sizes[-1] + 1, dtype=np.int64)
-        terms = []
+        # one float64 array, filled a total at a time: a list of Python floats
+        # would take about five times the table's memory on the way
+        self._terms = np.zeros(sum(sizes) + len(sizes))
+        at = 0
         for n in sizes:
-            self._start[n] = len(terms)
-            terms += [0.0] + [c / n * math.log2(c / n) for c in range(1, n + 1)]
-        self._terms = np.array(terms)
+            self._start[n] = at
+            terms = (c / n * math.log2(c / n) for c in range(1, n + 1))
+            self._terms[at + 1 : at + n + 1] = np.fromiter(terms, float, n)
+            at += n + 1
 
     def entropy_rows(self, counts, totals) -> np.ndarray:
         """_plugin_entropy of each count row over its total, bit for bit: a

@@ -5,7 +5,6 @@ a time."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +142,9 @@ class WithinCorpusResult:
 
 def _target_seed(base_seed: int, melody_id: str) -> int:
     # derived from the target id so results do not depend on iteration order
+    # imported here: about 4 ms of start-up, which numpy.random pays too, but entropy and totalinfo do not
+    import hashlib
+
     digest = hashlib.sha256(f"{base_seed}:{melody_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -865,6 +865,19 @@ def test_genmodel_scale_rejects_an_empirical_h_whose_spread_overflows_before_any
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.filterwarnings("error")
+def test_genmodel_scale_at_alpha_1_where_the_empirical_density_is_0_is_one_error_line(tmp_path, capsys):
+    # the empirical H sit within a few hundredths of a bit of 3, so their KDE
+    # is exactly 0 over most of [0, 5] bits, where the walks' H lie too: at
+    # alpha 1, P' is 0 there and every logL is -inf
+    intervals = write_distribution(tmp_path / "intervals.csv", [(d, 6 - abs(d)) for d in range(-5, 6)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(n, 1) for n in range(20, 81)])
+    h = tmp_path / "H.csv"
+    h.write_text("H\n" + "".join(f"{x!r}\n" for x in (3 + 0.01 * np.random.default_rng(0).normal(size=400)).tolist()))
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--empirical-h", str(h)]
+    expect_error(capsys, [*argv, "--n", "40000", "--seed", "1", "--alpha", "1"], "is -inf", "--alpha")
+
+
 def test_genmodel_scale_scores_an_alphabet_size_whose_walks_share_one_count_multiset(tmp_path, capsys):
     # a length-10 walk over 9 chromas counts one chroma twice and 8 once,
     # wherever they lie, so all 138 A = 9 walks have one H: a delta that
@@ -1185,6 +1198,37 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _modules_loaded_by(argv):
+    """Run main(argv) in a fresh interpreter; its exit code and the modules it loaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; from melic.cli import main; rc = main({argv!r}); print(rc); print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    rc, modules = proc.stdout.splitlines()
+    return int(rc), set(modules.split())
+
+
+def test_commands_load_no_module_they_do_not_use(tmp_path, corpus_file):
+    # hashlib serves ppm-repetition's seeds alone and concurrent.futures genmodel
+    # scale's pool alone; numpy.ma comes with np.unique and np.percentile
+    rc, modules = _modules_loaded_by(["entropy", str(corpus_file), "--out", str(tmp_path / "e.csv")])
+    assert rc == 0 and not {"hashlib", "concurrent.futures", "numpy.ma"} & modules
+    intervals = write_distribution(tmp_path / "intervals.csv", [(d, 6 - abs(d)) for d in range(-5, 6)])
+    lengths = write_distribution(tmp_path / "lengths.csv", [(n, 1) for n in range(10, 21)])
+    h = tmp_path / "H.csv"
+    h.write_text("H\n2.5\n2.9\n3.0\n3.2\n2.7\n")
+    argv = ["genmodel", "scale", "--intervals", str(intervals), "--lengths", str(lengths), "--empirical-h", str(h)]
+    rc, modules = _modules_loaded_by([*argv, "--n", "5000", "--threads", "2", "--seed", "1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 0 and "concurrent.futures" in modules and "numpy.ma" not in modules
+    means = tmp_path / "means.csv"
+    make_means_csv(means, [[f"c{i}", f"r{i % 2}", "Folk", 2 + 0.1 * i, 1 + 0.01 * i * i, 0.1] for i in range(6)])
+    argv = ["subsample-corr", "--seed", "1", "--max-per-region", "2", str(means), "--out", str(tmp_path / "r.csv")]
+    rc, modules = _modules_loaded_by(argv)
+    assert rc == 0 and "numpy.ma" not in modules
 
 
 def test_subsample_corr_loads_no_scipy(tmp_path):

@@ -1,5 +1,6 @@
 """Generative pitch/rhythm models, JSD fitting, and the scale-entropy pipeline."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -39,6 +40,7 @@ from melic.genmodel import (
     simulate_scale_entropy,
 )
 from melic.infotheory import Distribution, PluginTerms, _plugin_entropy, distribution_of, entropy, entropy_of
+from melic.stats import kde_silverman
 from melic.viewpoints import ViewpointKind, extract_viewpoint, pairs_of, pitch_symbols, ratios
 
 from conftest import melody_from_pitches
@@ -617,12 +619,13 @@ def test_scale_loglikelihood_is_the_same_for_any_thread_count():
 def test_the_pool_starts_at_most_eight_threads(monkeypatch):
     asked = []
 
-    class Pool(genmodel.ThreadPoolExecutor):
+    class Pool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             asked.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(genmodel, "ThreadPoolExecutor", Pool)
+    # genmodel imports the pool class where it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     sim = simulate_scale_entropy(triangular_intervals(), fixed_length(30), [1.0, 2.0], 3 * genmodel._BLOCK, seed=1, threads=64)
     scale_loglikelihood(sim, sim.per_a[7][::10], threads=3)
     assert asked == [8, 3]
@@ -726,6 +729,40 @@ def test_a_walks_h_is_the_entropy_of_its_chromas(low, high, n):
     chromas = [(row[:length] % 12).tolist() for row, length in zip(pitches, lengths)]
     assert h.tolist() == [entropy_of(c) for c in chromas]
     assert a.tolist() == [len(set(c)) for c in chromas]
+
+
+def test_chroma_lookup_is_the_modulo_on_negative_pitches():
+    # pitches far below 0 and a window that is not centered on it; a failed walk too
+    rng = np.random.default_rng(22)
+    n = 300
+    lengths = rng.integers(1, 41, n)
+    pitches = rng.integers(-70, 4, (n, 40))
+    failed = rng.random(n) < 0.1
+    a, h = _chroma_entropy(pitches, lengths, failed, PluginTerms(lengths))
+    chromas = [[p % 12 for p in row[:length].tolist()] for row, length in zip(pitches, lengths)]
+    assert a.tolist() == [0 if f else len(set(c)) for c, f in zip(chromas, failed)]
+    assert np.array_equal(h, [math.nan if f else entropy_of(c) for c, f in zip(chromas, failed)], equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32 - 1), st.booleans())
+def test_counted_guide_bounds_are_the_comparison_cube(log_b, nv, rows, seed, on_edges):
+    B = 1 << log_b
+    rng = np.random.default_rng(seed)
+    if on_edges:  # CDF values on and between the bucket edges b/B
+        cdf = np.sort(rng.integers(0, 4 * B + 1, (rows, nv)), axis=1) / (4 * B)
+        cdf[:, -1] = 1.0
+    else:  # the kernel's CDF rows, zero weights included
+        w = rng.random((rows, nv)) * (rng.random((rows, nv)) < 0.7)
+        w[w.sum(axis=1) == 0, -1] = 1.0
+        cdf = np.cumsum(w / w.sum(axis=1)[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+    dead = rng.random(rows) < 0.3
+    cdf[dead] = np.nan
+    edges = np.arange(B + 1) / B
+    g_lo, g_hi = _kernels._guide_bounds(cdf, B)
+    assert np.array_equal(g_lo, np.count_nonzero(cdf[:, None, :] <= edges[:-1, None], axis=2))
+    assert np.array_equal(g_hi, np.count_nonzero(cdf[:, None, :] < edges[1:, None], axis=2))
 
 
 def oracle_walk_chunk(vals, probs, lengths, lo, hi, uniforms, allowed=None):
@@ -868,6 +905,23 @@ def test_scale_loglikelihood_prefers_matching_alphabet():
     logl = scale_loglikelihood(sim, emp)
     assert max(logl, key=logl.get) == 7
     assert all(math.isfinite(v) for v in logl.values())
+
+
+def test_scale_loglikelihood_at_alpha_1_adds_nothing_where_the_walks_have_no_density():
+    # the empirical KDE is exactly 0 below about 1.7 and above 2.8 bits, and
+    # each alphabet size's KDE lies inside that: a finite logL from the bins
+    # where Q_A is above 0, not 0 * -inf
+    rng = np.random.default_rng(23)
+    per_a = {3: np.sort(rng.normal(2.2, 0.02, 500)), 4: np.sort(rng.normal(2.3, 0.02, 500))}
+    emp = rng.normal(2.25, 0.05, 2000)
+    grid = np.arange(genmodel._H_BIN / 2, 5.0, genmodel._H_BIN)
+    p = kde_silverman(emp, grid=grid).density
+    assert (p == 0).sum() > 500
+    logl = scale_loglikelihood(genmodel.ScaleSimResult(per_a, 1000), emp, alpha=1.0)
+    for a, samples in per_a.items():
+        q = kde_silverman(samples, grid=grid).density
+        want = sum(qk * math.log2(pk) for qk, pk in zip(q.tolist(), p.tolist()) if qk > 0) * genmodel._H_BIN
+        assert logl[a] == pytest.approx(want, rel=1e-12)
 
 
 def test_scale_loglikelihood_validation():

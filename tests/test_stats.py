@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melic.corpus import MelicError
 from melic.stats import (
@@ -15,6 +17,7 @@ from melic.stats import (
     kde_silverman,
     ngram_similarity,
     pearson,
+    percentiles,
     region_balanced_correlation,
     silverman_bandwidth,
 )
@@ -31,6 +34,16 @@ def test_silverman_bandwidth_formula():
     iqr = 2.0
     expected = 0.9 * min(sigma, iqr / 1.34) * 5 ** (-0.2)
     assert silverman_bandwidth(samples) == pytest.approx(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5000), st.integers(0, 2**32 - 1), st.integers(1, 10**6))
+def test_percentiles_are_numpys_linear_rule(n, seed, levels):
+    # few levels give many ties; the order of the sample does not matter
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(-levels, levels + 1, n) * rng.uniform(1e-3, 1e3)
+    qs = [2.5, 25, 75, 97.5]
+    assert percentiles(samples, qs) == np.percentile(samples, qs).tolist()
 
 
 def test_kde_integrates_to_one():
